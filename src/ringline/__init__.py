@@ -13,7 +13,6 @@ from .config import RunConfig
 from .errors import BoundExceeded, BudgetExceeded, FixtureMismatch
 from .fields import (
     GF,
-    PrimePower,
     find_irreducible,
     find_primitive,
     gf_build,

@@ -195,15 +195,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    config = RunConfig(output_format=args.format)
-    if args.bound is not None:
-        config.vertex_bound = args.bound
-    config.census_node_budget = (
-        args.budget if args.budget is not None else budget_from_env(config.census_node_budget)
-    )
-    if args.workers is not None:
-        config.worker_count = args.workers
     try:
+        given = {"vertex_bound": args.bound, "worker_count": args.workers}
+        config = RunConfig(
+            output_format=args.format,
+            census_node_budget=budget_from_env() if args.budget is None else args.budget,
+            **{name: value for name, value in given.items() if value is not None},
+        )
         return args.func(args, config)
     except (BoundExceeded, BudgetExceeded, FixtureMismatch, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

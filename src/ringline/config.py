@@ -14,7 +14,7 @@ GL_ENUMERATION_BOUND = 1_000_000
 # Largest graph any constructor will emit.
 VERTEX_BOUND = 20_000
 
-# Census node budget: one node per clique visited during backtracking.
+# Census node budget: one node per clique of size >= 1 visited by the search.
 CENSUS_NODE_BUDGET = 1_000_000
 
 BUDGET_ENV_VAR = "RINGLINE_BUDGET"
@@ -34,8 +34,9 @@ class RunConfig:
     output_format: str = "text"
 
     def __post_init__(self) -> None:
-        if self.vertex_bound <= 0 or self.census_node_budget <= 0 or self.worker_count <= 0:
-            raise ValueError("bounds must be positive")
+        for name in ("vertex_bound", "census_node_budget", "worker_count"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.output_format not in ("json", "csv", "text"):
             raise ValueError(f"unknown output format {self.output_format!r}")
 
@@ -45,7 +46,6 @@ def budget_from_env(default: int = CENSUS_NODE_BUDGET) -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
         return default
-    value = int(raw)
-    if value <= 0:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be positive, got {raw!r}")
-    return value
+    if not raw.strip().isdecimal() or int(raw) <= 0:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}")
+    return int(raw)

@@ -13,7 +13,6 @@ by degree, with no trailing zeros (the empty tuple is zero).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .config import FIELD_SIZE_BOUND
 from .errors import BoundExceeded
@@ -55,29 +54,6 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     if n != 1:
         raise ValueError(f"{q} is not a prime power")
     return p, r
-
-
-@dataclass(frozen=True)
-class PrimePower:
-    """A prime power q = p^r."""
-
-    p: int
-    r: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.r < 1:
-            raise ValueError("exponent must be >= 1")
-
-    @property
-    def q(self) -> int:
-        return self.p**self.r
-
-    @classmethod
-    def from_value(cls, q: int) -> "PrimePower":
-        p, r = factor_prime_power(q)
-        return cls(p, r)
 
 
 class GF:
@@ -287,24 +263,6 @@ def fp_eval(F: GF, a: FieldPoly, x: int) -> int:
     for c in reversed(a):
         acc = F.add(F.mul(acc, x), c)
     return acc
-
-
-def fp_str(a: FieldPoly, var: str = "x") -> str:
-    """Display form, descending degree, coefficients as element indices."""
-    if not a:
-        return "0"
-    parts = []
-    for deg in range(len(a) - 1, -1, -1):
-        c = a[deg]
-        if c == 0:
-            continue
-        if deg == 0:
-            body = str(c)
-        else:
-            x = var if deg == 1 else f"{var}^{deg}"
-            body = x if c == 1 else f"{c}{x}"
-        parts.append(body)
-    return "+".join(parts)
 
 
 def monic_polys(F: GF, degree: int):

@@ -98,17 +98,13 @@ def general_max_clique(spec: RingSpec) -> int:
     return min(tops)
 
 
-def comm_clique_exists(spec: RingSpec, k: int) -> bool:
-    return k <= comm_max_clique(spec)
-
-
 def cap_n_N_comm(spec: RingSpec, n: int) -> int:
     """|J| * sum_k (-1)^k C(n,k) prod_i (q_i+1-k): size of the common
     neighbourhood (non-distant sets) of n mutually distant points.
 
     The value is about an actual configuration only when an n-clique
-    exists (comm_clique_exists); the alternating sum itself is always
-    defined."""
+    exists (n <= comm_max_clique(spec)); the alternating sum itself is
+    always defined."""
     if n < 0:
         raise ValueError("n must be >= 0")
     qs = _local_qs(spec)

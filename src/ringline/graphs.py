@@ -5,18 +5,23 @@ u ~ v.  Graphs are immutable after construction and safe to share
 across workers.  T, the single vertex with a loop, is the identity of
 the tensor product and is rejected by every other combinator.
 
-The census engine is an ordered backtracking search: cliques are
-enumerated exactly once, in increasing vertex order, with one budget
-"node" charged per clique visited.  Exceeding the budget raises; there
-are no silent partial answers.
+The census and the extension profile run one ordered backtracking walk:
+cliques are enumerated exactly once, in increasing vertex order, with
+one budget "node" charged per clique visited.  The last level is
+settled in one step per parent: its candidates are charged and counted
+by a popcount, and binned by extension count only when there are
+common neighbours to bin by.  Worker i of w walks the cliques whose
+minimum vertex is root i, i + w, ..., so counts and budget outcomes do
+not depend on w.  Exceeding the budget raises; there are no silent
+partial answers.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 from .config import CENSUS_NODE_BUDGET, VERTEX_BOUND
@@ -114,7 +119,10 @@ class Graph:
     def index_of(self, label: str) -> int:
         if self.labels is None:
             raise ValueError("graph has no labels")
-        return self.labels.index(label)
+        try:
+            return self.labels.index(label)
+        except ValueError:
+            raise ValueError(f"no vertex labelled {label!r}") from None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -234,49 +242,92 @@ class CliqueCensus:
         return [self.counts[k] for k in range(self.kmax + 1)]
 
 
-def _census_roots(adj: Sequence[int], kmax: int, roots: Sequence[int], budget: int):
-    """Counts of cliques whose minimum vertex lies in roots, plus node count."""
-    counts = [0] * (kmax + 1)
+def _walk(
+    adj: Sequence[int],
+    depth: int,
+    cand: int,
+    common: int,
+    roots: Sequence[int],
+    budget: int,
+    what: str,
+):
+    """Ordered walk over the cliques of 1..depth vertices of cand whose
+    minimum vertex lies in roots.
+
+    Returns (counts, hist, nodes): counts[d] is the number of d-cliques,
+    hist[c] the number of depth-cliques with exactly c vertices of common
+    adjacent to all of them, and nodes = sum(counts), one per clique.
+    """
+    counts = [0] * (depth + 1)
+    hist = [0] * (common.bit_count() + 1)
     nodes = 0
 
-    def rec(cand: int, size: int) -> None:
+    def rec(cand: int, common: int, size: int) -> None:
         nonlocal nodes
+        if size + 1 == depth:
+            # leaf step: every candidate closes one depth-clique
+            width = cand.bit_count()
+            nodes += width
+            if nodes > budget:
+                raise BudgetExceeded(f"{what} exceeded {budget} nodes")
+            counts[depth] += width
+            if not common:
+                hist[0] += width
+                return
+            while cand:
+                lsb = cand & -cand
+                cand ^= lsb
+                hist[(common & adj[lsb.bit_length() - 1]).bit_count()] += 1
+            return
         while cand:
             lsb = cand & -cand
             v = lsb.bit_length() - 1
             cand ^= lsb
             nodes += 1
             if nodes > budget:
-                raise BudgetExceeded(f"census exceeded {budget} nodes")
+                raise BudgetExceeded(f"{what} exceeded {budget} nodes")
             counts[size + 1] += 1
-            if size + 1 < kmax:
-                sub = cand & adj[v]
-                if sub:
-                    rec(sub, size + 1)
+            sub = cand & adj[v]
+            if sub:
+                rec(sub, common & adj[v], size + 1)
 
     for r in roots:
         nodes += 1
         if nodes > budget:
-            raise BudgetExceeded(f"census exceeded {budget} nodes")
-        if kmax >= 1:
-            counts[1] += 1
-            if kmax >= 2:
-                above = adj[r] >> (r + 1) << (r + 1)
-                if above:
-                    rec(above, 1)
-    return counts, nodes
+            raise BudgetExceeded(f"{what} exceeded {budget} nodes")
+        counts[1] += 1
+        if depth == 1:
+            hist[(common & adj[r]).bit_count()] += 1
+        else:
+            sub = cand & adj[r] & (-1 << (r + 1))
+            if sub:
+                rec(sub, common & adj[r], 1)
+    return counts, hist, nodes
 
 
-def _census_task(args):
-    adj, kmax, roots, budget = args
-    return _census_roots(adj, kmax, roots, budget)
+def _search(
+    adj: Sequence[int], depth: int, cand: int, common: int, budget: int, workers: int, what: str
+):
+    """_walk over every root in cand; worker i takes the roots [i::workers].
 
-
-def _split_round_robin(items: Sequence[int], parts: int) -> list[list[int]]:
-    chunks: list[list[int]] = [[] for _ in range(parts)]
-    for i, item in enumerate(items):
-        chunks[i % parts].append(item)
-    return [c for c in chunks if c]
+    Each worker owns the cliques whose minimum vertex is one of its roots,
+    so the summed counts, histogram and nodes do not depend on the split.
+    """
+    roots = []
+    bits = cand if depth else 0  # a depth-0 search visits nothing
+    while bits:
+        roots.append((bits & -bits).bit_length() - 1)
+        bits &= bits - 1
+    if workers <= 1 or depth < 2 or len(roots) < 2:
+        return _walk(adj, depth, cand, common, roots, budget, what)
+    chunks = [roots[i::workers] for i in range(min(workers, len(roots)))]
+    task = partial(_walk, adj, depth, cand, common, budget=budget, what=what)
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        parts = list(pool.map(task, chunks))
+    counts, hists, nodes = zip(*parts)
+    if sum(nodes) > budget:
+        raise BudgetExceeded(f"{what} exceeded {budget} nodes")
+    return [sum(c) for c in zip(*counts)], [sum(h) for h in zip(*hists)], sum(nodes)
 
 
 def count_cliques(
@@ -296,23 +347,9 @@ def count_cliques(
     budget = CENSUS_NODE_BUDGET if node_budget is None else node_budget
     if g.is_T:
         return CliqueCensus({k: 1 for k in range(kmax + 1)}, kmax, 0)
-    roots = list(range(g.n))
-    if workers <= 1 or g.n < 2 or kmax < 2:
-        counts, nodes = _census_roots(g.adj, kmax, roots, budget)
-    else:
-        chunks = _split_round_robin(roots, workers)
-        counts = [0] * (kmax + 1)
-        nodes = 0
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            for part, part_nodes in pool.map(
-                _census_task, [(g.adj, kmax, chunk, budget) for chunk in chunks]
-            ):
-                counts = [a + b for a, b in zip(counts, part)]
-                nodes += part_nodes
-        if nodes > budget:
-            raise BudgetExceeded(f"census exceeded {budget} nodes")
+    counts, _, nodes = _search(g.adj, kmax, (1 << g.n) - 1, 0, budget, workers, "census")
     counts[0] = 1
-    return CliqueCensus({k: counts[k] for k in range(kmax + 1)}, kmax, nodes)
+    return CliqueCensus(dict(enumerate(counts)), kmax, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -360,48 +397,6 @@ def neighborhood_intersection_count(g: Graph, vertices: Iterable[int]) -> int:
     return acc.bit_count()
 
 
-def _profile_roots(
-    adj: Sequence[int], target: int, cand: int, common: int, roots: Sequence[int], budget: int
-):
-    hist: Counter[int] = Counter()
-    nodes = 0
-
-    def rec(cand: int, common: int, size: int) -> None:
-        nonlocal nodes
-        while cand:
-            lsb = cand & -cand
-            v = lsb.bit_length() - 1
-            cand ^= lsb
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(f"profile exceeded {budget} nodes")
-            next_common = common & adj[v]
-            if size + 1 == target:
-                hist[next_common.bit_count()] += 1
-            else:
-                sub = cand & adj[v]
-                if sub:
-                    rec(sub, next_common, size + 1)
-
-    for r in roots:
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded(f"profile exceeded {budget} nodes")
-        next_common = common & adj[r]
-        if target == 1:
-            hist[next_common.bit_count()] += 1
-        else:
-            above = cand & adj[r] & (-1 << (r + 1))
-            if above:
-                rec(above, next_common, 1)
-    return hist, nodes
-
-
-def _profile_task(args):
-    adj, target, cand, common, roots, budget = args
-    return _profile_roots(adj, target, cand, common, roots, budget)
-
-
 def extension_profile(
     g: Graph,
     k: int,
@@ -426,28 +421,8 @@ def extension_profile(
     target = k - len(base)
     if target == 0:
         return {common.bit_count(): 1}
-    roots = []
-    bits = common
-    while bits:
-        v = (bits & -bits).bit_length() - 1
-        bits &= bits - 1
-        roots.append(v)
-    if workers <= 1 or target < 2 or len(roots) < 2:
-        hist, _ = _profile_roots(g.adj, target, common, common, roots, budget)
-    else:
-        chunks = _split_round_robin(roots, workers)
-        hist = Counter()
-        nodes = 0
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            for part, part_nodes in pool.map(
-                _profile_task,
-                [(g.adj, target, common, common, chunk, budget) for chunk in chunks],
-            ):
-                hist.update(part)
-                nodes += part_nodes
-        if nodes > budget:
-            raise BudgetExceeded(f"profile exceeded {budget} nodes")
-    return {c: hist[c] for c in sorted(hist)}
+    _, hist, _ = _search(g.adj, target, common, common, budget, workers, "profile")
+    return {c: h for c, h in enumerate(hist) if h}
 
 
 def find_clique(g: Graph, k: int) -> list[int] | None:

@@ -56,11 +56,6 @@ def zeros(field: GF | int, nrows: int, ncols: int) -> MatrixGF:
     return MatrixGF(F, tuple((0,) * ncols for _ in range(nrows)))
 
 
-def mat_add(a: MatrixGF, b: MatrixGF) -> MatrixGF:
-    F = a.field
-    return MatrixGF(F, tuple(tuple(map(F.add, ra, rb)) for ra, rb in zip(a.rows, b.rows)))
-
-
 def mat_sub(a: MatrixGF, b: MatrixGF) -> MatrixGF:
     F = a.field
     return MatrixGF(F, tuple(tuple(map(F.sub, ra, rb)) for ra, rb in zip(a.rows, b.rows)))

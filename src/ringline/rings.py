@@ -131,15 +131,30 @@ def parse_ring_spec(data: dict | str | Path) -> RingSpec:
         data = json.loads(data.read_text())
     elif isinstance(data, str):
         data = json.loads(data)
+    if not isinstance(data, dict):
+        raise ValueError("a ring spec must be a JSON object")
+    items = data.get("summands", [])
+    if not isinstance(items, list):
+        raise ValueError(f"'summands' must be a list, got {items!r}")
     summands: list[Summand] = []
-    for item in data.get("summands", []):
-        if "local" in item:
-            summands.append(Local(item["local"]["R"], item["local"]["J"]))
-        elif "matrix" in item:
-            summands.append(MatrixRing(item["matrix"]["m"], item["matrix"]["q"]))
+    for item in items:
+        if isinstance(item, dict) and "local" in item:
+            summands.append(Local(*_spec_ints(item["local"], "local", "R", "J")))
+        elif isinstance(item, dict) and "matrix" in item:
+            summands.append(MatrixRing(*_spec_ints(item["matrix"], "matrix", "m", "q")))
         else:
             raise ValueError(f"unknown summand {item!r}")
-    return RingSpec(summands, data.get("radical", 1))
+    radical = data.get("radical", 1)
+    if not isinstance(radical, int):
+        raise ValueError(f"'radical' must be an integer, got {radical!r}")
+    return RingSpec(summands, radical)
+
+
+def _spec_ints(body: object, kind: str, *keys: str) -> list[int]:
+    for key in keys:
+        if not isinstance(body, dict) or not isinstance(body.get(key), int):
+            raise ValueError(f"{kind} summand {body!r} needs an integer {key!r}")
+    return [body[key] for key in keys]  # type: ignore[index]
 
 
 def ring_spec_json(spec: RingSpec) -> str:
@@ -231,13 +246,6 @@ def zn_projective_line(n: int, vertex_bound: int = VERTEX_BOUND) -> Graph:
     if g.n != expected:
         raise AssertionError("point count disagrees with the multiplicative formula")
     return g
-
-
-def zn_canonical_pair(n: int, a: int, b: int) -> tuple[int, int]:
-    """Least unit-scaling orbit member of an admissible pair mod n."""
-    if gcd(gcd(a, b), n) != 1:
-        raise ValueError(f"({a},{b}) is not admissible mod {n}")
-    return min(((u * a) % n, (u * b) % n) for u in range(n) if gcd(u, n) == 1)
 
 
 def zn_crt_map(n: int, factorization: list[int] | None = None) -> list[int]:

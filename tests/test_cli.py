@@ -185,3 +185,50 @@ def test_tables_csv_and_json(capsys):
 def test_missing_spec_file_is_a_clean_error(capsys):
     assert main(["build", "--spec", "/nonexistent/spec.json"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, env, message",
+    [
+        (["--workers", "-4"], None, "worker_count must be positive"),
+        (["--budget", "0"], None, "census_node_budget must be positive"),
+        (["--bound", "-5"], None, "vertex_bound must be positive"),
+        ([], "abc", "RINGLINE_BUDGET must be a positive integer"),
+        ([], "0", "RINGLINE_BUDGET must be a positive integer"),
+    ],
+    ids=["workers", "budget", "bound", "env-text", "env-zero"],
+)
+def test_bad_settings_are_clean_errors(tmp_path, capsys, monkeypatch, flags, env, message):
+    if env is not None:
+        monkeypatch.setenv("RINGLINE_BUDGET", env)
+    assert main(["census", "--spec", spec_file(tmp_path, Z6), "--kmax", "2"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ('{"summands": [{"local": {"R": 4}}]}', "needs an integer 'J'"),
+        ('{"summands": "xx"}', "'summands' must be a list"),
+        ('{"summands": [{"matrix": {"m": 2}}]}', "needs an integer 'q'"),
+        ('[1, 2]', "must be a JSON object"),
+    ],
+    ids=["missing-key", "summands-string", "missing-q", "not-an-object"],
+)
+def test_malformed_spec_is_a_clean_error(tmp_path, capsys, spec, message):
+    assert main(["build", "--spec", spec_file(tmp_path, spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_unknown_containing_label_is_a_clean_error(tmp_path, capsys):
+    argv = ["census", "--spec", spec_file(tmp_path, Z6), "--kmax", "2", "--profile", "2"]
+    assert main(argv + ["--containing", "nope"]) == 2
+    assert capsys.readouterr().err == "error: no vertex labelled 'nope'\n"
+
+
+def test_kmax_zero_charges_no_budget(tmp_path, capsys):
+    argv = ["census", "--spec", spec_file(tmp_path, Z6), "--kmax", "0", "--budget", "5"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "clique counts (k=0..0): 1\n"

@@ -4,7 +4,6 @@ import pytest
 
 from ringline.errors import BoundExceeded
 from ringline.fields import (
-    PrimePower,
     factor_prime_power,
     find_irreducible,
     find_primitive,
@@ -14,7 +13,6 @@ from ringline.fields import (
     fp_is_primitive,
     fp_mul,
     fp_powmod,
-    fp_str,
     gf_build,
     gf_of,
     is_prime,
@@ -86,12 +84,6 @@ def test_field_instances_cached_and_comparable():
 
 
 def test_prime_power_type():
-    pp = PrimePower.from_value(8)
-    assert (pp.p, pp.r, pp.q) == (2, 3, 8)
-    with pytest.raises(ValueError):
-        PrimePower.from_value(12)
-    with pytest.raises(ValueError):
-        PrimePower(4, 1)
     assert factor_prime_power(49) == (7, 2)
     assert is_prime(13) and not is_prime(1)
 
@@ -102,7 +94,6 @@ def test_find_irreducible_examples():
     irr = find_irreducible(2, 3)
     F3 = gf_build(3)
     assert all(fp_eval(F3, irr, x) != 0 for x in range(3))
-    assert fp_str(find_irreducible(2, 2)) == "x^2+x+1"
 
 
 def test_irreducibles_have_no_low_degree_factors():

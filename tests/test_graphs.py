@@ -5,6 +5,7 @@ subsets, which is feasible at these sizes and shares no code with the
 backtracking engine.
 """
 
+import random
 from itertools import combinations
 from math import factorial
 
@@ -37,6 +38,22 @@ def brute_counts(g: Graph, kmax: int) -> list[int]:
     for k in range(1, kmax + 1):
         out.append(sum(1 for c in combinations(range(g.n), k) if is_clique(g, c)))
     return out
+
+
+def brute_profile(g: Graph, k: int, containing=()) -> dict[int, int]:
+    hist: dict[int, int] = {}
+    for c in combinations(range(g.n), k):
+        if set(containing) <= set(c) and is_clique(g, c):
+            ext = sum(all(g.has_edge(u, v) for v in c) for u in range(g.n))
+            hist[ext] = hist.get(ext, 0) + 1
+    return dict(sorted(hist.items()))
+
+
+def random_graph(n: int, density: float, seed: int) -> Graph:
+    rng = random.Random(seed)
+    return Graph.from_edges(
+        n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < density]
+    )
 
 
 def test_graph_validation():
@@ -126,6 +143,21 @@ def test_census_against_subset_oracle():
     ]
     for g in cases:
         assert count_cliques(g, 5).as_list() == brute_counts(g, 5)
+    rng = random.Random(20161)
+    for n in (5, 9, 14):
+        for density in (0.25, 0.5, 0.75, 0.9):
+            g = random_graph(n, density, rng.randrange(10**6))
+            assert count_cliques(g, 5).as_list() == brute_counts(g, 5)
+            edge = list(rng.choice(list(g.edges()))) if g.edge_count() else None
+            for k in range(5):
+                assert extension_profile(g, k) == brute_profile(g, k)
+                if edge is not None and k >= 2:
+                    assert extension_profile(g, k, containing=edge) == brute_profile(g, k, edge)
+    g = random_graph(14, 0.75, 7)
+    edge = next(g.edges())
+    assert count_cliques(g, 5, workers=3).as_list() == brute_counts(g, 5)
+    assert extension_profile(g, 3, workers=3) == brute_profile(g, 3)
+    assert extension_profile(g, 4, containing=edge, workers=3) == brute_profile(g, 4, edge)
 
 
 def test_census_monotone_support_and_fixed_values():
@@ -169,6 +201,9 @@ def test_census_parallel_matches_serial():
 
 def test_budget_outcome_is_schedule_independent():
     g = tensor_product(zn_projective_line(6), Graph.complete(4))
+    for kmax in range(6):
+        census = count_cliques(g, kmax)
+        assert census.nodes == sum(census.as_list()[1:])  # one node per clique
     needed = count_cliques(g, 5).nodes
     for workers in (1, 3):
         with pytest.raises(BudgetExceeded):

@@ -30,7 +30,6 @@ from ringline.rings import (
     spec_graph,
     spread_clique,
     unit_difference_graph,
-    zn_canonical_pair,
     zn_crt_map,
     zn_local_decomposition,
     zn_projective_line,
@@ -119,13 +118,6 @@ def test_zn_admissibility_matches_gl_orbit_definition():
                     (a * d - b * c) % n in units for c in range(n) for d in range(n)
                 )
                 assert top_row_of_invertible == (gcd(gcd(a, b), n) == 1)
-
-
-def test_zn_canonical_pair():
-    assert zn_canonical_pair(6, 5, 5) == (1, 1)
-    assert zn_canonical_pair(4, 2, 1) == (2, 1)
-    with pytest.raises(ValueError):
-        zn_canonical_pair(4, 2, 2)
 
 
 def test_crt_map_is_isomorphism():
