@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from .config import RunConfig, budget_from_env
@@ -27,7 +28,14 @@ from .verification import SUITES, run_suite
 
 
 def _load_spec(path: str) -> RingSpec:
-    return parse_ring_spec(Path(path))
+    # spec warnings become plain `warning:` lines instead of Python's
+    # source-quoting format
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spec = parse_ring_spec(Path(path))
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return spec
 
 
 def _build_graph(spec: RingSpec, config: RunConfig, unit_graph: bool) -> Graph:

@@ -57,9 +57,9 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 
 
 class GF:
-    """GF(p^r) with precomputed addition/multiplication/inverse tables."""
+    """GF(p^r) with precomputed addition/negation/multiplication/inverse tables."""
 
-    __slots__ = ("p", "r", "q", "modulus", "_add", "_mul", "_inv")
+    __slots__ = ("p", "r", "q", "modulus", "_add", "_neg", "_mul", "_inv")
 
     def __init__(self, p: int, r: int, modulus: FieldPoly):
         q = p**r
@@ -76,6 +76,7 @@ class GF:
                 tuple(_undigits([(x + y) % p for x, y in zip(da, digits[b])], p) for b in range(q))
             )
         self._add = tuple(add)
+        self._neg = tuple(row.index(0) for row in self._add)
 
         mul = []
         for a in range(q):
@@ -97,11 +98,10 @@ class GF:
         return self._add[a][b]
 
     def sub(self, a: int, b: int) -> int:
-        return self._add[a][self.neg(b)]
+        return self._add[a][self._neg[b]]
 
     def neg(self, a: int) -> int:
-        row = self._add[a]
-        return row.index(0)
+        return self._neg[a]
 
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]

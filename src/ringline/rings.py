@@ -13,6 +13,16 @@ corresponding distant graphs with stable canonical vertex labels:
 * unit-difference - invertible matrices, adjacent when their difference
                     is invertible (the clique substructure inside the
                     matrix-ring line).
+
+Both matrix graphs use one adjacency kernel, the Plücker pairing: points
+U, W of P(M_m(q)) are distant iff det[U; W] != 0, and Laplace expansion
+along the first m rows writes that determinant as
+sum_I +-p_I(U) p_{I^c}(W) over the m-subsets I of the 2m columns, p_I
+being the m x m minor on the columns I.  Each point's minors are taken
+once, and a pair costs one short dot product over GF(q).  The
+unit-difference graph is the induced subgraph on the points (A | I),
+since det[A, I; B, I] = det(A - B).  `points_distant` and `mat_det` stay
+as the reference the tests compare the kernel against.
 """
 
 from __future__ import annotations
@@ -38,7 +48,6 @@ from .linalg import (
     mat_hstack,
     mat_mul,
     mat_rank,
-    mat_sub,
     mat_vstack,
     matrix_label,
     rref,
@@ -228,12 +237,16 @@ def zn_projective_line(n: int, vertex_bound: int = VERTEX_BOUND) -> Graph:
     if expected > vertex_bound:
         raise BoundExceeded(f"P(Z/{n}) has {expected} points, bound {vertex_bound}")
     units = [u for u in range(n) if gcd(u, n) == 1]
-    points: set[tuple[int, int]] = set()
+    seen = bytearray(n * n)  # pair (a, b) at a * n + b
+    verts = []
     for a in range(n):
         for b in range(n):
-            if gcd(gcd(a, b), n) == 1:
-                points.add(min(((u * a) % n, (u * b) % n) for u in units))
-    verts = sorted(points)
+            if not seen[a * n + b] and gcd(gcd(a, b), n) == 1:
+                orbit = [((u * a) % n, (u * b) % n) for u in units]
+                for c, d in orbit:
+                    seen[c * n + d] = 1
+                verts.append(min(orbit))
+    verts.sort()
     rows = [0] * len(verts)
     for i, (a, b) in enumerate(verts):
         for j in range(i + 1, len(verts)):
@@ -380,14 +393,50 @@ def matrix_ring_graph(m: int, q: int | GF, vertex_bound: int = VERTEX_BOUND) -> 
     if count > vertex_bound:
         raise BoundExceeded(f"P(M_{m}({F.q})) has {count} points, bound {vertex_bound}")
     pts = matrix_ring_points(m, F)
-    n = len(pts)
-    rows = [0] * n
+    rows = _pairing_rows(F, m, [p.basis.rows for p in pts])
+    return Graph(len(pts), rows, [p.label for p in pts])
+
+
+def _pairing_rows(F: GF, m: int, bases: list[tuple[tuple[int, ...], ...]]) -> list[int]:
+    """Adjacency rows of the m x 2m bases: i ~ j iff det[U_i; U_j] != 0.
+
+    Laplace expansion along the first m rows gives
+    det[U; W] = sum over m-subsets I of the 2m columns of
+    (-1)^(sum(I) + m(m+3)/2) * p_I(U) * p_{I^c}(W), with 0-based column
+    indices and p_I the m x m minor on the columns I.  Each basis gets its
+    Plücker vector once: the left side holds the multiplication-table row
+    of each nonzero p_I(U), the right side the signed complementary minors,
+    so a pair costs one dot product of at most C(2m, m) table lookups.
+    """
+    subsets = list(combinations(range(2 * m), m))
+    position = {cols: k for k, cols in enumerate(subsets)}
+    complement = [position[tuple(c for c in range(2 * m) if c not in cols)] for cols in subsets]
+    odd = [(sum(cols) + m * (m + 3) // 2) % 2 for cols in subsets]
+    add, mul, neg = F._add, F._mul, F._neg
+    left, right = [], []
+    for rows in bases:
+        minors = [
+            mat_det(MatrixGF(F, tuple(tuple(row[c] for c in cols) for row in rows)))
+            for cols in subsets
+        ]
+        left.append(tuple((k, mul[x]) for k, x in enumerate(minors) if x))
+        right.append(
+            tuple(neg[minors[c]] if sign else minors[c] for c, sign in zip(complement, odd))
+        )
+    n = len(bases)
+    out = [0] * n
     for i in range(n):
+        terms = left[i]
+        bit = 1 << i
         for j in range(i + 1, n):
-            if mat_det(mat_vstack(pts[i].basis, pts[j].basis)) != 0:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(n, rows, [p.label for p in pts])
+            w = right[j]
+            acc = 0
+            for k, row in terms:
+                acc = add[acc][row[w[k]]]
+            if acc:
+                out[i] |= 1 << j
+                out[j] |= bit
+    return out
 
 
 def _gaussian_binomial_value(n: int, k: int, q: int) -> int:
@@ -408,14 +457,10 @@ def unit_difference_graph(m: int, q: int | GF, vertex_bound: int = VERTEX_BOUND)
     if order > vertex_bound:
         raise BoundExceeded(f"GL_{m}({F.q}) has {order} elements, bound {vertex_bound}")
     mats = enumerate_gl(m, F)
-    n = len(mats)
-    rows = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mat_det(mat_sub(mats[i], mats[j])) != 0:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(n, rows, [matrix_label(mt) for mt in mats])
+    # det[A, I; B, I] = det(A - B): the points (A | I) of P(M_m(q))
+    eye = identity(F, m).rows
+    rows = _pairing_rows(F, m, [tuple(r + e for r, e in zip(mt.rows, eye)) for mt in mats])
+    return Graph(len(mats), rows, [matrix_label(mt) for mt in mats])
 
 
 def spread_clique(m: int, q: int | GF) -> list[SubspacePoint]:

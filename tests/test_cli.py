@@ -232,3 +232,14 @@ def test_kmax_zero_charges_no_budget(tmp_path, capsys):
     argv = ["census", "--spec", spec_file(tmp_path, Z6), "--kmax", "0", "--budget", "5"]
     assert main(argv) == 0
     assert capsys.readouterr().out == "clique counts (k=0..0): 1\n"
+
+
+def test_spec_warning_is_one_plain_stderr_line(tmp_path, capsys):
+    spec = '{"summands":[{"local":{"R":4,"J":2}}],"radical":2}'
+    assert main(["build", "--spec", spec_file(tmp_path, spec)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "12 vertices, 8-regular, 48 edges\n"
+    assert captured.err == (
+        "warning: spec mixes a global radical multiplier with local radicals; "
+        "only one is normally needed\n"
+    )

@@ -4,6 +4,8 @@ from itertools import combinations
 from math import comb, gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ringline.errors import BoundExceeded
 from ringline.graphs import (
@@ -13,12 +15,27 @@ from ringline.graphs import (
     disjoint_union,
     verify_isomorphism,
 )
-from ringline.linalg import gl_order, identity, matrix, mat_rank, mat_vstack, zeros
+from ringline.fields import gf_of
+from ringline.linalg import (
+    enumerate_gl,
+    gl_order,
+    identity,
+    mat_det,
+    mat_hstack,
+    mat_rank,
+    mat_sub,
+    mat_vstack,
+    matrix,
+    matrix_label,
+    rref,
+    zeros,
+)
 from ringline.rings import (
     Local,
     MatrixRing,
     RingSpec,
     SubspacePoint,
+    _pairing_rows,
     f1_graph,
     local_graph,
     matrix_ring_graph,
@@ -276,3 +293,75 @@ def test_matrix_ring_graph_vertex_count_equals_subspace_census():
             )
             total += q**free
         assert matrix_ring_graph(m, q).n == total
+
+
+# ---------------------------------------------------------------------------
+# the Plücker-pairing kernel against the determinant path
+# ---------------------------------------------------------------------------
+
+
+def graph_from_predicate(items, adjacent, labels):
+    rows = [0] * len(items)
+    for i, j in combinations(range(len(items)), 2):
+        if adjacent(items[i], items[j]):
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return Graph(len(items), rows, labels)
+
+
+@pytest.mark.parametrize(
+    "m, q", [(1, q) for q in (2, 3, 4, 5, 7, 8, 9)] + [(2, 2), (2, 3), (2, 4)]
+)
+def test_matrix_ring_graph_equals_determinant_path(m, q):
+    pts = matrix_ring_points(m, q)
+    want = graph_from_predicate(pts, points_distant, [p.label for p in pts])
+    got = matrix_ring_graph(m, q)
+    assert got.adj == want.adj and got.labels == want.labels
+
+
+@pytest.mark.parametrize("m, q", [(2, 3), (2, 4), (3, 2)])
+def test_unit_difference_graph_equals_determinant_path(m, q):
+    mats = enumerate_gl(m, q)
+    want = graph_from_predicate(
+        mats, lambda a, b: mat_det(mat_sub(a, b)) != 0, [matrix_label(a) for a in mats]
+    )
+    got = unit_difference_graph(m, q)
+    assert got.adj == want.adj and got.labels == want.labels
+
+
+def square(m, q):
+    return st.lists(st.integers(0, q - 1), min_size=m * m, max_size=m * m).map(
+        lambda xs: matrix(q, [xs[i * m : (i + 1) * m] for i in range(m)])
+    )
+
+
+def pairing_distant(F, m, u, w):
+    """Adjacency of the two bases u, w as the kernel decides it."""
+    return _pairing_rows(F, m, [u.rows, w.rows])[0] == 0b10
+
+
+# odd q included: in characteristic 2 every Laplace sign is +1
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), ring=st.sampled_from([(2, 5), (3, 2), (3, 3)]))
+def test_pairing_agrees_with_points_distant(data, ring):
+    m, q = ring
+    F = gf_of(q)
+    a, b, c, d = (data.draw(square(m, q)) for _ in range(4))
+    assume(mat_rank(mat_hstack(a, b)) == m and mat_rank(mat_hstack(c, d)) == m)
+    p1 = SubspacePoint(rref(mat_hstack(a, b)))
+    p2 = SubspacePoint(rref(mat_hstack(c, d)))
+    assert pairing_distant(F, m, p1.basis, p2.basis) == points_distant(p1, p2)
+    # the pairing does not need echelon bases
+    assert pairing_distant(F, m, mat_hstack(a, b), mat_hstack(c, d)) == points_distant(p1, p2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), ring=st.sampled_from([(2, 3), (2, 5), (2, 7), (2, 9), (3, 2), (3, 3)]))
+def test_pairing_of_unit_points_is_the_difference_determinant(data, ring):
+    m, q = ring
+    F = gf_of(q)
+    a, b = data.draw(square(m, q)), data.draw(square(m, q))
+    assume(mat_det(a) != 0 and mat_det(b) != 0)
+    eye = identity(F, m)
+    got = pairing_distant(F, m, mat_hstack(a, eye), mat_hstack(b, eye))
+    assert got == (mat_det(mat_sub(a, b)) != 0)
