@@ -45,7 +45,6 @@ from .linalg import (
     gl_order,
     identity,
     mat_det,
-    mat_is_invertible,
     mat_mul,
     mat_rank,
     mat_sub,

@@ -20,40 +20,33 @@ from .errors import BoundExceeded
 FieldPoly = tuple[int, ...]
 
 
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization [(p, a), ...], primes ascending; [] for n < 2."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            a = 0
+            while n % p == 0:
+                n //= p
+                a += 1
+            out.append((p, a))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return factorize(n) == [(n, 1)]
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
     """(p, r) with q = p^r, or raise if q is not a prime power."""
-    if q < 2:
+    factors = factorize(q)
+    if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q, 1
-    r = 0
-    n = q
-    while n % p == 0:
-        n //= p
-        r += 1
-    if n != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, r
+    return factors[0]
 
 
 class GF:
@@ -226,10 +219,6 @@ def fp_neg(F: GF, a: FieldPoly) -> FieldPoly:
     return tuple(F.neg(c) for c in a)
 
 
-def fp_sub(F: GF, a: FieldPoly, b: FieldPoly) -> FieldPoly:
-    return fp_add(F, a, fp_neg(F, b))
-
-
 def fp_mul(F: GF, a: FieldPoly, b: FieldPoly) -> FieldPoly:
     if not a or not b:
         return ()
@@ -324,20 +313,6 @@ def fp_powmod(F: GF, a: FieldPoly, e: int, modulus: FieldPoly) -> FieldPoly:
     return acc
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def fp_is_primitive(F: GF, poly: FieldPoly) -> bool:
     """Irreducible with a root of full multiplicative order q^deg - 1.
 
@@ -351,7 +326,7 @@ def fp_is_primitive(F: GF, poly: FieldPoly) -> bool:
     x: FieldPoly = (0, 1)
     if fp_powmod(F, x, order, poly) != (1,):
         return False
-    return all(fp_powmod(F, x, order // p, poly) != (1,) for p in _prime_factors(order))
+    return all(fp_powmod(F, x, order // p, poly) != (1,) for p, _ in factorize(order))
 
 
 def find_primitive(m: int, q: int | GF) -> FieldPoly:

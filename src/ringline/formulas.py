@@ -7,23 +7,12 @@ recurrence, never by rational division.
 
 from __future__ import annotations
 
-import functools
 from math import comb, factorial
 from typing import Sequence
 
 from .linalg import gl_order
-from .polynomials import IntPoly, poly_product
+from .polynomials import IntPoly, poly_product, qbinom
 from .rings import Local, MatrixRing, RingSpec
-
-
-@functools.lru_cache(maxsize=None)
-def qbinom(n: int, k: int) -> IntPoly:
-    """Gaussian binomial [n, k]_q: the subspace-counting polynomial."""
-    if k < 0 or k > n:
-        raise ValueError(f"k={k} out of range for n={n}")
-    if k == 0 or k == n:
-        return IntPoly.one()
-    return qbinom(n - 1, k - 1) + IntPoly.monomial(k) * qbinom(n - 1, k)
 
 
 def _one_minus_q_to(t: int) -> IntPoly:

@@ -104,114 +104,64 @@ def mat_hstack(a: MatrixGF, b: MatrixGF) -> MatrixGF:
     return MatrixGF(a.field, tuple(ra + rb for ra, rb in zip(a.rows, b.rows)))
 
 
-def mat_rank(m: MatrixGF) -> int:
-    F = m.field
-    rows = [list(r) for r in m.rows]
-    nrows, ncols = len(rows), m.ncols
-    rank = 0
+def _echelon(F: GF, rows, ncols: int) -> tuple[list[list[int]], int, int]:
+    """Gauss-Jordan elimination on raw rows, the one kernel behind rank,
+    rref and det: (reduced row-echelon rows, rank, det).
+
+    det is the determinant when the input is square (0 when singular):
+    each row swap negates it, and it collects every pivot before the
+    pivot row is scaled to 1.
+    """
+    add, mul, neg, inv = F._add, F._mul, F._neg, F._inv
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    rank, det = 0, 1
     for col in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            if rows[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = F.inv(rows[rank][col])
-        for i in range(rank + 1, nrows):
-            c = rows[i][col]
-            if c:
-                factor = F.mul(c, inv)
-                ri, rp = rows[i], rows[rank]
-                for j in range(col, ncols):
-                    ri[j] = F.sub(ri[j], F.mul(factor, rp[j]))
-        rank += 1
         if rank == nrows:
             break
-    return rank
+        pivot = next((i for i in range(rank, nrows) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            det = neg[det]
+        lead = rows[rank][col]
+        det = mul[det][lead]
+        scale = mul[inv[lead]]
+        top = rows[rank] = [scale[e] for e in rows[rank]]
+        for i in range(nrows):
+            c = rows[i][col]
+            if c and i != rank:
+                minus_c, ri = mul[neg[c]], rows[i]
+                for j in range(col, ncols):
+                    ri[j] = add[ri[j]][minus_c[top[j]]]
+        rank += 1
+    return rows, rank, det if rank == nrows == ncols else 0
+
+
+def _det(F: GF, rows) -> int:
+    """Determinant of square raw rows: the product form for 2 x 2, else the kernel."""
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return F._add[F._mul[a][d]][F._neg[F._mul[b][c]]]
+    return _echelon(F, rows, len(rows))[2]
+
+
+def mat_rank(m: MatrixGF) -> int:
+    return _echelon(m.field, m.rows, m.ncols)[1]
 
 
 def mat_det(m: MatrixGF) -> int:
-    """Determinant; direct formulas for n <= 3, elimination above."""
+    """Determinant; the product form for 2 x 2, elimination otherwise."""
     if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")
-    F = m.field
-    n = m.nrows
-    r = m.rows
-    if n == 0:
-        return 1
-    if n == 1:
-        return r[0][0]
-    if n == 2:
-        return F.sub(F.mul(r[0][0], r[1][1]), F.mul(r[0][1], r[1][0]))
-    if n == 3:
-        pos = F.add(
-            F.add(F.mul(F.mul(r[0][0], r[1][1]), r[2][2]), F.mul(F.mul(r[0][1], r[1][2]), r[2][0])),
-            F.mul(F.mul(r[0][2], r[1][0]), r[2][1]),
-        )
-        neg = F.add(
-            F.add(F.mul(F.mul(r[0][2], r[1][1]), r[2][0]), F.mul(F.mul(r[0][0], r[1][2]), r[2][1])),
-            F.mul(F.mul(r[0][1], r[1][0]), r[2][2]),
-        )
-        return F.sub(pos, neg)
-    rows = [list(row) for row in r]
-    det = 1
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if rows[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = F.neg(det)
-        det = F.mul(det, rows[col][col])
-        inv = F.inv(rows[col][col])
-        for i in range(col + 1, n):
-            c = rows[i][col]
-            if c:
-                factor = F.mul(c, inv)
-                for j in range(col, n):
-                    rows[i][j] = F.sub(rows[i][j], F.mul(factor, rows[col][j]))
-    return det
-
-
-def mat_is_invertible(m: MatrixGF) -> bool:
-    if m.nrows != m.ncols:
-        raise ValueError("invertibility of a non-square matrix")
-    return mat_det(m) != 0
+    return _det(m.field, m.rows)
 
 
 def rref(m: MatrixGF) -> MatrixGF:
     """Reduced row-echelon form: the canonical basis of the row space."""
-    F = m.field
-    rows = [list(r) for r in m.rows]
-    nrows, ncols = len(rows), m.ncols
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            if rows[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = F.inv(rows[rank][col])
-        rows[rank] = [F.mul(inv, e) for e in rows[rank]]
-        for i in range(nrows):
-            if i != rank and rows[i][col]:
-                factor = rows[i][col]
-                ri, rp = rows[i], rows[rank]
-                for j in range(col, ncols):
-                    ri[j] = F.sub(ri[j], F.mul(factor, rp[j]))
-        rank += 1
-        if rank == nrows:
-            break
-    return MatrixGF(F, tuple(tuple(r) for r in rows))
+    reduced = _echelon(m.field, m.rows, m.ncols)[0]
+    return MatrixGF(m.field, tuple(map(tuple, reduced)))
 
 
 def gl_order(m: int, q: int) -> int:
@@ -232,9 +182,9 @@ def enumerate_gl(m: int, q: int | GF, bound: int | None = None) -> list[MatrixGF
         raise BoundExceeded(f"{F.q}^{m*m} candidate matrices exceed bound {limit}")
     out = []
     for entries in product(range(F.q), repeat=m * m):
-        cand = MatrixGF(F, tuple(entries[i * m : (i + 1) * m] for i in range(m)))
-        if mat_det(cand) != 0:
-            out.append(cand)
+        rows = tuple(entries[i * m : (i + 1) * m] for i in range(m))
+        if _det(F, rows):
+            out.append(MatrixGF(F, rows))
     return out
 
 

@@ -8,6 +8,7 @@ floating point anywhere on these paths.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Iterator
 
 NEG_INF = float("-inf")
@@ -158,3 +159,17 @@ def poly_product(factors: Iterable[IntPoly]) -> IntPoly:
     for f in factors:
         out = out * f
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def qbinom(n: int, k: int) -> IntPoly:
+    """Gaussian binomial [n, k]_q: the subspace-counting polynomial.
+
+    It lives here, below both `rings` and `formulas`, so that both can
+    import it.
+    """
+    if k < 0 or k > n:
+        raise ValueError(f"k={k} out of range for n={n}")
+    if k == 0 or k == n:
+        return IntPoly.one()
+    return qbinom(n - 1, k - 1) + IntPoly.monomial(k) * qbinom(n - 1, k)

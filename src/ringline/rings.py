@@ -36,10 +36,12 @@ from pathlib import Path
 
 from .config import VERTEX_BOUND
 from .errors import BoundExceeded
-from .fields import GF, factor_prime_power, find_primitive, gf_of
+from .fields import GF, factor_prime_power, factorize, find_primitive, gf_of
 from .graphs import Graph, blowup, tensor_product
 from .linalg import (
     MatrixGF,
+    _det,
+    _echelon,
     companion_matrix,
     enumerate_gl,
     gl_order,
@@ -47,11 +49,10 @@ from .linalg import (
     mat_det,
     mat_hstack,
     mat_mul,
-    mat_rank,
     mat_vstack,
     matrix_label,
-    rref,
 )
+from .polynomials import qbinom
 
 # ---------------------------------------------------------------------------
 # ring descriptions
@@ -181,25 +182,9 @@ def zn_local_decomposition(n: int) -> RingSpec:
     if n < 2:
         raise ValueError("n must be >= 2")
     summands = []
-    for p, a in _factorize(n):
+    for p, a in factorize(n):
         summands.append(Local(p**a, p ** (a - 1)))
     return RingSpec(summands)
-
-
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            a = 0
-            while n % p == 0:
-                n //= p
-                a += 1
-            out.append((p, a))
-        p += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +217,7 @@ def zn_projective_line(n: int, vertex_bound: int = VERTEX_BOUND) -> Graph:
     if n < 2:
         raise ValueError("n must be >= 2")
     expected = 1
-    for p, a in _factorize(n):
+    for p, a in factorize(n):
         expected *= p**a + p ** (a - 1)
     if expected > vertex_bound:
         raise BoundExceeded(f"P(Z/{n}) has {expected} points, bound {vertex_bound}")
@@ -270,7 +255,7 @@ def zn_crt_map(n: int, factorization: list[int] | None = None) -> list[int]:
     factorization in ascending order (matching zn_local_decomposition).
     """
     if factorization is None:
-        factorization = [p**a for p, a in _factorize(n)]
+        factorization = [p**a for p, a in factorize(n)]
     prod = 1
     for f in factorization:
         prod *= f
@@ -339,9 +324,10 @@ class SubspacePoint:
         m = self.basis.nrows
         if self.basis.ncols != 2 * m:
             raise ValueError("basis must be m x 2m")
-        if rref(self.basis) != self.basis:
+        reduced, rank, _ = _echelon(self.basis.field, self.basis.rows, 2 * m)
+        if tuple(map(tuple, reduced)) != self.basis.rows:
             raise ValueError("basis is not in reduced row-echelon form")
-        if mat_rank(self.basis) != m:
+        if rank != m:
             raise ValueError("basis rows are dependent")
 
     @property
@@ -352,9 +338,10 @@ class SubspacePoint:
 def point_from_pair(a: MatrixGF, b: MatrixGF) -> SubspacePoint:
     """Point of P(M_m(q)) generated by the admissible pair (a, b)."""
     stacked = mat_hstack(a, b)
-    if mat_rank(stacked) != a.nrows:
+    reduced, rank, _ = _echelon(a.field, stacked.rows, stacked.ncols)
+    if rank != a.nrows:
         raise ValueError("pair is not admissible (rows are dependent)")
-    return SubspacePoint(rref(stacked))
+    return SubspacePoint(MatrixGF(a.field, tuple(map(tuple, reduced))))
 
 
 def points_distant(p1: SubspacePoint, p2: SubspacePoint) -> bool:
@@ -389,7 +376,7 @@ def matrix_ring_graph(m: int, q: int | GF, vertex_bound: int = VERTEX_BOUND) -> 
     if m == 0:
         return Graph.T()
     F = gf_of(q)
-    count = _gaussian_binomial_value(2 * m, m, F.q)
+    count = qbinom(2 * m, m)(F.q)
     if count > vertex_bound:
         raise BoundExceeded(f"P(M_{m}({F.q})) has {count} points, bound {vertex_bound}")
     pts = matrix_ring_points(m, F)
@@ -415,10 +402,7 @@ def _pairing_rows(F: GF, m: int, bases: list[tuple[tuple[int, ...], ...]]) -> li
     add, mul, neg = F._add, F._mul, F._neg
     left, right = [], []
     for rows in bases:
-        minors = [
-            mat_det(MatrixGF(F, tuple(tuple(row[c] for c in cols) for row in rows)))
-            for cols in subsets
-        ]
+        minors = [_det(F, [[row[c] for c in cols] for row in rows]) for cols in subsets]
         left.append(tuple((k, mul[x]) for k, x in enumerate(minors) if x))
         right.append(
             tuple(neg[minors[c]] if sign else minors[c] for c, sign in zip(complement, odd))
@@ -437,17 +421,6 @@ def _pairing_rows(F: GF, m: int, bases: list[tuple[tuple[int, ...], ...]]) -> li
                 out[i] |= 1 << j
                 out[j] |= bit
     return out
-
-
-def _gaussian_binomial_value(n: int, k: int, q: int) -> int:
-    # integer value by the telescoping product; exact because each prefix
-    # is itself a Gaussian binomial
-    num = 1
-    den = 1
-    for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (i + 1) - 1
-    return num // den
 
 
 def unit_difference_graph(m: int, q: int | GF, vertex_bound: int = VERTEX_BOUND) -> Graph:

@@ -5,6 +5,7 @@ import pytest
 from ringline.errors import BoundExceeded
 from ringline.fields import (
     factor_prime_power,
+    factorize,
     find_irreducible,
     find_primitive,
     fp_divmod,
@@ -86,6 +87,31 @@ def test_field_instances_cached_and_comparable():
 def test_prime_power_type():
     assert factor_prime_power(49) == (7, 2)
     assert is_prime(13) and not is_prime(1)
+    for q in (0, 1, 6, 12):
+        with pytest.raises(ValueError):
+            factor_prime_power(q)
+
+
+def test_factorize_agrees_with_a_sieve():
+    limit = 5000
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for p in range(2, int(limit**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    for n in range(-3, limit):
+        factors = factorize(n)
+        assert is_prime(n) == (n >= 0 and bool(sieve[n]))
+        if n < 2:
+            assert factors == []
+            continue
+        primes = [p for p, _ in factors]
+        assert primes == sorted(set(primes))
+        assert all(sieve[p] and a >= 1 for p, a in factors)
+        prod = 1
+        for p, a in factors:
+            prod *= p**a
+        assert prod == n
 
 
 def test_find_irreducible_examples():
