@@ -8,6 +8,10 @@ from dataclasses import dataclass, field
 # Largest field table we will build (q = p^r).
 FIELD_SIZE_BOUND = 512
 
+# Largest trial divisor factorize will try: every n below its square
+# factors, and a larger n with no other prime factor up to it is refused.
+FACTOR_TRIAL_BOUND = 1 << 20
+
 # Largest number of matrices enumerate_gl will walk (q^(m*m) candidates).
 GL_ENUMERATION_BOUND = 1_000_000
 

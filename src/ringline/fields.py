@@ -14,17 +14,24 @@ from __future__ import annotations
 
 import functools
 
-from .config import FIELD_SIZE_BOUND
+from .config import FACTOR_TRIAL_BOUND, FIELD_SIZE_BOUND
 from .errors import BoundExceeded
 
 FieldPoly = tuple[int, ...]
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization [(p, a), ...], primes ascending; [] for n < 2."""
+    """Prime factorization [(p, a), ...], primes ascending; [] for n < 2.
+
+    Trial division stops at FACTOR_TRIAL_BOUND: a cofactor left with no
+    prime factor up to it raises BoundExceeded, so 2^61 - 1 fails at once
+    instead of dividing for minutes.
+    """
     out = []
     p = 2
     while p * p <= n:
+        if p > FACTOR_TRIAL_BOUND:
+            raise BoundExceeded(f"{n} has no prime factor up to {FACTOR_TRIAL_BOUND}")
         if n % p == 0:
             a = 0
             while n % p == 0:
@@ -103,9 +110,6 @@ class GF:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return self._inv[a]
-
-    def div(self, a: int, b: int) -> int:
-        return self._mul[a][self.inv(b)]
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -191,6 +195,8 @@ def gf_of(q: int | GF) -> GF:
     """Coerce an integer order (or a field) to a field instance."""
     if isinstance(q, GF):
         return q
+    if q > FIELD_SIZE_BOUND:  # before factoring q
+        raise BoundExceeded(f"field size {q} exceeds bound {FIELD_SIZE_BOUND}")
     p, r = factor_prime_power(q)
     return gf_build(p, r)
 

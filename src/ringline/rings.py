@@ -19,10 +19,16 @@ U, W of P(M_m(q)) are distant iff det[U; W] != 0, and Laplace expansion
 along the first m rows writes that determinant as
 sum_I +-p_I(U) p_{I^c}(W) over the m-subsets I of the 2m columns, p_I
 being the m x m minor on the columns I.  Each point's minors are taken
-once, and a pair costs one short dot product over GF(q).  The
-unit-difference graph is the induced subgraph on the points (A | I),
-since det[A, I; B, I] = det(A - B).  `points_distant` and `mat_det` stay
-as the reference the tests compare the kernel against.
+once.  The pairing is linear in the second point, so the row of U is
+the complement of the zero set of W -> sum_I +-p_I(U) p_{I^c}(W), and no
+pair is decided on its own: bitsets cells[I][c] of the points W with
++-p_{I^c}(W) = c feed a value DP over the nonzero p_I(U) but the last,
+sums'[s + a*c] |= sums[s] & cells[I][c], and the last term only gathers
+the zero set, OR_c sums[-a*c] & cells[I][c].  That step costs q
+whole-row operations, not q^2, so for m = 1 a row costs O(q) operations
+even at large q.  The unit-difference graph is the induced subgraph on
+the points (A | I), since det[A, I; B, I] = det(A - B).  `points_distant`
+and `mat_det` stay as the reference the tests compare the kernel against.
 """
 
 from __future__ import annotations
@@ -30,8 +36,10 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product
 from math import comb, gcd
+from operator import and_, or_
 from pathlib import Path
 
 from .config import VERTEX_BOUND
@@ -221,7 +229,8 @@ def zn_projective_line(n: int, vertex_bound: int = VERTEX_BOUND) -> Graph:
         expected *= p**a + p ** (a - 1)
     if expected > vertex_bound:
         raise BoundExceeded(f"P(Z/{n}) has {expected} points, bound {vertex_bound}")
-    units = [u for u in range(n) if gcd(u, n) == 1]
+    is_unit = bytes(gcd(u, n) == 1 for u in range(n))
+    units = [u for u in range(n) if is_unit[u]]
     seen = bytearray(n * n)  # pair (a, b) at a * n + b
     verts = []
     for a in range(n):
@@ -236,7 +245,7 @@ def zn_projective_line(n: int, vertex_bound: int = VERTEX_BOUND) -> Graph:
     for i, (a, b) in enumerate(verts):
         for j in range(i + 1, len(verts)):
             c, d = verts[j]
-            if gcd((a * d - b * c) % n, n) == 1:
+            if is_unit[(a * d - b * c) % n]:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     labels = [f"{a}:{b}" for a, b in verts]
@@ -388,38 +397,55 @@ def _pairing_rows(F: GF, m: int, bases: list[tuple[tuple[int, ...], ...]]) -> li
     """Adjacency rows of the m x 2m bases: i ~ j iff det[U_i; U_j] != 0.
 
     Laplace expansion along the first m rows gives
-    det[U; W] = sum over m-subsets I of the 2m columns of
-    (-1)^(sum(I) + m(m+3)/2) * p_I(U) * p_{I^c}(W), with 0-based column
-    indices and p_I the m x m minor on the columns I.  Each basis gets its
-    Plücker vector once: the left side holds the multiplication-table row
-    of each nonzero p_I(U), the right side the signed complementary minors,
-    so a pair costs one dot product of at most C(2m, m) table lookups.
+    det[U; W] = sum_k p_k(U) * r_k(W) over the m-subsets k of the 2m
+    columns, with p_k the m x m minor on the columns k and r_k(W) the
+    minor on the complementary columns, signed by
+    (-1)^(sum(k) + m(m+3)/2) (0-based column indices).  So row i is the
+    complement of the zero set of the linear functional
+    W -> sum_k p_k(U_i) * r_k(W), and it is found with whole-row bitsets:
+
+    * cells[k][c] holds the points j with r_k(U_j) = c;
+    * a value DP over the nonzero p_k(U_i) but the last,
+      sums'[s + a*c] |= sums[s] & cells[k][c], gives sums[s], the points
+      on which the partial sum is s;
+    * the last term (k, a) only gathers the zero set,
+      OR_c sums[-a*c] & cells[k][c]: q whole-row operations, not q^2, so
+      for m = 1 a row costs O(q) operations even at large q.
     """
     subsets = list(combinations(range(2 * m), m))
     position = {cols: k for k, cols in enumerate(subsets)}
     complement = [position[tuple(c for c in range(2 * m) if c not in cols)] for cols in subsets]
     odd = [(sum(cols) + m * (m + 3) // 2) % 2 for cols in subsets]
-    add, mul, neg = F._add, F._mul, F._neg
-    left, right = [], []
-    for rows in bases:
+    add, mul, neg, inv = F._add, F._mul, F._neg, F._inv
+    q, n = F.q, len(bases)
+    everyone = (1 << n) - 1
+    cells = [[0] * q for _ in subsets]
+    terms = []
+    for j, rows in enumerate(bases):
         minors = [_det(F, [[row[c] for c in cols] for row in rows]) for cols in subsets]
-        left.append(tuple((k, mul[x]) for k, x in enumerate(minors) if x))
-        right.append(
-            tuple(neg[minors[c]] if sign else minors[c] for c, sign in zip(complement, odd))
-        )
-    n = len(bases)
-    out = [0] * n
-    for i in range(n):
-        terms = left[i]
-        bit = 1 << i
-        for j in range(i + 1, n):
-            w = right[j]
-            acc = 0
-            for k, row in terms:
-                acc = add[acc][row[w[k]]]
-            if acc:
-                out[i] |= 1 << j
-                out[j] |= bit
+        bit = 1 << j
+        for cell, c, sign in zip(cells, complement, odd):
+            x = minors[c]
+            cell[neg[x] if sign else x] |= bit
+        terms.append([(k, x) for k, x in enumerate(minors) if x])
+    out = []
+    for *rest, (k, a) in terms:
+        if rest:
+            (k0, a0), *rest = rest
+            sums = [cells[k0][x] for x in mul[inv[a0]]]  # sums[a0*c] = cells[k0][c]
+        else:
+            sums = [everyone] + [0] * (q - 1)
+        for kt, at in rest:
+            live = [(add[s], z) for s, z in enumerate(sums) if z]
+            sums = [0] * q
+            for cell, ac in zip(cells[kt], mul[at]):
+                if cell:
+                    for shift, z in live:
+                        hit = z & cell
+                        if hit:
+                            sums[shift[ac]] |= hit
+        zero = reduce(or_, map(and_, (sums[neg[x]] for x in mul[a]), cells[k]), 0)
+        out.append(everyone ^ zero)
     return out
 
 

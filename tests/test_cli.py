@@ -1,6 +1,10 @@
 """Command-line surface: outputs are frozen strings, orderings stable."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -243,3 +247,25 @@ def test_spec_warning_is_one_plain_stderr_line(tmp_path, capsys):
         "warning: spec mixes a global radical multiplier with local radicals; "
         "only one is normally needed\n"
     )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"summands":[{"local":{"R":2305843009213693951,"J":1}}]}',
+        '{"summands":[{"matrix":{"m":2,"q":2305843009213693951}}]}',
+    ],
+    ids=["local", "matrix"],
+)
+def test_huge_modulus_fails_fast(tmp_path, spec):
+    # 2^61 - 1 is prime: trial division to its square root would run for
+    # minutes, so factoring stops at its trial bound
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "ringline.cli", "build", "--spec", spec_file(tmp_path, spec)],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and "no prime factor up to" in done.stderr
+    assert done.stderr.count("\n") == 1

@@ -114,6 +114,13 @@ def test_factorize_agrees_with_a_sieve():
         assert prod == n
 
 
+def test_factorize_refuses_a_cofactor_past_the_trial_bound():
+    assert factorize(2**61) == [(2, 61)]
+    # 2^61 - 1 is prime: trial division to its square root would take minutes
+    with pytest.raises(BoundExceeded, match="no prime factor up to 1048576"):
+        factorize(2**61 - 1)
+
+
 def test_find_irreducible_examples():
     assert find_irreducible(1, 2) == (0, 1)  # the polynomial x
     assert find_irreducible(2, 2) == (1, 1, 1)  # x^2+x+1

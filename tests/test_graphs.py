@@ -13,6 +13,7 @@ import pytest
 
 from ringline.errors import BoundExceeded, BudgetExceeded
 from ringline.graphs import (
+    _SYMMETRY_BLOCK,
     Graph,
     adjacency_json,
     blowup,
@@ -69,6 +70,48 @@ def test_graph_validation():
     assert g.degrees() == [1, 2, 1]
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 0)])
+
+
+def first_asymmetric_edge(rows):
+    """The edge-by-edge walk: least v, then least u, with u in row v but not v in row u."""
+    for v, row in enumerate(rows):
+        bits = row
+        while bits:
+            u = (bits & -bits).bit_length() - 1
+            bits &= bits - 1
+            if not rows[u] >> v & 1:
+                return f"asymmetric edge {v}->{u}"
+    return None
+
+
+def test_symmetry_check_catches_every_flipped_bit():
+    # more vertices than two column blocks, so flips land in every block
+    n = 2 * _SYMMETRY_BLOCK + 37
+    g = random_graph(n, 0.02, seed=7)
+    assert Graph(n, g.adj).adj == g.adj
+    rng = random.Random(11)
+    edges = [0, 1, _SYMMETRY_BLOCK - 1, _SYMMETRY_BLOCK, _SYMMETRY_BLOCK + 1]
+    edges += [2 * _SYMMETRY_BLOCK - 1, 2 * _SYMMETRY_BLOCK, n - 1]
+    flips = [(v, u) for v in edges for u in edges if v != u]
+    flips += [tuple(sorted(rng.sample(range(n), 2))) for _ in range(12)]  # above the diagonal
+    flips += [tuple(sorted(rng.sample(range(n), 2), reverse=True)) for _ in range(12)]
+    mutants = [[f] for f in flips] + [rng.sample(flips, 3) for _ in range(10)]
+    for mutant in mutants:
+        rows = list(g.adj)
+        for v, u in mutant:
+            rows[v] ^= 1 << u
+        want = first_asymmetric_edge(rows)
+        assert want is not None
+        with pytest.raises(ValueError) as caught:
+            Graph(n, rows)
+        assert str(caught.value) == want, mutant
+    # flipping both sides of a pair keeps the graph symmetric
+    rows = list(g.adj)
+    for v, u in flips[:20]:
+        rows[v] ^= 1 << u
+        rows[u] ^= 1 << v
+    assert first_asymmetric_edge(rows) is None
+    Graph(n, rows)
 
 
 def test_complete_and_empty():

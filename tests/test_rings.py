@@ -16,6 +16,7 @@ from ringline.graphs import (
     verify_isomorphism,
 )
 from ringline.fields import gf_of
+from ringline.formulas import cap_n_N_comm, comm_max_clique, general_max_clique
 from ringline.linalg import (
     enumerate_gl,
     gl_order,
@@ -96,6 +97,21 @@ def test_zn_local_decomposition():
     spec = zn_local_decomposition(12)
     assert spec.summands == (Local(4, 2), Local(3, 1))
     assert zn_local_decomposition(7).summands == (Local(7, 1),)
+
+
+def test_summands_past_the_graph_bounds_stay_usable_in_formulas():
+    # the vertex and field bounds are checked by the graph builders, with the
+    # caller's bound, and never at parse time
+    assert comm_max_clique(zn_local_decomposition(20011)) == 20012
+    assert cap_n_N_comm(RingSpec([Local(32768, 1)]), 1) == 1
+    spec = parse_ring_spec('{"summands":[{"local":{"R":32768,"J":1}},{"matrix":{"m":2,"q":1031}}]}')
+    assert general_max_clique(spec) == 32769
+    with pytest.raises(BoundExceeded, match="20012 vertices exceed bound 20005"):
+        local_graph(20011, 1, vertex_bound=20005)
+    with pytest.raises(BoundExceeded, match="field size 1031 exceeds bound 512"):
+        matrix_ring_graph(2, 1031, vertex_bound=10**13)
+    with pytest.raises(BoundExceeded, match="no prime factor up to"):
+        zn_projective_line(2**61 - 1)
 
 
 def test_local_graph_three_constructions_agree():
@@ -309,8 +325,9 @@ def graph_from_predicate(items, adjacent, labels):
     return Graph(len(items), rows, labels)
 
 
+# m = 1 at q = 64, 128 runs the O(q) gather on wide fields
 @pytest.mark.parametrize(
-    "m, q", [(1, q) for q in (2, 3, 4, 5, 7, 8, 9)] + [(2, 2), (2, 3), (2, 4)]
+    "m, q", [(1, q) for q in (2, 3, 4, 5, 7, 8, 9, 64, 128)] + [(2, 2), (2, 3), (2, 4)]
 )
 def test_matrix_ring_graph_equals_determinant_path(m, q):
     pts = matrix_ring_points(m, q)
@@ -319,7 +336,7 @@ def test_matrix_ring_graph_equals_determinant_path(m, q):
     assert got.adj == want.adj and got.labels == want.labels
 
 
-@pytest.mark.parametrize("m, q", [(2, 3), (2, 4), (3, 2)])
+@pytest.mark.parametrize("m, q", [(1, 64), (1, 128), (2, 3), (2, 4), (3, 2)])
 def test_unit_difference_graph_equals_determinant_path(m, q):
     mats = enumerate_gl(m, q)
     want = graph_from_predicate(
