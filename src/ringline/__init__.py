@@ -21,7 +21,6 @@ from .fields import (
 from .graphs import (
     CliqueCensus,
     Graph,
-    adjacency_json,
     blowup,
     complement,
     count_cliques,
@@ -98,7 +97,6 @@ from .rings import (
     parse_ring_spec,
     point_from_pair,
     points_distant,
-    ring_spec_json,
     spec_graph,
     spread_clique,
     unit_difference_graph,

@@ -111,18 +111,6 @@ class GF:
             raise ZeroDivisionError("inverse of 0")
         return self._inv[a]
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        acc = 1
-        base = a
-        while e:
-            if e & 1:
-                acc = self._mul[acc][base]
-            base = self._mul[base][base]
-            e >>= 1
-        return acc
-
     def elements(self) -> range:
         return range(self.q)
 

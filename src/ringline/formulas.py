@@ -96,14 +96,7 @@ def cap_n_N_comm(spec: RingSpec, n: int) -> int:
     always defined."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    qs = _local_qs(spec)
-    total = 0
-    for k in range(n + 1):
-        term = comb(n, k)
-        for q in qs:
-            term *= q + 1 - k
-        total += -term if k % 2 else term
-    return spec.radical_order * total
+    return cap_k_N_from_extensions([comm_extension_count(spec, k) for k in range(n + 1)], n)
 
 
 # ---------------------------------------------------------------------------
@@ -148,28 +141,27 @@ def _semisimple_parts(spec: RingSpec) -> list[tuple[int, int]]:
     return parts
 
 
+def _product_extensions(spec: RingSpec) -> list[int]:
+    """[points, degree, codegree] of a sum of matrix rings: each is the
+    product of the per-summand values."""
+    values = [1, 1, 1]
+    for m, q in _semisimple_parts(spec):
+        values[0] *= matrix_point_count(m)(q)
+        values[1] *= q ** (m * m)
+        values[2] *= gl_order(m, q)
+    return values
+
+
 def cap1N_product(spec: RingSpec) -> int:
     """Points minus degree for a sum of matrix rings, radical-scaled."""
-    parts = _semisimple_parts(spec)
-    points = 1
-    degree = 1
-    for m, q in parts:
-        points *= matrix_point_count(m)(q)
-        degree *= q ** (m * m)
-    return radical_scale(points - degree, spec.radical_multiplier)
+    value = cap_k_N_from_extensions(_product_extensions(spec), 1)
+    return radical_scale(value, spec.radical_multiplier)
 
 
 def cap2N_product(spec: RingSpec) -> int:
     """Inclusion-exclusion over point count, degree and codegree products."""
-    parts = _semisimple_parts(spec)
-    points = 1
-    degree = 1
-    codegree = 1
-    for m, q in parts:
-        points *= matrix_point_count(m)(q)
-        degree *= q ** (m * m)
-        codegree *= gl_order(m, q)
-    return radical_scale(points - 2 * degree + codegree, spec.radical_multiplier)
+    value = cap_k_N_from_extensions(_product_extensions(spec), 2)
+    return radical_scale(value, spec.radical_multiplier)
 
 
 def incexc_Wprime(m: int, k: int, W: Sequence[int], q: int) -> int:

@@ -24,12 +24,16 @@ common neighbours to bin by.  Worker i of w walks the cliques whose
 minimum vertex is root i, i + w, ..., so counts and budget outcomes do
 not depend on w.  Exceeding the budget raises; there are no silent
 partial answers.
+
+Clique existence (find_clique) and the maximum clique (max_clique_order)
+share a second core, one colour-bounded branch and bound.  There are two
+cores because the questions differ: a count must visit every clique, so
+nothing can be pruned, while existence and maximum only need one
+witness and cut every branch whose colour bound cannot beat it.
 """
 
 from __future__ import annotations
 
-import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator, Sequence
@@ -355,6 +359,9 @@ def _search(
     if workers <= 1 or depth < 2 or len(roots) < 2:
         return _walk(adj, depth, cand, common, roots, budget, what)
     chunks = [roots[i::workers] for i in range(min(workers, len(roots)))]
+    # imported here so that a serial run never loads the process pool
+    from concurrent.futures import ProcessPoolExecutor
+
     task = partial(_walk, adj, depth, cand, common, budget=budget, what=what)
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         parts = list(pool.map(task, chunks))
@@ -459,45 +466,32 @@ def extension_profile(
     return {c: h for c, h in enumerate(hist) if h}
 
 
-def find_clique(g: Graph, k: int) -> list[int] | None:
-    """First k-clique in lexicographic vertex order, or None."""
-    if g.is_T:
-        raise ValueError("find_clique on T is undefined")
-    if k == 0:
-        return []
+def _branch_and_bound(
+    adj: Sequence[int], floor: int, budget: int, what: str, first: bool = False
+) -> list[int]:
+    """Largest clique with more than floor vertices, or [] if there is none.
 
-    def rec(cand: int, chosen: list[int]) -> list[int] | None:
-        if len(chosen) == k:
-            return chosen
-        while cand:
-            lsb = cand & -cand
-            v = lsb.bit_length() - 1
-            cand ^= lsb
-            got = rec(cand & g.adj[v], chosen + [v])
-            if got is not None:
-                return got
-        return None
-
-    return rec((1 << g.n) - 1, [])
-
-
-def max_clique_order(g: Graph, node_budget: int | None = None) -> int:
-    """Exact maximum clique size, by branch and bound with greedy coloring."""
-    if g.is_T:
-        raise ValueError("T has a clique of every order")
-    budget = CENSUS_NODE_BUDGET if node_budget is None else node_budget
-    adj = g.adj
-    best = 0
+    Colour-bounded branch and bound (Tomita and Seki's MCQ): the
+    candidates are greedily coloured, and a branch whose size plus colour
+    count cannot beat the best so far is cut.  One budget node is charged
+    per call.  With first, the first clique found that beats floor is
+    returned: best is raised past n, which prunes every open branch.
+    """
+    n = len(adj)
+    path = [0] * n  # path[:size] is the clique being grown
+    best = floor
+    witness: list[int] = []
     nodes = 0
 
     def expand(size: int, cand: int) -> None:
-        nonlocal best, nodes
+        nonlocal best, witness, nodes
         nodes += 1
         if nodes > budget:
-            raise BudgetExceeded(f"max-clique search exceeded {budget} nodes")
+            raise BudgetExceeded(f"{what} exceeded {budget} nodes")
         if not cand:
             if size > best:
-                best = size
+                witness = path[:size]
+                best = n + 1 if first else size
             return
         order: list[tuple[int, int]] = []
         uncolored = cand
@@ -514,11 +508,34 @@ def max_clique_order(g: Graph, node_budget: int | None = None) -> int:
         for v, c in reversed(order):
             if size + c <= best:
                 return
+            path[size] = v
             expand(size + 1, cand & adj[v])
             cand &= ~(1 << v)
 
-    expand(0, (1 << g.n) - 1)
-    return best
+    expand(0, (1 << n) - 1)
+    return witness
+
+
+def find_clique(g: Graph, k: int) -> list[int] | None:
+    """Some k-clique, or None if there is none.
+
+    Which k-clique is returned is unspecified.  The search is charged
+    against the default node budget, CENSUS_NODE_BUDGET.
+    """
+    if g.is_T:
+        raise ValueError("find_clique on T is undefined")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    witness = _branch_and_bound(g.adj, k - 1, CENSUS_NODE_BUDGET, "clique search", first=True)
+    return witness[:k] if len(witness) >= k else None
+
+
+def max_clique_order(g: Graph, node_budget: int | None = None) -> int:
+    """Exact maximum clique size, by branch and bound with greedy coloring."""
+    if g.is_T:
+        raise ValueError("T has a clique of every order")
+    budget = CENSUS_NODE_BUDGET if node_budget is None else node_budget
+    return len(_branch_and_bound(g.adj, 0, budget, "max-clique search"))
 
 
 def verify_isomorphism(a: Graph, b: Graph, mapping: Sequence[int]) -> bool:
@@ -557,14 +574,3 @@ def to_dot(g: Graph, name: str = "G") -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def adjacency_json(g: Graph) -> str:
-    data = {
-        "n": g.n,
-        "is_T": g.is_T,
-        "labels": list(g.labels) if g.labels is not None else None,
-        "adjacency": [
-            [u for u in range(g.n) if g.adj[v] >> u & 1] for v in range(g.n)
-        ],
-    }
-    return json.dumps(data, indent=2, sort_keys=True)

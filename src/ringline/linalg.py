@@ -79,19 +79,6 @@ def mat_mul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
     return MatrixGF(F, tuple(out))
 
 
-def mat_pow(a: MatrixGF, e: int) -> MatrixGF:
-    if a.nrows != a.ncols:
-        raise ValueError("power of a non-square matrix")
-    acc = identity(a.field, a.nrows)
-    base = a
-    while e:
-        if e & 1:
-            acc = mat_mul(acc, base)
-        base = mat_mul(base, base)
-        e >>= 1
-    return acc
-
-
 def mat_vstack(a: MatrixGF, b: MatrixGF) -> MatrixGF:
     if a.ncols != b.ncols:
         raise ValueError("column mismatch")

@@ -149,10 +149,6 @@ class IntPoly:
             parts.append(sign + body)
         return "".join(parts)
 
-    def coefficients_json(self) -> list[int]:
-        """Ascending coefficient list, for machine output."""
-        return list(self.coeffs)
-
 
 def poly_product(factors: Iterable[IntPoly]) -> IntPoly:
     out = IntPoly.one()

@@ -175,16 +175,6 @@ def _spec_ints(body: object, kind: str, *keys: str) -> list[int]:
     return [body[key] for key in keys]  # type: ignore[index]
 
 
-def ring_spec_json(spec: RingSpec) -> str:
-    items = []
-    for s in spec.summands:
-        if isinstance(s, Local):
-            items.append({"local": {"R": s.R_order, "J": s.J_order}})
-        else:
-            items.append({"matrix": {"m": s.m, "q": s.q}})
-    return json.dumps({"summands": items, "radical": spec.radical_multiplier})
-
-
 def zn_local_decomposition(n: int) -> RingSpec:
     """Z/n as a sum of Local(p^a, p^(a-1)), primes ascending."""
     if n < 2:

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from math import comb
-
-from .formulas import cap1N_matrix, cap2N_matrix, matrix_point_count
+from .formulas import cap1N_matrix, cap2N_matrix, cap_k_N_from_extensions, matrix_point_count
 from .partitions import coefficient_comparison_rows, qseries_product
 
 COEFF_COLUMNS = 5  # leading coefficients shown: q^{m^2} .. q^{m^2-4}
@@ -31,16 +29,11 @@ def c_coefficient_rows() -> list[tuple[str, list[int]]]:
 
 def capkN_coefficient_rows() -> list[tuple[str, list[int]]]:
     """Leading coefficients of capkN = sum_i (-1)^i C(k,i) C[m,i]."""
-    base = [qseries_product(k - 1, COEFF_COLUMNS - 1) for k in range(4)]
-    rows = []
-    for k in range(1, 4):
-        acc = [0] * COEFF_COLUMNS
-        for i in range(k + 1):
-            sign = -1 if i % 2 else 1
-            for col in range(COEFF_COLUMNS):
-                acc[col] += sign * comb(k, i) * base[i][col]
-        rows.append((f"cap{k}N", acc))
-    return rows
+    columns = list(zip(*(qseries_product(k - 1, COEFF_COLUMNS - 1) for k in range(4))))
+    return [
+        (f"cap{k}N", [cap_k_N_from_extensions(column, k) for column in columns])
+        for k in range(1, 4)
+    ]
 
 
 def _coeff_block(title: str, rows: list[tuple[str, list[int]]]) -> str:

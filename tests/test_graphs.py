@@ -5,9 +5,13 @@ subsets, which is feasible at these sizes and shares no code with the
 backtracking engine.
 """
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +19,7 @@ from ringline.errors import BoundExceeded, BudgetExceeded
 from ringline.graphs import (
     _SYMMETRY_BLOCK,
     Graph,
-    adjacency_json,
+    _branch_and_bound,
     blowup,
     complement,
     count_cliques,
@@ -333,9 +337,60 @@ def test_neighborhood_intersection_count():
 
 
 def test_find_clique():
-    assert find_clique(Graph.complete(4), 2) == [0, 1]
+    got = find_clique(Graph.complete(4), 2)
+    assert len(got) == 2 and is_clique(Graph.complete(4), got)
     assert find_clique(Graph.empty(3), 2) is None
     assert find_clique(Graph.complete(3), 0) == []
+    with pytest.raises(ValueError):
+        find_clique(Graph.complete(3), -1)
+    with pytest.raises(ValueError):
+        find_clique(Graph.T(), 1)
+
+
+def test_find_clique_against_oracle():
+    cases = [
+        Graph.complete(6),
+        Graph.empty(5),
+        zn_projective_line(6),
+        blowup(Graph.complete(3), 2),
+        Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4)]),
+    ]
+    rng = random.Random(2003)
+    for _ in range(20):
+        n = rng.randint(1, 12)
+        cases.append(random_graph(n, rng.choice((0.2, 0.5, 0.8)), rng.randrange(10**6)))
+    for g in cases:
+        for k in range(g.n + 2):
+            exists = any(is_clique(g, c) for c in combinations(range(g.n), k))
+            got = find_clique(g, k)
+            if exists:
+                assert got is not None and len(got) == k and is_clique(g, got)
+            else:
+                assert got is None
+
+
+def test_find_clique_above_omega_within_default_budget():
+    # omega(P(M_2(3))) = 10: the colour bound refutes an 11-clique
+    # without walking the cliques one by one
+    assert find_clique(matrix_ring_graph(2, 3), 11) is None
+
+
+def test_branch_and_bound_budget():
+    adj = Graph.complete(30).adj
+    for first in (False, True):
+        with pytest.raises(BudgetExceeded, match="probe exceeded 3 nodes"):
+            _branch_and_bound(adj, 0, 3, "probe", first=first)
+    assert len(_branch_and_bound(adj, 0, 31, "probe")) == 30
+
+
+def test_import_loads_no_process_pool():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, ringline; print('concurrent.futures.process' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0 and done.stdout == "False\n"
 
 
 def test_max_clique_order_against_oracle():
@@ -378,10 +433,3 @@ def test_dot_and_json_exports():
     dot = to_dot(k3)
     assert 'graph G {' in dot and "0 -- 1;" in dot and '[label="2"]' in dot
     assert to_dot(Graph.T()).count("0 -- 0;") == 1
-    data = adjacency_json(k3)
-    assert '"n": 3' in data and '"adjacency"' in data
-    import json
-
-    parsed = json.loads(data)
-    assert parsed["adjacency"][0] == [1, 2]
-    assert parsed["labels"] == ["0", "1", "2"]

@@ -57,5 +57,4 @@ def test_coefficient_access_and_json():
     assert p.coefficient(2) == 5
     assert p.coefficient(9) == 0
     assert p.coefficient(-1) == 0
-    assert p.coefficients_json() == [3, 0, 5]
     assert list(p) == [3, 0, 5]
