@@ -7,7 +7,8 @@ the tensor product and is rejected by every other combinator.
 
 Every constructor checks the rows in full: no bits outside the vertex
 range, no loops, and symmetry.  Symmetry is checked on transposed bit
-strings rather than edge by edge.  For a block of 512 columns, one
+strings rather than edge by edge, by the one transpose check that also
+checks automorphisms and isomorphisms.  For a block of 512 columns, one
 string joins those bits of every row, and each column of the block is a
 strided slice of it that must equal the row string of the same vertex.
 A pass holds about 2 * n * 512 characters, so peak memory is
@@ -30,6 +31,24 @@ share a second core, one colour-bounded branch and bound.  There are two
 cores because the questions differ: a count must visit every clique, so
 nothing can be pruned, while existence and maximum only need one
 witness and cut every branch whose colour bound cannot beat it.
+
+A graph may carry generators, vertex permutations its constructor
+claims are automorphisms (the ring constructors do).  The census, the
+profile without `containing`, find_clique and max_clique_order then
+search one representative per vertex orbit.  At the start of every call
+each generator is checked, with the transpose check above, and one that
+fails raises; nothing about orbits is cached.  The census walks the
+cliques of each representative's neighbourhood, weighted by the orbit
+size, and divides by k, since every k-clique has k members: one node is
+charged per clique visited there, plus one per representative.  The
+profile is reduced the same way; with `containing` it takes the plain
+walk.  The branch and bound starts from each representative r as the
+path [r] with candidates adj[r], one best shared by all.  Workers split
+the roots of every representative's neighbourhood by the same i::w rule
+in one pool, so counts, nodes and budget outcomes still do not depend on
+w.  A graph without generators, such as one from from_edges, a tensor
+product or a blow-up, takes the ordered walk over all n roots, which is
+the oracle the orbit path is tested against.
 """
 
 from __future__ import annotations
@@ -42,38 +61,75 @@ from .config import CENSUS_NODE_BUDGET, VERTEX_BOUND
 from .errors import BoundExceeded, BudgetExceeded
 
 
-# Columns per pass of the symmetry check; it bounds the pass's memory.
+# Columns per pass of the transpose check; it bounds the pass's memory.
 _SYMMETRY_BLOCK = 512
 
 
-def _check_symmetric(adj: tuple[int, ...]) -> None:
-    """Raise on the first edge v->u, least v then least u, whose reverse is missing.
+def _lowest(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
+
+
+def _bits(bits: int) -> list[int]:
+    """The set bits of bits, ascending."""
+    out = []
+    while bits:
+        out.append(_lowest(bits))
+        bits &= bits - 1
+    return out
+
+
+def _check_transpose(rows: Sequence[int], cols: Sequence[int]) -> tuple[int, int] | None:
+    """None iff cols is the transpose of rows: u in rows[v] iff v in cols[u].
+
+    Otherwise the first (v, u), least v then least u, with u in rows[v]
+    but v not in cols[u]; failing that, the first (v, u) with v in
+    cols[u] but u not in rows[v].
 
     Row v is written as its n-bit binary string, most significant bit
     first, so vertex u sits at position n - 1 - u.  For the columns
-    [c0, c0 + w) the bits c0..c0+w-1 of every row are joined, last row
-    first, into one string of n * w characters; column v of the adjacency
-    matrix is then its stride-w slice from c0 + w - 1 - v, written the same
-    way as row v.  The graph is symmetric iff every row equals its column.
+    [c0, c0 + w) the bits c0..c0+w-1 of every entry of cols are joined,
+    last first, into one string of n * w characters; the set of u with v
+    in cols[u] is then its stride-w slice from c0 + w - 1 - v, written the
+    same way as rows[v].
     """
-    n = len(adj)
+    n = len(rows)
     full = f"0{n}b"
+    extra = None
     for c0 in range(0, n, _SYMMETRY_BLOCK):
         w = min(_SYMMETRY_BLOCK, n - c0)
         mask, part = (1 << w) - 1, f"0{w}b"
-        flat = "".join([format(row >> c0 & mask, part) for row in reversed(adj)])
+        flat = "".join([format(col >> c0 & mask, part) for col in reversed(cols)])
         for v in range(c0, c0 + w):
             column = flat[c0 + w - 1 - v :: w]
-            if format(adj[v], full) != column:
-                # bit u of the column is bit v of row u
-                missing = adj[v] & ~int(column, 2)
+            if format(rows[v], full) != column:
+                seen = int(column, 2)
+                missing = rows[v] & ~seen
                 if missing:
-                    u = (missing & -missing).bit_length() - 1
-                    raise ValueError(f"asymmetric edge {v}->{u}")
+                    return v, _lowest(missing)
+                if extra is None:
+                    extra = v, _lowest(seen & ~rows[v])
+    return extra
+
+
+def _check_symmetric(adj: tuple[int, ...]) -> None:
+    """Raise on the first edge v->u, least v then least u, whose reverse is missing."""
+    bad = _check_transpose(adj, adj)
+    if bad is not None:
+        # in a square matrix every u in column v but not in row v is an
+        # edge u->v whose reverse is missing, so bad is of the first kind
+        raise ValueError("asymmetric edge {}->{}".format(*bad))
 
 
 class Graph:
-    __slots__ = ("n", "adj", "is_T", "labels")
+    """n vertices, bitset rows adj, optional labels.
+
+    generators is a tuple of vertex permutations (sigma[v] is the image of
+    v) that the constructor claims are automorphisms.  They are not
+    checked here: every orbit-reduced search checks them first and raises
+    on one that fails.  Equality and hashing ignore them.
+    """
+
+    __slots__ = ("n", "adj", "is_T", "labels", "generators")
 
     def __init__(
         self,
@@ -81,6 +137,7 @@ class Graph:
         adj: Sequence[int],
         labels: Sequence[str] | None = None,
         is_T: bool = False,
+        generators: Iterable[Sequence[int]] = (),
     ):
         adj = tuple(adj)
         if len(adj) != n:
@@ -104,6 +161,7 @@ class Graph:
         self.adj = adj
         self.is_T = is_T
         self.labels = labels
+        self.generators = tuple(tuple(sigma) for sigma in generators)
 
     @classmethod
     def T(cls) -> "Graph":
@@ -283,22 +341,23 @@ class CliqueCensus:
 def _walk(
     adj: Sequence[int],
     depth: int,
-    cand: int,
-    common: int,
-    roots: Sequence[int],
+    anchors: Sequence[tuple[int, int, Sequence[int], int]],
     budget: int,
     what: str,
+    spent: int = 0,
 ):
-    """Ordered walk over the cliques of 1..depth vertices of cand whose
-    minimum vertex lies in roots.
+    """Ordered walk, for each anchor (cand, common, roots, weight), over the
+    cliques of 1..depth vertices of cand whose minimum vertex lies in roots.
 
-    Returns (counts, hist, nodes): counts[d] is the number of d-cliques,
-    hist[c] the number of depth-cliques with exactly c vertices of common
-    adjacent to all of them, and nodes = sum(counts), one per clique.
+    Returns (counts, hist, nodes): counts[d] is the weighted number of
+    d-cliques, hist[c] the weighted number of depth-cliques with exactly c
+    vertices of common adjacent to all of them, and nodes = spent plus one
+    per clique visited, unweighted.
     """
-    counts = [0] * (depth + 1)
-    hist = [0] * (common.bit_count() + 1)
-    nodes = 0
+    bins = max((common.bit_count() for _, common, _, _ in anchors), default=0) + 1
+    total_counts = [0] * (depth + 1)
+    total_hist = [0] * bins
+    nodes = spent
 
     def rec(cand: int, common: int, size: int) -> None:
         nonlocal nodes
@@ -329,46 +388,108 @@ def _walk(
             if sub:
                 rec(sub, common & adj[v], size + 1)
 
-    for r in roots:
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded(f"{what} exceeded {budget} nodes")
-        counts[1] += 1
-        if depth == 1:
-            hist[(common & adj[r]).bit_count()] += 1
-        else:
-            sub = cand & adj[r] & (-1 << (r + 1))
-            if sub:
-                rec(sub, common & adj[r], 1)
-    return counts, hist, nodes
+    for cand, common, roots, weight in anchors:
+        counts = [0] * (depth + 1)
+        hist = [0] * bins
+        for r in roots:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(f"{what} exceeded {budget} nodes")
+            counts[1] += 1
+            if depth == 1:
+                hist[(common & adj[r]).bit_count()] += 1
+            else:
+                sub = cand & adj[r] & (-1 << (r + 1))
+                if sub:
+                    rec(sub, common & adj[r], 1)
+        for d, c in enumerate(counts):
+            total_counts[d] += weight * c
+        for e, h in enumerate(hist):
+            total_hist[e] += weight * h
+    return total_counts, total_hist, nodes
 
 
 def _search(
-    adj: Sequence[int], depth: int, cand: int, common: int, budget: int, workers: int, what: str
+    adj: Sequence[int],
+    depth: int,
+    anchors: Sequence[tuple[int, int, int]],
+    budget: int,
+    workers: int,
+    what: str,
+    spent: int = 0,
 ):
-    """_walk over every root in cand; worker i takes the roots [i::workers].
+    """_walk over every root of every anchor (cand, common, weight), plus the
+    empty clique of each anchor; worker i takes the roots [i::workers] of
+    every anchor, all in one pool.
 
     Each worker owns the cliques whose minimum vertex is one of its roots,
     so the summed counts, histogram and nodes do not depend on the split.
     """
-    roots = []
-    bits = cand if depth else 0  # a depth-0 search visits nothing
-    while bits:
-        roots.append((bits & -bits).bit_length() - 1)
-        bits &= bits - 1
-    if workers <= 1 or depth < 2 or len(roots) < 2:
-        return _walk(adj, depth, cand, common, roots, budget, what)
-    chunks = [roots[i::workers] for i in range(min(workers, len(roots)))]
-    # imported here so that a serial run never loads the process pool
-    from concurrent.futures import ProcessPoolExecutor
+    tasks = [(cand, common, _bits(cand) if depth else [], w) for cand, common, w in anchors]
+    longest = max((len(roots) for _, _, roots, _ in tasks), default=0)
+    if workers <= 1 or depth < 2 or longest < 2:
+        counts, hist, nodes = _walk(adj, depth, tasks, budget, what, spent)
+    else:
+        shares = [
+            [(cand, common, roots[i::workers], w) for cand, common, roots, w in tasks]
+            for i in range(min(workers, longest))
+        ]
+        # imported here so that a serial run never loads the process pool
+        from concurrent.futures import ProcessPoolExecutor
 
-    task = partial(_walk, adj, depth, cand, common, budget=budget, what=what)
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(task, chunks))
-    counts, hists, nodes = zip(*parts)
-    if sum(nodes) > budget:
+        task = partial(_walk, adj, depth, budget=budget, what=what)
+        with ProcessPoolExecutor(max_workers=len(shares)) as pool:
+            parts = list(pool.map(task, shares))
+        sums, hists, used = zip(*parts)
+        nodes = spent + sum(used)
+        counts, hist = [sum(c) for c in zip(*sums)], [sum(h) for h in zip(*hists)]
+    if nodes > budget:  # also when spent alone is over it
         raise BudgetExceeded(f"{what} exceeded {budget} nodes")
-    return [sum(c) for c in zip(*counts)], [sum(h) for h in zip(*hists)], sum(nodes)
+    for _, common, w in anchors:
+        counts[0] += w
+        if depth == 0:
+            hist[common.bit_count()] += w
+    return counts, hist, nodes
+
+
+def _orbits(g: Graph) -> list[tuple[int, int]] | None:
+    """(least vertex, size) of every orbit of the group generated by
+    g.generators, in vertex order; None for a graph without generators.
+
+    Every generator is checked first (verify_isomorphism of g with
+    itself), and one that is not an automorphism raises ValueError before
+    anything uses it.  Nothing is cached, so every call pays the check.
+    """
+    if not g.generators:
+        return None
+    for i, sigma in enumerate(g.generators):
+        if not verify_isomorphism(g, g, sigma):
+            raise ValueError(f"generator {i} is not an automorphism")
+    seen = bytearray(g.n)
+    out = []
+    for v in range(g.n):
+        if seen[v]:
+            continue
+        seen[v] = 1
+        stack, size = [v], 0
+        while stack:
+            u = stack.pop()
+            size += 1
+            for sigma in g.generators:
+                w = sigma[u]
+                if not seen[w]:
+                    seen[w] = 1
+                    stack.append(w)
+        out.append((v, size))
+    return out
+
+
+def _through(total: int, k: int) -> int:
+    """total / k, where total counts every k-clique once per member."""
+    cliques, rest = divmod(total, k)
+    if rest:
+        raise AssertionError(f"orbit sum {total} is not a multiple of {k}")
+    return cliques
 
 
 def count_cliques(
@@ -382,14 +503,21 @@ def count_cliques(
     For T there is one clique of every size.  The count is independent
     of the worker split: each worker owns the cliques whose minimum
     vertex falls in its share of the roots, and the totals are summed.
+    With generators, N_k = sum over orbits O of |O| * c_k(rep) / k, where
+    c_k(rep) counts the (k-1)-cliques in the representative's neighbourhood.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     budget = CENSUS_NODE_BUDGET if node_budget is None else node_budget
     if g.is_T:
         return CliqueCensus({k: 1 for k in range(kmax + 1)}, kmax, 0)
-    counts, _, nodes = _search(g.adj, kmax, (1 << g.n) - 1, 0, budget, workers, "census")
-    counts[0] = 1
+    orbits = _orbits(g)
+    if orbits is None or kmax == 0:
+        counts, _, nodes = _search(g.adj, kmax, [((1 << g.n) - 1, 0, 1)], budget, workers, "census")
+    else:
+        anchors = [(g.adj[r], 0, size) for r, size in orbits]
+        through, _, nodes = _search(g.adj, kmax - 1, anchors, budget, workers, "census", len(orbits))
+        counts = [1] + [_through(t, k) for k, t in enumerate(through, 1)]
     return CliqueCensus(dict(enumerate(counts)), kmax, nodes)
 
 
@@ -448,7 +576,10 @@ def extension_profile(
     """Histogram {extension count: number of k-cliques with that count}.
 
     With `containing`, only k-cliques through that clique are profiled.
-    The histogram keys are sorted, so the output is canonical.
+    The histogram keys are sorted, so the output is canonical.  With
+    generators and no `containing`, each orbit representative profiles
+    the k-cliques through it, weighted by the orbit size, and every
+    k-clique is then counted k times.
     """
     if g.is_T:
         raise ValueError("extension profile of T is undefined")
@@ -458,16 +589,24 @@ def extension_profile(
     if k < len(base):
         raise ValueError("k smaller than the fixed clique")
     budget = CENSUS_NODE_BUDGET if node_budget is None else node_budget
-    common = _common_neighbors(g, base)
-    target = k - len(base)
-    if target == 0:
-        return {common.bit_count(): 1}
-    _, hist, _ = _search(g.adj, target, common, common, budget, workers, "profile")
+    orbits = None if base else _orbits(g)
+    if orbits is None or k == 0:
+        common = _common_neighbors(g, base)
+        _, hist, _ = _search(g.adj, k - len(base), [(common, common, 1)], budget, workers, "profile")
+    else:
+        anchors = [(g.adj[r], g.adj[r], size) for r, size in orbits]
+        _, through, _ = _search(g.adj, k - 1, anchors, budget, workers, "profile", len(orbits))
+        hist = [_through(t, k) for t in through]
     return {c: h for c, h in enumerate(hist) if h}
 
 
 def _branch_and_bound(
-    adj: Sequence[int], floor: int, budget: int, what: str, first: bool = False
+    adj: Sequence[int],
+    floor: int,
+    budget: int,
+    what: str,
+    first: bool = False,
+    roots: Sequence[int] | None = None,
 ) -> list[int]:
     """Largest clique with more than floor vertices, or [] if there is none.
 
@@ -476,6 +615,8 @@ def _branch_and_bound(
     count cannot beat the best so far is cut.  One budget node is charged
     per call.  With first, the first clique found that beats floor is
     returned: best is raised past n, which prunes every open branch.
+    With roots, only cliques through a root are searched: each root r in
+    turn is the path [r] with candidates adj[r], one best shared by all.
     """
     n = len(adj)
     path = [0] * n  # path[:size] is the clique being grown
@@ -512,48 +653,68 @@ def _branch_and_bound(
             expand(size + 1, cand & adj[v])
             cand &= ~(1 << v)
 
-    expand(0, (1 << n) - 1)
+    if roots is None:
+        expand(0, (1 << n) - 1)
+        return witness
+    for r in roots:
+        if best > n:
+            break
+        path[0] = r
+        expand(1, adj[r])
     return witness
+
+
+def _orbit_roots(g: Graph) -> list[int] | None:
+    orbits = _orbits(g)
+    return None if orbits is None else [r for r, _ in orbits]
 
 
 def find_clique(g: Graph, k: int) -> list[int] | None:
     """Some k-clique, or None if there is none.
 
     Which k-clique is returned is unspecified.  The search is charged
-    against the default node budget, CENSUS_NODE_BUDGET.
+    against the default node budget, CENSUS_NODE_BUDGET.  With generators,
+    it is anchored at one representative per vertex orbit.
     """
     if g.is_T:
         raise ValueError("find_clique on T is undefined")
     if k < 0:
         raise ValueError("k must be >= 0")
-    witness = _branch_and_bound(g.adj, k - 1, CENSUS_NODE_BUDGET, "clique search", first=True)
+    witness = _branch_and_bound(
+        g.adj, k - 1, CENSUS_NODE_BUDGET, "clique search", first=True, roots=_orbit_roots(g)
+    )
     return witness[:k] if len(witness) >= k else None
 
 
 def max_clique_order(g: Graph, node_budget: int | None = None) -> int:
-    """Exact maximum clique size, by branch and bound with greedy coloring."""
+    """Exact maximum clique size, by branch and bound with greedy coloring.
+
+    With generators, every clique maps into one through an orbit
+    representative, so the search is anchored at the representatives.
+    """
     if g.is_T:
         raise ValueError("T has a clique of every order")
     budget = CENSUS_NODE_BUDGET if node_budget is None else node_budget
-    return len(_branch_and_bound(g.adj, 0, budget, "max-clique search"))
+    return len(_branch_and_bound(g.adj, 0, budget, "max-clique search", roots=_orbit_roots(g)))
 
 
 def verify_isomorphism(a: Graph, b: Graph, mapping: Sequence[int]) -> bool:
-    """True iff the vertex bijection preserves adjacency both ways."""
+    """True iff the vertex bijection preserves adjacency both ways.
+
+    As a is symmetric, that holds iff the rows b.adj[mapping[u]] are the
+    transpose of the rows a.adj[mapping^-1[w]]: both say that u ~ w in a
+    iff mapping[u] ~ mapping[w] in b.
+    """
     if a.n != b.n or a.is_T != b.is_T:
         return False
     if sorted(mapping) != list(range(a.n)):
         raise ValueError("mapping is not a bijection on the vertex sets")
     if a.is_T:
         return True
-    for v in range(a.n):
-        bits = a.adj[v] >> (v + 1) << (v + 1)
-        while bits:
-            u = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            if not b.has_edge(mapping[v], mapping[u]):
-                return False
-    return a.edge_count() == b.edge_count()
+    inverse = [0] * a.n
+    for u, w in enumerate(mapping):
+        inverse[w] = u
+    return _check_transpose([b.adj[w] for w in mapping], [a.adj[u] for u in inverse]) is None
 
 
 # ---------------------------------------------------------------------------

@@ -19,16 +19,24 @@ U, W of P(M_m(q)) are distant iff det[U; W] != 0, and Laplace expansion
 along the first m rows writes that determinant as
 sum_I +-p_I(U) p_{I^c}(W) over the m-subsets I of the 2m columns, p_I
 being the m x m minor on the columns I.  Each point's minors are taken
-once.  The pairing is linear in the second point, so the row of U is
-the complement of the zero set of W -> sum_I +-p_I(U) p_{I^c}(W), and no
-pair is decided on its own: bitsets cells[I][c] of the points W with
-+-p_{I^c}(W) = c feed a value DP over the nonzero p_I(U) but the last,
-sums'[s + a*c] |= sums[s] & cells[I][c], and the last term only gathers
-the zero set, OR_c sums[-a*c] & cells[I][c].  That step costs q
-whole-row operations, not q^2, so for m = 1 a row costs O(q) operations
-even at large q.  The unit-difference graph is the induced subgraph on
+once, those of its first t rows from those of its first t - 1 rows by
+Laplace expansion along row t.  The pairing is linear in the second
+point, so the row of U is the complement of the zero set of
+W -> sum_I +-p_I(U) p_{I^c}(W), and no pair is decided on its own:
+bitsets cells[I][c] of the points W with +-p_{I^c}(W) = c feed a value
+DP over the nonzero p_I(U) but the last, sums'[s + a*c] |= sums[s] &
+cells[I][c], and the last term only gathers the zero set,
+OR_c sums[-a*c] & cells[I][c].  That step costs q whole-row operations,
+not q^2, so for m = 1 a row costs O(q) operations even at large q.  The unit-difference graph is the induced subgraph on
 the points (A | I), since det[A, I; B, I] = det(A - B).  `points_distant`
 and `mat_det` stay as the reference the tests compare the kernel against.
+
+The three constructors above also give their graphs generators of a
+vertex-transitive automorphism group, built from their own index tables
+or minors: (a:b) -> (-b:a) and (a:b) -> (a+b:b) on P(Z/n), U -> U g on
+P(M_m(q)) and X -> X g on GL_m(q), for g a Singer cycle and a
+transvection of GL_2m(q) and GL_m(q).  The searches in `ringline.graphs`
+check them before use.  Tensor products and blow-ups carry none.
 """
 
 from __future__ import annotations
@@ -48,7 +56,6 @@ from .fields import GF, factor_prime_power, factorize, find_primitive, gf_of
 from .graphs import Graph, blowup, tensor_product
 from .linalg import (
     MatrixGF,
-    _det,
     _echelon,
     companion_matrix,
     enumerate_gl,
@@ -208,41 +215,90 @@ def zn_projective_line(n: int, vertex_bound: int = VERTEX_BOUND) -> Graph:
 
     Vertices are pairs with gcd(a, b, n) = 1, canonicalized to the
     lexicographically least member of the unit-scaling orbit; two points
-    are adjacent when the pair determinant ad - bc is a unit mod n.
+    are adjacent when the pair determinant ad - bc is a unit mod n, that
+    is nonzero mod every prime p | n, that is when the two points differ
+    in every P(Z/p).  So the row of a point is all points minus, for each
+    p, the bitset of the points congruent to it mod p.  The generators are
+    (a:b) -> (-b:a) and (a:b) -> (a+b:b), which generate SL_2(Z/n).
     This construction never touches the tensor/blow-up machinery, so it
     can serve as the independent oracle for the commutative formulas.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
+    factors = _local_factors([p**a for p, a in factorize(n)])
     expected = 1
-    for p, a in factorize(n):
-        expected *= p**a + p ** (a - 1)
+    for *_, count in factors:
+        expected *= count
     if expected > vertex_bound:
         raise BoundExceeded(f"P(Z/{n}) has {expected} points, bound {vertex_bound}")
-    is_unit = bytes(gcd(u, n) == 1 for u in range(n))
-    units = [u for u in range(n) if is_unit[u]]
-    seen = bytearray(n * n)  # pair (a, b) at a * n + b
+    units = [u for u in range(n) if gcd(u, n) == 1]
     verts = []
-    for a in range(n):
+    # the units move a over {x : gcd(x, n) = gcd(a, n)}, whose least member
+    # is d = gcd(a, n) mod n, so the least pair of a point is (d, b) with b
+    # least in its orbit under the units that fix d
+    for d in [d for d in range(1, n + 1) if n % d == 0]:
+        fixing = [u for u in units if (u - 1) * d % n == 0]
+        seen = bytearray(n)
         for b in range(n):
-            if not seen[a * n + b] and gcd(gcd(a, b), n) == 1:
-                orbit = [((u * a) % n, (u * b) % n) for u in units]
-                for c, d in orbit:
-                    seen[c * n + d] = 1
-                verts.append(min(orbit))
+            if not seen[b] and gcd(d, b) == 1:
+                orbit = [u * b % n for u in fixing]
+                for c in orbit:
+                    seen[c] = 1
+                verts.append((d % n, min(orbit)))
     verts.sort()
-    rows = [0] * len(verts)
-    for i, (a, b) in enumerate(verts):
-        for j in range(i + 1, len(verts)):
-            c, d = verts[j]
-            if is_unit[(a * d - b * c) % n]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    labels = [f"{a}:{b}" for a, b in verts]
-    g = Graph(len(verts), rows, labels)
-    if g.n != expected:
+    if len(verts) != expected:
         raise AssertionError("point count disagrees with the multiplicative formula")
-    return g
+    local = [_local_indices(factors, a, b) for a, b in verts]
+    # the point of P(Z/p) a vertex lies over is its local index // p^(e-1)
+    over = [[i // j_order for i, (_, _, j_order, _) in zip(indices, factors)] for indices in local]
+    classes = [[0] * (p + 1) for _, p, _, _ in factors]
+    for v, points in enumerate(over):
+        for cls, x in zip(classes, points):
+            cls[x] |= 1 << v
+    everyone = (1 << expected) - 1
+    rows = [everyone ^ reduce(or_, [cls[x] for cls, x in zip(classes, points)]) for points in over]
+    vertex = [0] * expected  # CRT index -> vertex
+    for v, indices in enumerate(local):
+        vertex[_crt_index(factors, indices)] = v
+    generators = [
+        [vertex[_crt_index(factors, _local_indices(factors, -b, a))] for a, b in verts],
+        [vertex[_crt_index(factors, _local_indices(factors, a + b, b))] for a, b in verts],
+    ]
+    return Graph(expected, rows, [f"{a}:{b}" for a, b in verts], generators=generators)
+
+
+def _local_factors(factorization: list[int]) -> list[tuple[int, int, int, int]]:
+    """(f, p, p^(e-1), point count of P(Z/f)) for each prime power f = p^e."""
+    out = []
+    for f in factorization:
+        p, a = factor_prime_power(f)
+        out.append((f, p, p ** (a - 1), (p + 1) * p ** (a - 1)))
+    return out
+
+
+def _local_indices(factors, a: int, b: int) -> list[int]:
+    return [_local_point_index(f, p, j_order, a % f, b % f) for f, p, j_order, _ in factors]
+
+
+def _local_point_index(f: int, p: int, j_order: int, a: int, b: int) -> int:
+    """Index of the point of P(Z/f) in local_graph(f, f//p) vertex order."""
+    if b % p:  # b is a unit: the point (a*b^-1, 1)
+        r = a * pow(b, -1, f) % f
+        part, copy = r % p, r // p
+    else:
+        if a % p == 0:
+            raise ValueError(f"({a},{b}) is not admissible mod {f}")
+        j = b * pow(a, -1, f) % f
+        part, copy = p, j // p
+    return part * j_order + copy
+
+
+def _crt_index(factors, indices: list[int]) -> int:
+    """Vertex index in the tensor product of the local graphs, factors in order."""
+    idx = 0
+    for (*_, count), i in zip(factors, indices):
+        idx = idx * count + i
+    return idx
 
 
 def zn_crt_map(n: int, factorization: list[int] | None = None) -> list[int]:
@@ -263,35 +319,12 @@ def zn_crt_map(n: int, factorization: list[int] | None = None) -> list[int]:
     for f1, f2 in combinations(factorization, 2):
         if gcd(f1, f2) != 1:
             raise ValueError("factors are not coprime")
-
-    sizes = []
-    for f in factorization:
-        p, a = factor_prime_power(f)
-        sizes.append((f, p, p ** (a - 1), (p + 1) * p ** (a - 1)))
-
-    oracle = zn_projective_line(n)
+    factors = _local_factors(factorization)
     mapping = []
-    for label in oracle.labels:  # type: ignore[union-attr]
-        a_str, b_str = label.split(":")
-        a, b = int(a_str), int(b_str)
-        idx = 0
-        for f, p, j_order, count in sizes:
-            idx = idx * count + _local_point_index(f, p, j_order, a % f, b % f)
-        mapping.append(idx)
+    for label in zn_projective_line(n).labels:  # type: ignore[union-attr]
+        a, b = map(int, label.split(":"))
+        mapping.append(_crt_index(factors, _local_indices(factors, a, b)))
     return mapping
-
-
-def _local_point_index(f: int, p: int, j_order: int, a: int, b: int) -> int:
-    """Index of the point of P(Z/f) in local_graph(f, f//p) vertex order."""
-    if b % p:  # b is a unit: the point (a*b^-1, 1)
-        r = a * pow(b, -1, f) % f
-        part, copy = r % p, r // p
-    else:
-        if a % p == 0:
-            raise ValueError(f"({a},{b}) is not admissible mod {f}")
-        j = b * pow(a, -1, f) % f
-        part, copy = p, j // p
-    return part * j_order + copy
 
 
 def spec_graph(spec: RingSpec, vertex_bound: int = VERTEX_BOUND) -> Graph:
@@ -371,7 +404,11 @@ def matrix_ring_points(m: int, q: int | GF) -> list[SubspacePoint]:
 
 
 def matrix_ring_graph(m: int, q: int | GF, vertex_bound: int = VERTEX_BOUND) -> Graph:
-    """Distant graph of P(M_m(q)); m = 0 is the trivial ring, i.e. T."""
+    """Distant graph of P(M_m(q)); m = 0 is the trivial ring, i.e. T.
+
+    Its generators are U -> U g for two generators g of GL_2m(q) (see
+    _gl_generators), acting on the points through their minors.
+    """
     if m == 0:
         return Graph.T()
     F = gf_of(q)
@@ -379,12 +416,99 @@ def matrix_ring_graph(m: int, q: int | GF, vertex_bound: int = VERTEX_BOUND) -> 
     if count > vertex_bound:
         raise BoundExceeded(f"P(M_{m}({F.q})) has {count} points, bound {vertex_bound}")
     pts = matrix_ring_points(m, F)
-    rows = _pairing_rows(F, m, [p.basis.rows for p in pts])
-    return Graph(len(pts), rows, [p.label for p in pts])
+    minors = _plucker(F, m, [p.basis.rows for p in pts])
+    generators = [_plucker_images(F, m, minors, g, True) for g in _gl_generators(F, 2 * m)]
+    return Graph(len(pts), _pairing_rows(F, m, minors), [p.label for p in pts], generators=generators)
 
 
-def _pairing_rows(F: GF, m: int, bases: list[tuple[tuple[int, ...], ...]]) -> list[int]:
-    """Adjacency rows of the m x 2m bases: i ~ j iff det[U_i; U_j] != 0.
+def _minor_plan(m: int) -> list[list[list[tuple[int, int, int]]]]:
+    """Laplace expansion of the t x t minors along their last row, t = 2..m.
+
+    Level t lists, per t-subset S of the 2m columns in combinations
+    order, the terms (index of S - {s_j} among the (t-1)-subsets, s_j,
+    parity of t - 1 + j).  The 1-subsets are the columns themselves.
+    """
+    prev = {(c,): c for c in range(2 * m)}
+    levels = []
+    for t in range(2, m + 1):
+        subsets = list(combinations(range(2 * m), t))
+        levels.append([[(prev[S[:j] + S[j + 1 :]], S[j], (t - 1 + j) % 2) for j in range(t)] for S in subsets])
+        prev = {S: k for k, S in enumerate(subsets)}
+    return levels
+
+
+def _plucker(F: GF, m: int, bases) -> list[list[int]]:
+    """The m x m minors of each m x 2m basis, on the m-subsets of the columns
+    in combinations order: the minors of the first t rows come from those
+    of the first t - 1 rows by Laplace expansion along row t."""
+    add, mul, neg = F._add, F._mul, F._neg
+    levels = _minor_plan(m)
+    out = []
+    for rows in bases:
+        minors = list(rows[0])
+        for row, level in zip(rows[1:], levels):
+            scaled = [mul[x] for x in row]
+            nxt = []
+            for terms in level:
+                acc = 0
+                for k, c, odd in terms:
+                    x = scaled[c][minors[k]]
+                    acc = add[acc][neg[x] if odd else x]
+                nxt.append(acc)
+            minors = nxt
+        out.append(minors)
+    return out
+
+
+def _gl_generators(F: GF, n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Generators of GL_n(q), acting on row vectors from the right: a Singer
+    cycle, the companion matrix of a primitive polynomial, whose determinant
+    is a primitive element, and for n >= 2 the transvection that adds
+    coordinate 0 to coordinate 1.  A subgroup of GL_n(q) with a Singer cycle
+    and a transvection contains SL_n(q) (Kantor, "Linear groups containing
+    a Singer cycle", 1980); the tests check the single orbit this gives.
+    """
+    out = [companion_matrix(F, find_primitive(n, F)).rows]
+    if n >= 2:
+        out.append(tuple(tuple(int(i == j or (i, j) == (0, 1)) for j in range(n)) for i in range(n)))
+    return out
+
+
+def _plucker_images(F: GF, m: int, minors: list[list[int]], g, rescale: bool) -> list[int]:
+    """The vertex permutation U -> U g of the bases with the given minors,
+    for g in GL_2m(q).
+
+    By Cauchy-Binet the minors of U g are p(U) times the m-th compound of
+    g, whose entry (K, J) is the minor of g on the rows K and columns J.
+    When U g is itself one of the bases its minors are looked up as they
+    are.  With rescale, the bases are in reduced echelon form, whose first
+    nonzero minor is 1, and the image minors are scaled to match.
+    """
+    add, mul, inv = F._add, F._mul, F._inv
+    subsets = list(combinations(range(2 * m), m))
+    compound = _plucker(F, m, [[g[i] for i in rows] for rows in subsets])  # compound[K][J]
+    by_subset = list(zip(*minors))  # by_subset[K][v] = p_K(U_v)
+    image = []
+    for j in range(len(subsets)):
+        terms = [(by_subset[k], mul[row[j]]) for k, row in enumerate(compound) if row[j]]
+        (first, times), *rest = terms
+        column = [times[x] for x in first]
+        for values, times in rest:
+            column = [add[a][times[x]] for a, x in zip(column, values)]
+        image.append(column)
+    vertex = {tuple(p): v for v, p in enumerate(minors)}
+    out = []
+    for p in zip(*image):
+        if rescale:
+            scale = mul[inv[next(filter(None, p))]]
+            p = tuple([scale[x] for x in p])
+        out.append(vertex[p])
+    return out
+
+
+def _pairing_rows(F: GF, m: int, minors: list[list[int]]) -> list[int]:
+    """Adjacency rows of the m x 2m bases U_i with the given minors (see
+    _plucker): i ~ j iff det[U_i; U_j] != 0.
 
     Laplace expansion along the first m rows gives
     det[U; W] = sum_k p_k(U) * r_k(W) over the m-subsets k of the 2m
@@ -407,17 +531,16 @@ def _pairing_rows(F: GF, m: int, bases: list[tuple[tuple[int, ...], ...]]) -> li
     complement = [position[tuple(c for c in range(2 * m) if c not in cols)] for cols in subsets]
     odd = [(sum(cols) + m * (m + 3) // 2) % 2 for cols in subsets]
     add, mul, neg, inv = F._add, F._mul, F._neg, F._inv
-    q, n = F.q, len(bases)
+    q, n = F.q, len(minors)
     everyone = (1 << n) - 1
     cells = [[0] * q for _ in subsets]
     terms = []
-    for j, rows in enumerate(bases):
-        minors = [_det(F, [[row[c] for c in cols] for row in rows]) for cols in subsets]
+    for j, point in enumerate(minors):
         bit = 1 << j
         for cell, c, sign in zip(cells, complement, odd):
-            x = minors[c]
+            x = point[c]
             cell[neg[x] if sign else x] |= bit
-        terms.append([(k, x) for k, x in enumerate(minors) if x])
+        terms.append([(k, x) for k, x in enumerate(point) if x])
     out = []
     for *rest, (k, a) in terms:
         if rest:
@@ -440,7 +563,12 @@ def _pairing_rows(F: GF, m: int, bases: list[tuple[tuple[int, ...], ...]]) -> li
 
 
 def unit_difference_graph(m: int, q: int | GF, vertex_bound: int = VERTEX_BOUND) -> Graph:
-    """GL_m(q) with edges between matrices whose difference is invertible."""
+    """GL_m(q) with edges between matrices whose difference is invertible.
+
+    Its generators are X -> X B for two generators B of GL_m(q), which is
+    (X | I) -> (X | I) diag(B, I) on the points below."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     F = gf_of(q)
     order = gl_order(m, F.q)
     if order > vertex_bound:
@@ -448,8 +576,13 @@ def unit_difference_graph(m: int, q: int | GF, vertex_bound: int = VERTEX_BOUND)
     mats = enumerate_gl(m, F)
     # det[A, I; B, I] = det(A - B): the points (A | I) of P(M_m(q))
     eye = identity(F, m).rows
-    rows = _pairing_rows(F, m, [tuple(r + e for r, e in zip(mt.rows, eye)) for mt in mats])
-    return Graph(len(mats), rows, [matrix_label(mt) for mt in mats])
+    minors = _plucker(F, m, [tuple(r + e for r, e in zip(mt.rows, eye)) for mt in mats])
+    generators = [
+        _plucker_images(F, m, minors, tuple(r + (0,) * m for r in b) + tuple((0,) * m + e for e in eye), False)
+        for b in _gl_generators(F, m)
+    ]
+    rows = _pairing_rows(F, m, minors)
+    return Graph(len(mats), rows, [matrix_label(mt) for mt in mats], generators=generators)
 
 
 def spread_clique(m: int, q: int | GF) -> list[SubspacePoint]:

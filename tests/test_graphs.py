@@ -14,12 +14,15 @@ from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringline.errors import BoundExceeded, BudgetExceeded
 from ringline.graphs import (
     _SYMMETRY_BLOCK,
     Graph,
     _branch_and_bound,
+    _orbits,
     blowup,
     complement,
     count_cliques,
@@ -35,7 +38,7 @@ from ringline.graphs import (
     to_dot,
     verify_isomorphism,
 )
-from ringline.rings import matrix_ring_graph, zn_projective_line
+from ringline.rings import matrix_ring_graph, unit_difference_graph, zn_projective_line
 
 
 def brute_counts(g: Graph, kmax: int) -> list[int]:
@@ -423,6 +426,30 @@ def test_verify_isomorphism():
     assert verify_isomorphism(k3, k3, [2, 0, 1])
 
 
+def relabelled(g: Graph, perm) -> Graph:
+    """g with vertex v renamed perm[v], generators carried along."""
+    inverse = sorted(range(g.n), key=perm.__getitem__)
+    rows = [sum(1 << perm[u] for u in range(g.n) if g.has_edge(inverse[w], u)) for w in range(g.n)]
+    gens = [[perm[sigma[inverse[w]]] for w in range(g.n)] for sigma in g.generators]
+    return Graph(g.n, rows, generators=gens)
+
+
+def edge_walk_isomorphism(a: Graph, b: Graph, mapping) -> bool:
+    return all(a.has_edge(u, v) == b.has_edge(mapping[u], mapping[v]) for u in range(a.n) for v in range(a.n))
+
+
+def test_verify_isomorphism_against_edge_walk():
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randint(1, 14)
+        a = random_graph(n, rng.choice((0.2, 0.5, 0.8)), rng.randrange(10**6))
+        mapping = rng.sample(range(n), n)
+        image = relabelled(a, mapping)
+        b = image if rng.random() < 0.5 else random_graph(n, 0.5, rng.randrange(10**6))
+        assert verify_isomorphism(a, b, mapping) == edge_walk_isomorphism(a, b, mapping)
+        assert verify_isomorphism(a, image, mapping)
+
+
 def test_degree_regularity_of_ring_graphs():
     for g in [zn_projective_line(n) for n in (4, 6, 9)] + [matrix_ring_graph(2, 2)]:
         assert g.regular_degree() is not None
@@ -433,3 +460,148 @@ def test_dot_and_json_exports():
     dot = to_dot(k3)
     assert 'graph G {' in dot and "0 -- 1;" in dot and '[label="2"]' in dot
     assert to_dot(Graph.T()).count("0 -- 0;") == 1
+
+
+# ---------------------------------------------------------------------------
+# orbit-reduced search against the plain ordered walk
+# ---------------------------------------------------------------------------
+
+
+def plain(g: Graph) -> Graph:
+    """The same graph without generators: the ordered walk, the oracle."""
+    return Graph(g.n, g.adj, g.labels)
+
+
+def assert_same_search(g: Graph, kmax: int, kprofile: int) -> None:
+    h = plain(g)
+    assert not h.generators
+    big = 10**8  # P(Z/p) is K_{p+1}: its 5-cliques run past the default budget
+    assert count_cliques(g, kmax, node_budget=big).counts == count_cliques(h, kmax, node_budget=big).counts
+    for k in range(kprofile + 1):
+        assert extension_profile(g, k, node_budget=big) == extension_profile(h, k, node_budget=big)
+    omega = max_clique_order(g)
+    assert omega == max_clique_order(h)
+    for k in range(omega + 2):
+        got = find_clique(g, k)
+        if k <= omega:
+            assert got is not None and len(got) == k and is_clique(g, got)
+        else:
+            assert got is None and find_clique(h, k) is None
+
+
+ORBIT_GRAPHS = (
+    [("Z", n, 5) for n in list(range(2, 61)) + [132, 138]]
+    + [("M", 1, q, 5) for q in (2, 3, 4, 5, 7, 8, 9)]
+    + [("M", 2, 2, 5), ("M", 2, 3, 5)]
+    + [("GL", 1, q, 5) for q in (3, 4, 5, 7, 8, 9)]
+    + [("GL", 2, 2, 5), ("GL", 2, 3, 5), ("GL", 2, 4, 4), ("GL", 3, 2, 5)]
+)
+BUILD = {"Z": zn_projective_line, "M": matrix_ring_graph, "GL": unit_difference_graph}
+
+
+@pytest.mark.parametrize("case", ORBIT_GRAPHS, ids=lambda c: "-".join(map(str, c[:-1])))
+def test_orbit_search_equals_plain_walk(case):
+    kind, *args, kmax = case
+    g = BUILD[kind](*args)
+    assert g.generators
+    assert_same_search(g, kmax, min(kmax, 4))
+
+
+@st.composite
+def graphs_with_generators(draw):
+    """Circulant components on Z/n_i (each with a drawn symmetric set of
+    distances), with some of: the shift v -> v + 1 and the negation v -> -v
+    of every component at once; or a small ring graph, relabelled."""
+    if draw(st.booleans()):
+        kind, *args = draw(st.sampled_from([("Z", 6), ("Z", 8), ("Z", 12), ("M", 1, 4), ("M", 2, 2), ("GL", 2, 2)]))
+        g = BUILD[kind](*args)
+        return relabelled(g, draw(st.permutations(range(g.n))))
+    sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
+    rows, shift, negate, offset = [], [], [], 0
+    for n in sizes:
+        dist = draw(st.sets(st.integers(1, max(1, n // 2))))
+        for v in range(n):
+            rows.append(sum(1 << (offset + u) for u in range(n) if u != v and min((u - v) % n, (v - u) % n) in dist))
+            shift.append(offset + (v + 1) % n)
+            negate.append(offset + (-v) % n)
+        offset += n
+    gens = draw(st.sampled_from([[shift], [negate], [shift, negate]]))
+    return Graph(offset, rows, generators=gens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=graphs_with_generators(), kmax=st.integers(0, 5), k=st.integers(0, 4))
+def test_orbit_search_equals_plain_walk_property(g, kmax, k):
+    h = plain(g)
+    assert count_cliques(g, kmax).counts == count_cliques(h, kmax).counts
+    assert extension_profile(g, k) == extension_profile(h, k)
+    omega = max_clique_order(g)
+    assert omega == max_clique_order(h)
+    assert find_clique(g, omega + 1) is None
+    witness = find_clique(g, omega)
+    assert witness is not None and len(witness) == omega and is_clique(g, witness)
+
+
+def test_orbit_node_charge():
+    # one node per representative, plus one per clique of its neighbourhood
+    for g in (matrix_ring_graph(2, 3), unit_difference_graph(2, 3), zn_projective_line(30)):
+        degree = g.regular_degree()
+        assert count_cliques(g, 0).nodes == 0
+        assert count_cliques(g, 1).nodes == 1
+        assert count_cliques(g, 2).nodes == 1 + degree
+        assert count_cliques(plain(g), 2).nodes == g.n + g.edge_count()
+        with pytest.raises(BudgetExceeded):
+            count_cliques(g, 1, node_budget=0)
+        with pytest.raises(BudgetExceeded):
+            extension_profile(g, 1, node_budget=0)
+        assert extension_profile(g, 1, node_budget=1) == {degree: g.n}
+
+
+def test_generator_that_is_no_automorphism_raises():
+    g = matrix_ring_graph(2, 3)
+    sigma = list(g.generators[0])
+    sigma[0], sigma[1] = sigma[1], sigma[0]  # two images swapped
+    bad = [
+        Graph(g.n, g.adj, g.labels, generators=[g.generators[1], sigma]),
+        Graph(g.n, g.adj, generators=[list(range(g.n - 1)) + [0]]),  # not a bijection
+        Graph(g.n, g.adj, generators=[list(range(g.n - 1))]),  # too short
+    ]
+    for h in bad:
+        for search in (
+            lambda: count_cliques(h, 2),
+            lambda: extension_profile(h, 2),
+            lambda: max_clique_order(h),
+            lambda: find_clique(h, 2),
+        ):
+            with pytest.raises(ValueError):
+                search()
+    # the mutant's orbits are never used: a fixed clique takes the plain walk
+    assert extension_profile(bad[0], 3, containing=[0]) == extension_profile(g, 3, containing=[0])
+
+
+def test_orbit_budget_is_schedule_independent():
+    g = zn_projective_line(30)
+    serial = count_cliques(g, 4, workers=1)
+    parallel = count_cliques(g, 4, workers=3)
+    assert serial.counts == parallel.counts and serial.nodes == parallel.nodes
+    assert serial.counts == count_cliques(plain(g), 4).counts
+    needed = serial.nodes
+    for workers in (1, 3):
+        with pytest.raises(BudgetExceeded):
+            count_cliques(g, 4, node_budget=needed - 1, workers=workers)
+        assert count_cliques(g, 4, node_budget=needed, workers=workers).nodes == needed
+    assert extension_profile(g, 3, workers=1) == extension_profile(g, 3, workers=3)
+
+
+def test_orbit_max_clique_of_p_m2_4():
+    # omega = q^2 + 1; the plain search needs minutes, the anchored one a few nodes
+    assert max_clique_order(matrix_ring_graph(2, 4), node_budget=10_000) == 17
+
+
+def test_combinators_carry_no_generators():
+    g = zn_projective_line(6)
+    assert g.generators
+    assert g == plain(g) and hash(g) == hash(plain(g))
+    for h in (tensor_product(g, g), blowup(g, 2), complement(g), disjoint_union([g, g])):
+        assert h.generators == ()
+    assert tensor_product(Graph.T(), g) is g and blowup(g, 1) is g

@@ -1,5 +1,6 @@
 """Ring descriptions and the distant-graph constructors."""
 
+import random
 from itertools import combinations
 from math import comb, gcd
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from ringline.errors import BoundExceeded
 from ringline.graphs import (
     Graph,
+    _orbits,
     blowup,
     complement,
     disjoint_union,
@@ -18,6 +20,7 @@ from ringline.graphs import (
 from ringline.fields import gf_of
 from ringline.formulas import cap_n_N_comm, comm_max_clique, general_max_clique
 from ringline.linalg import (
+    _det,
     enumerate_gl,
     gl_order,
     identity,
@@ -37,6 +40,7 @@ from ringline.rings import (
     RingSpec,
     SubspacePoint,
     _pairing_rows,
+    _plucker,
     f1_graph,
     local_graph,
     matrix_ring_graph,
@@ -132,6 +136,24 @@ def test_zn_projective_line_small_cases():
     assert g6.labels is not None and g6.labels[0] == "0:1"
     with pytest.raises(BoundExceeded):
         zn_projective_line(30, vertex_bound=50)
+
+
+def zn_pair_rows(g: Graph, n: int) -> list[int]:
+    """Adjacency by the pair determinant: (a:b) ~ (c:d) iff ad - bc is a unit mod n."""
+    verts = [tuple(map(int, label.split(":"))) for label in g.labels]
+    rows = [0] * g.n
+    for i, j in combinations(range(g.n), 2):
+        (a, b), (c, d) = verts[i], verts[j]
+        if gcd(a * d - b * c, n) == 1:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return rows
+
+
+@pytest.mark.parametrize("n", list(range(2, 61)) + [120, 132, 138, 154])
+def test_zn_residue_rows_equal_pair_determinants(n):
+    g = zn_projective_line(n)
+    assert list(g.adj) == zn_pair_rows(g, n)
 
 
 def test_zn_degree_equals_ring_order():
@@ -257,6 +279,8 @@ def test_unit_difference_graph():
     assert unit_difference_graph(2, 5).n == 480
     with pytest.raises(BoundExceeded):
         unit_difference_graph(2, 5, vertex_bound=400)
+    with pytest.raises(ValueError):
+        unit_difference_graph(0, 3)
 
 
 def test_unit_difference_max_clique_attains_qm_minus_1():
@@ -309,6 +333,36 @@ def test_matrix_ring_graph_vertex_count_equals_subspace_census():
         assert matrix_ring_graph(m, q).n == total
 
 
+@pytest.mark.parametrize("m, q", [(1, 2), (1, 3), (2, 2), (2, 3), (2, 4), (3, 2), (4, 2), (3, 3)])
+def test_minors_from_smaller_minors_equal_determinants(m, q):
+    rng = random.Random(m * 100 + q)
+    F = gf_of(q)
+    bases = [[[rng.randrange(q) for _ in range(2 * m)] for _ in range(m)] for _ in range(40)]
+    subsets = list(combinations(range(2 * m), m))
+    for rows, minors in zip(bases, _plucker(F, m, bases)):
+        assert minors == [_det(F, [[row[c] for c in cols] for row in rows]) for cols in subsets]
+
+
+# every family is vertex-transitive, and its generators show it
+FAMILIES = (
+    [("Z", n) for n in list(range(2, 61)) + [132, 138]]
+    + [("M", 1, q) for q in (2, 3, 4, 5, 7, 8, 9, 16)]
+    + [("M", 2, q) for q in (2, 3, 4, 5)]
+    + [("M", 3, 2)]
+    + [("GL", 1, q) for q in (3, 4, 5, 7, 8, 9)]
+    + [("GL", 2, q) for q in (2, 3, 4, 5)]
+    + [("GL", 3, 2)]
+)
+BUILD = {"Z": zn_projective_line, "M": matrix_ring_graph, "GL": unit_difference_graph}
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: "-".join(map(str, f)))
+def test_ring_generators_give_one_orbit(family):
+    kind, *args = family
+    g = BUILD[kind](*args)
+    assert g.generators and _orbits(g) == [(0, g.n)]
+
+
 # ---------------------------------------------------------------------------
 # the Plücker-pairing kernel against the determinant path
 # ---------------------------------------------------------------------------
@@ -352,7 +406,7 @@ def square(m, q):
 
 def pairing_distant(F, m, u, w):
     """Adjacency of the two bases u, w as the kernel decides it."""
-    return _pairing_rows(F, m, [u.rows, w.rows])[0] == 0b10
+    return _pairing_rows(F, m, _plucker(F, m, [u.rows, w.rows]))[0] == 0b10
 
 
 # odd q included: in characteristic 2 every Laplace sign is +1
