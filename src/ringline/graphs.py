@@ -32,23 +32,23 @@ cores because the questions differ: a count must visit every clique, so
 nothing can be pruned, while existence and maximum only need one
 witness and cut every branch whose colour bound cannot beat it.
 
-A graph may carry generators, vertex permutations its constructor
-claims are automorphisms (the ring constructors do).  The census, the
-profile without `containing`, find_clique and max_clique_order then
-search one representative per vertex orbit.  At the start of every call
-each generator is checked, with the transpose check above, and one that
-fails raises; nothing about orbits is cached.  The census walks the
-cliques of each representative's neighbourhood, weighted by the orbit
-size, and divides by k, since every k-clique has k members: one node is
-charged per clique visited there, plus one per representative.  The
-profile is reduced the same way; with `containing` it takes the plain
-walk.  The branch and bound starts from each representative r as the
-path [r] with candidates adj[r], one best shared by all.  Workers split
-the roots of every representative's neighbourhood by the same i::w rule
-in one pool, so counts, nodes and budget outcomes still do not depend on
-w.  A graph without generators, such as one from from_edges, a tensor
-product or a blow-up, takes the ordered walk over all n roots, which is
-the oracle the orbit path is tested against.
+A graph may carry generators, vertex permutations its constructor claims
+are automorphisms (the ring constructors do).  The constructor checks
+each once, in the symmetry pass and on its strings, and stores the orbit
+table.  The census, the profile without `containing`, find_clique and
+max_clique_order read only that table, with no check per call, and
+search one representative per vertex orbit.  The census walks the cliques
+of each representative's neighbourhood, weighted by the orbit size, and
+divides by k, since every k-clique has k members: one node is charged
+per clique visited there, plus one per representative.  The profile is
+reduced the same way; with `containing` it takes the plain walk.  The
+branch and bound starts from each representative r as the path [r] with
+candidates adj[r], one best shared by all.  Workers split the roots of
+every representative's neighbourhood by the same i::w rule in one pool,
+so counts, nodes and budget outcomes still do not depend on w.  A graph
+without generators, such as one from from_edges, a tensor product or a
+blow-up, takes the ordered walk over all n roots, which is the oracle
+the orbit path is tested against.
 """
 
 from __future__ import annotations
@@ -78,58 +78,54 @@ def _bits(bits: int) -> list[int]:
     return out
 
 
-def _check_transpose(rows: Sequence[int], cols: Sequence[int]) -> tuple[int, int] | None:
-    """None iff cols is the transpose of rows: u in rows[v] iff v in cols[u].
-
-    Otherwise the first (v, u), least v then least u, with u in rows[v]
-    but v not in cols[u]; failing that, the first (v, u) with v in
-    cols[u] but u not in rows[v].
+def _check_transpose(rows: Sequence[int], cols: Sequence[int], orders: list) -> list[tuple[int, int] | None]:
+    """For each (s, t) in orders, None iff u in rows[s[v]] iff v in cols[t[u]];
+    otherwise the first (v, u), least v then least u, with u in rows[s[v]]
+    but v not in cols[t[u]], failing that the first with the converse.
 
     Row v is written as its n-bit binary string, most significant bit
     first, so vertex u sits at position n - 1 - u.  For the columns
-    [c0, c0 + w) the bits c0..c0+w-1 of every entry of cols are joined,
-    last first, into one string of n * w characters; the set of u with v
-    in cols[u] is then its stride-w slice from c0 + w - 1 - v, written the
-    same way as rows[v].
+    [c0, c0 + w) the bits c0..c0+w-1 of every entry of cols are formatted
+    once, and each order joins these parts, last first, into one string of
+    n * w characters; the set of u with v in cols[t[u]] is then its
+    stride-w slice from c0 + w - 1 - v, written the same way as rows[s[v]].
+    When rows is cols and one block spans all columns, the parts are the
+    row strings, so nothing is formatted twice.
     """
     n = len(rows)
     full = f"0{n}b"
-    extra = None
+    missing: list = [None] * len(orders)
+    extra: list = [None] * len(orders)
     for c0 in range(0, n, _SYMMETRY_BLOCK):
         w = min(_SYMMETRY_BLOCK, n - c0)
         mask, part = (1 << w) - 1, f"0{w}b"
-        flat = "".join([format(col >> c0 & mask, part) for col in reversed(cols)])
-        for v in range(c0, c0 + w):
-            column = flat[c0 + w - 1 - v :: w]
-            if format(rows[v], full) != column:
-                seen = int(column, 2)
-                missing = rows[v] & ~seen
-                if missing:
-                    return v, _lowest(missing)
-                if extra is None:
-                    extra = v, _lowest(seen & ~rows[v])
-    return extra
-
-
-def _check_symmetric(adj: tuple[int, ...]) -> None:
-    """Raise on the first edge v->u, least v then least u, whose reverse is missing."""
-    bad = _check_transpose(adj, adj)
-    if bad is not None:
-        # in a square matrix every u in column v but not in row v is an
-        # edge u->v whose reverse is missing, so bad is of the first kind
-        raise ValueError("asymmetric edge {}->{}".format(*bad))
+        parts = [format(col >> c0 & mask, part) for col in cols]
+        shared = rows is cols and w == n
+        for i, (s, t) in enumerate(orders):
+            if missing[i]:
+                continue
+            flat = "".join([parts[u] for u in reversed(t)])
+            for v in range(c0, c0 + w):
+                column = flat[c0 + w - 1 - v :: w]
+                if (parts[s[v]] if shared else format(rows[s[v]], full)) != column:
+                    row, seen = rows[s[v]], int(column, 2)
+                    if row & ~seen:
+                        missing[i] = v, _lowest(row & ~seen)
+                        break
+                    extra[i] = extra[i] or (v, _lowest(seen & ~row))
+    return [m or e for m, e in zip(missing, extra)]
 
 
 class Graph:
     """n vertices, bitset rows adj, optional labels.
 
     generators is a tuple of vertex permutations (sigma[v] is the image of
-    v) that the constructor claims are automorphisms.  They are not
-    checked here: every orbit-reduced search checks them first and raises
-    on one that fails.  Equality and hashing ignore them.
+    v) that the constructor claims are automorphisms; each is checked here,
+    once, and one that is not raises ValueError.  The searches read only
+    orbits, their _orbits table.  Equality and hashing ignore both.
     """
 
-    __slots__ = ("n", "adj", "is_T", "labels", "generators")
+    __slots__ = ("n", "adj", "is_T", "labels", "generators", "orbits")
 
     def __init__(
         self,
@@ -142,6 +138,10 @@ class Graph:
         adj = tuple(adj)
         if len(adj) != n:
             raise ValueError("adjacency row count mismatch")
+        generators = tuple(tuple(sigma) for sigma in generators)
+        for i, sigma in enumerate(generators):
+            if sorted(sigma) != list(range(n)):
+                raise ValueError(f"generator {i} is not an automorphism")
         if is_T:
             if n != 1 or adj != (1,):
                 raise ValueError("T is the single vertex with one loop")
@@ -152,7 +152,17 @@ class Graph:
                     raise ValueError(f"row {v} has bits outside the vertex range")
                 if row >> v & 1:
                     raise ValueError(f"loop at vertex {v}")
-            _check_symmetric(adj)
+            # on symmetric rows, sigma is an automorphism iff the rows
+            # adj[sigma[v]] are the transpose of adj[sigma^-1[u]]
+            inverses = [sorted(range(n), key=sigma.__getitem__) for sigma in generators]
+            bad, *failed = _check_transpose(adj, adj, [(range(n), range(n))] + list(zip(generators, inverses)))
+            if bad is not None:
+                # in a square matrix every u in column v but not in row v is an
+                # edge u->v whose reverse is missing, so bad is of the first kind
+                raise ValueError("asymmetric edge {}->{}".format(*bad))
+            for i, fail in enumerate(failed):
+                if fail is not None:
+                    raise ValueError(f"generator {i} is not an automorphism")
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != n:
@@ -161,7 +171,8 @@ class Graph:
         self.adj = adj
         self.is_T = is_T
         self.labels = labels
-        self.generators = tuple(tuple(sigma) for sigma in generators)
+        self.generators = generators
+        self.orbits = _orbits(self)
 
     @classmethod
     def T(cls) -> "Graph":
@@ -454,17 +465,10 @@ def _search(
 
 def _orbits(g: Graph) -> list[tuple[int, int]] | None:
     """(least vertex, size) of every orbit of the group generated by
-    g.generators, in vertex order; None for a graph without generators.
-
-    Every generator is checked first (verify_isomorphism of g with
-    itself), and one that is not an automorphism raises ValueError before
-    anything uses it.  Nothing is cached, so every call pays the check.
-    """
+    g.generators, in vertex order, None without generators: the table that
+    Graph.__init__ stores as g.orbits once it has checked them."""
     if not g.generators:
         return None
-    for i, sigma in enumerate(g.generators):
-        if not verify_isomorphism(g, g, sigma):
-            raise ValueError(f"generator {i} is not an automorphism")
     seen = bytearray(g.n)
     out = []
     for v in range(g.n):
@@ -511,12 +515,11 @@ def count_cliques(
     budget = CENSUS_NODE_BUDGET if node_budget is None else node_budget
     if g.is_T:
         return CliqueCensus({k: 1 for k in range(kmax + 1)}, kmax, 0)
-    orbits = _orbits(g)
-    if orbits is None or kmax == 0:
+    if g.orbits is None or kmax == 0:
         counts, _, nodes = _search(g.adj, kmax, [((1 << g.n) - 1, 0, 1)], budget, workers, "census")
     else:
-        anchors = [(g.adj[r], 0, size) for r, size in orbits]
-        through, _, nodes = _search(g.adj, kmax - 1, anchors, budget, workers, "census", len(orbits))
+        anchors = [(g.adj[r], 0, size) for r, size in g.orbits]
+        through, _, nodes = _search(g.adj, kmax - 1, anchors, budget, workers, "census", len(g.orbits))
         counts = [1] + [_through(t, k) for k, t in enumerate(through, 1)]
     return CliqueCensus(dict(enumerate(counts)), kmax, nodes)
 
@@ -589,7 +592,7 @@ def extension_profile(
     if k < len(base):
         raise ValueError("k smaller than the fixed clique")
     budget = CENSUS_NODE_BUDGET if node_budget is None else node_budget
-    orbits = None if base else _orbits(g)
+    orbits = None if base else g.orbits
     if orbits is None or k == 0:
         common = _common_neighbors(g, base)
         _, hist, _ = _search(g.adj, k - len(base), [(common, common, 1)], budget, workers, "profile")
@@ -606,7 +609,7 @@ def _branch_and_bound(
     budget: int,
     what: str,
     first: bool = False,
-    roots: Sequence[int] | None = None,
+    orbits: Sequence[tuple[int, int]] | None = None,
 ) -> list[int]:
     """Largest clique with more than floor vertices, or [] if there is none.
 
@@ -615,8 +618,8 @@ def _branch_and_bound(
     count cannot beat the best so far is cut.  One budget node is charged
     per call.  With first, the first clique found that beats floor is
     returned: best is raised past n, which prunes every open branch.
-    With roots, only cliques through a root are searched: each root r in
-    turn is the path [r] with candidates adj[r], one best shared by all.
+    With orbits, only cliques through the least vertex r of an orbit are
+    searched: each r in turn is the path [r] with candidates adj[r].
     """
     n = len(adj)
     path = [0] * n  # path[:size] is the clique being grown
@@ -653,20 +656,15 @@ def _branch_and_bound(
             expand(size + 1, cand & adj[v])
             cand &= ~(1 << v)
 
-    if roots is None:
+    if orbits is None:
         expand(0, (1 << n) - 1)
         return witness
-    for r in roots:
+    for r, _ in orbits:
         if best > n:
             break
         path[0] = r
         expand(1, adj[r])
     return witness
-
-
-def _orbit_roots(g: Graph) -> list[int] | None:
-    orbits = _orbits(g)
-    return None if orbits is None else [r for r, _ in orbits]
 
 
 def find_clique(g: Graph, k: int) -> list[int] | None:
@@ -681,7 +679,7 @@ def find_clique(g: Graph, k: int) -> list[int] | None:
     if k < 0:
         raise ValueError("k must be >= 0")
     witness = _branch_and_bound(
-        g.adj, k - 1, CENSUS_NODE_BUDGET, "clique search", first=True, roots=_orbit_roots(g)
+        g.adj, k - 1, CENSUS_NODE_BUDGET, "clique search", first=True, orbits=g.orbits
     )
     return witness[:k] if len(witness) >= k else None
 
@@ -695,7 +693,7 @@ def max_clique_order(g: Graph, node_budget: int | None = None) -> int:
     if g.is_T:
         raise ValueError("T has a clique of every order")
     budget = CENSUS_NODE_BUDGET if node_budget is None else node_budget
-    return len(_branch_and_bound(g.adj, 0, budget, "max-clique search", roots=_orbit_roots(g)))
+    return len(_branch_and_bound(g.adj, 0, budget, "max-clique search", orbits=g.orbits))
 
 
 def verify_isomorphism(a: Graph, b: Graph, mapping: Sequence[int]) -> bool:
@@ -711,10 +709,8 @@ def verify_isomorphism(a: Graph, b: Graph, mapping: Sequence[int]) -> bool:
         raise ValueError("mapping is not a bijection on the vertex sets")
     if a.is_T:
         return True
-    inverse = [0] * a.n
-    for u, w in enumerate(mapping):
-        inverse[w] = u
-    return _check_transpose([b.adj[w] for w in mapping], [a.adj[u] for u in inverse]) is None
+    inverse = sorted(range(a.n), key=mapping.__getitem__)
+    return _check_transpose(b.adj, a.adj, [(mapping, inverse)])[0] is None
 
 
 # ---------------------------------------------------------------------------

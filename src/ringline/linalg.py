@@ -223,6 +223,9 @@ def char_poly(m: MatrixGF) -> FieldPoly:
 
 def matrix_label(m: MatrixGF) -> str:
     """Row-major digit string, e.g. "2201" for [[2,2],[0,1]] (q <= 10)."""
-    if m.field.q > 10:
-        return ",".join(str(e) for r in m.rows for e in r)
-    return "".join(str(e) for r in m.rows for e in r)
+    return _rows_label(m.field.q, m.rows)
+
+
+def _rows_label(q: int, rows) -> str:
+    """matrix_label of the matrix over GF(q) with these rows."""
+    return ("," if q > 10 else "").join(str(e) for r in rows for e in r)

@@ -35,8 +35,8 @@ The three constructors above also give their graphs generators of a
 vertex-transitive automorphism group, built from their own index tables
 or minors: (a:b) -> (-b:a) and (a:b) -> (a+b:b) on P(Z/n), U -> U g on
 P(M_m(q)) and X -> X g on GL_m(q), for g a Singer cycle and a
-transvection of GL_2m(q) and GL_m(q).  The searches in `ringline.graphs`
-check them before use.  Tensor products and blow-ups carry none.
+transvection of GL_2m(q) and GL_m(q).  `Graph` checks them once, when
+the graph is built.  Tensor products and blow-ups carry none.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ from .linalg import (
     mat_hstack,
     mat_mul,
     mat_vstack,
+    _rows_label,
     matrix_label,
 )
 from .polynomials import qbinom
@@ -384,23 +385,22 @@ def points_distant(p1: SubspacePoint, p2: SubspacePoint) -> bool:
 def matrix_ring_points(m: int, q: int | GF) -> list[SubspacePoint]:
     """All points, ordered lexicographically by basis entry vector."""
     F = gf_of(q)
-    pts = []
+    return [SubspacePoint(MatrixGF(F, rows)) for rows in _rref_bases(m, F.q)]
+
+
+def _rref_bases(m: int, q: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The rows of matrix_ring_points, built reduced and not checked again: per
+    pivot set, every choice of the entries right of a row's pivot off the pivots."""
+    out = []
     for pivots in combinations(range(2 * m), m):
-        free_cells = [
-            (i, j)
-            for i in range(m)
-            for j in range(2 * m)
-            if j > pivots[i] and j not in pivots
-        ]
-        for values in product(range(F.q), repeat=len(free_cells)):
-            rows = [[0] * (2 * m) for _ in range(m)]
-            for i, piv in enumerate(pivots):
-                rows[i][piv] = 1
+        free_cells = [(i, j) for i in range(m) for j in range(2 * m) if j > pivots[i] and j not in pivots]
+        for values in product(range(q), repeat=len(free_cells)):
+            rows = [[int(j == piv) for j in range(2 * m)] for piv in pivots]
             for (i, j), v in zip(free_cells, values):
                 rows[i][j] = v
-            pts.append(SubspacePoint(MatrixGF(F, tuple(tuple(r) for r in rows))))
-    pts.sort(key=lambda p: p.basis.rows)
-    return pts
+            out.append(tuple(map(tuple, rows)))
+    out.sort()
+    return out
 
 
 def matrix_ring_graph(m: int, q: int | GF, vertex_bound: int = VERTEX_BOUND) -> Graph:
@@ -415,10 +415,11 @@ def matrix_ring_graph(m: int, q: int | GF, vertex_bound: int = VERTEX_BOUND) -> 
     count = qbinom(2 * m, m)(F.q)
     if count > vertex_bound:
         raise BoundExceeded(f"P(M_{m}({F.q})) has {count} points, bound {vertex_bound}")
-    pts = matrix_ring_points(m, F)
-    minors = _plucker(F, m, [p.basis.rows for p in pts])
+    bases = _rref_bases(m, F.q)
+    minors = _plucker(F, m, bases)
     generators = [_plucker_images(F, m, minors, g, True) for g in _gl_generators(F, 2 * m)]
-    return Graph(len(pts), _pairing_rows(F, m, minors), [p.label for p in pts], generators=generators)
+    labels = [_rows_label(F.q, rows) for rows in bases]
+    return Graph(len(bases), _pairing_rows(F, m, minors), labels, generators=generators)
 
 
 def _minor_plan(m: int) -> list[list[list[tuple[int, int, int]]]]:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringline import graphs
 from ringline.errors import BoundExceeded, BudgetExceeded
 from ringline.graphs import (
     _SYMMETRY_BLOCK,
@@ -562,21 +563,69 @@ def test_generator_that_is_no_automorphism_raises():
     sigma = list(g.generators[0])
     sigma[0], sigma[1] = sigma[1], sigma[0]  # two images swapped
     bad = [
-        Graph(g.n, g.adj, g.labels, generators=[g.generators[1], sigma]),
-        Graph(g.n, g.adj, generators=[list(range(g.n - 1)) + [0]]),  # not a bijection
-        Graph(g.n, g.adj, generators=[list(range(g.n - 1))]),  # too short
+        (1, [g.generators[1], sigma]),
+        (0, [list(range(g.n - 1)) + [0]]),  # not a bijection
+        (1, [g.generators[0], list(range(g.n - 1))]),  # too short
     ]
-    for h in bad:
-        for search in (
-            lambda: count_cliques(h, 2),
-            lambda: extension_profile(h, 2),
-            lambda: max_clique_order(h),
-            lambda: find_clique(h, 2),
-        ):
-            with pytest.raises(ValueError):
-                search()
-    # the mutant's orbits are never used: a fixed clique takes the plain walk
-    assert extension_profile(bad[0], 3, containing=[0]) == extension_profile(g, 3, containing=[0])
+    for index, generators in bad:
+        with pytest.raises(ValueError, match=f"^generator {index} is not an automorphism$"):
+            Graph(g.n, g.adj, g.labels, generators=generators)
+    # past one column block: a circulant with the shift, and the shift with two
+    # images swapped in the first block and in the last (distances 1 and 2, so
+    # each swap breaks rows of its own block only)
+    n = 2 * _SYMMETRY_BLOCK + 37
+    rows = [sum(1 << (v + d) % n for d in (1, 2, -1, -2)) for v in range(n)]
+    shift = [(v + 1) % n for v in range(n)]
+    assert Graph(n, rows, generators=[shift]).orbits == [(0, n)]
+    for v in (20, n - 20):
+        swapped = list(shift)
+        swapped[v], swapped[v + 1] = swapped[v + 1], swapped[v]
+        with pytest.raises(ValueError, match="^generator 1 is not an automorphism$"):
+            Graph(n, rows, generators=[shift, swapped])
+
+
+def test_searches_do_not_check_generators_again(monkeypatch):
+    g = matrix_ring_graph(2, 3)
+    h = plain(g)
+    want = count_cliques(h, 4).counts, extension_profile(h, 3), max_clique_order(h)
+
+    def check(*args):
+        raise AssertionError("a search checked the generators again")
+
+    monkeypatch.setattr(graphs, "_check_transpose", check)
+    monkeypatch.setattr(graphs, "verify_isomorphism", check)
+    assert (count_cliques(g, 4).counts, extension_profile(g, 3), max_clique_order(g)) == want
+    witness = find_clique(g, want[2])
+    assert witness is not None and len(witness) == want[2] and is_clique(g, witness)
+    assert find_clique(g, want[2] + 1) is None
+
+
+@st.composite
+def small_graphs(draw):
+    """A ring graph with its generators (orbit search), or one from drawn
+    edges on at most 8 vertices (the ordered walk)."""
+    if draw(st.booleans()):
+        kind, *args = draw(st.sampled_from([("Z", 4), ("Z", 6), ("Z", 9), ("M", 1, 3), ("M", 1, 4), ("GL", 1, 5), ("GL", 2, 2)]))
+        return BUILD[kind](*args)
+    n = draw(st.integers(0, 8))
+    pairs = list(combinations(range(n), 2))
+    return Graph.from_edges(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=small_graphs(), b=small_graphs(), t=st.integers(1, 3))
+def test_decomposition_laws_property(a, b, t):
+    # products and blow-ups carry no generators: the plain census of the
+    # product checks the orbit census of the factors
+    kmax = 4
+    na, nb = count_cliques(a, kmax).counts, count_cliques(b, kmax).counts
+    product = tensor_product(a, b)
+    assert not product.generators
+    nab = count_cliques(product, kmax).counts
+    assert all(nab[k] == factorial(k) * na[k] * nb[k] for k in range(kmax + 1))
+    scaled = count_cliques(blowup(a, t), kmax).counts
+    assert all(scaled[k] == t**k * na[k] for k in range(kmax + 1))
+    assert max_clique_order(product) == min(max_clique_order(a), max_clique_order(b))
 
 
 def test_orbit_budget_is_schedule_independent():
