@@ -80,6 +80,8 @@ def cmd_build(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_census(args: argparse.Namespace, config: RunConfig) -> int:
+    if args.containing is not None and args.profile is None:
+        raise ValueError("--containing needs --profile")
     g = _build_graph(_load_spec(args.spec), config, args.unit_graph)
     census = count_cliques(
         g, args.kmax, node_budget=config.census_node_budget, workers=config.worker_count

@@ -19,11 +19,11 @@ v then least u, whose reverse is missing.
 The census and the extension profile run one ordered backtracking walk:
 cliques are enumerated exactly once, in increasing vertex order, with
 one budget "node" charged per clique visited.  The last level is
-settled in one step per parent: its candidates are charged and counted
-by a popcount, and binned by extension count only when there are
-common neighbours to bin by.  Worker i of w walks the cliques whose
-minimum vertex is root i, i + w, ..., so counts and budget outcomes do
-not depend on w.  Exceeding the budget raises; there are no silent
+settled in one step per parent, or per anchor when it is the first:
+its candidates are charged and counted by a popcount, and binned by
+extension count only when there are common neighbours to bin by.
+Worker i of w walks the cliques whose minimum vertex is root i, i + w,
+..., so counts and budget outcomes do not depend on w.  Exceeding the budget raises; there are no silent
 partial answers.
 
 Clique existence (find_clique) and the maximum clique (max_clique_order)
@@ -34,21 +34,29 @@ witness and cut every branch whose colour bound cannot beat it.
 
 A graph may carry generators, vertex permutations its constructor claims
 are automorphisms (the ring constructors do).  The constructor checks
-each once, in the symmetry pass and on its strings, and stores the orbit
-table.  The census, the profile without `containing`, find_clique and
-max_clique_order read only that table, with no check per call, and
-search one representative per vertex orbit.  The census walks the cliques
-of each representative's neighbourhood, weighted by the orbit size, and
-divides by k, since every k-clique has k members: one node is charged
-per clique visited there, plus one per representative.  The profile is
-reduced the same way; with `containing` it takes the plain walk.  The
-branch and bound starts from each representative r as the path [r] with
-candidates adj[r], one best shared by all.  Workers split the roots of
-every representative's neighbourhood by the same i::w rule in one pool,
-so counts, nodes and budget outcomes still do not depend on w.  A graph
-without generators, such as one from from_edges, a tensor product or a
-blow-up, takes the ordered walk over all n roots, which is the oracle
-the orbit path is tested against.
+each once, in the symmetry pass and on its strings, and stores two levels
+of orbit tables: the vertex orbits, with each vertex's orbit, and for the
+least vertex r of each orbit the suborbits, the orbits on adj[r] of the
+generators that fix r.  The searches read only these tables, with no
+check per call.  The census, the profile without `containing`,
+find_clique and max_clique_order search one representative per vertex
+orbit.  The census walks the cliques of each representative's
+neighbourhood, weighted by the orbit size, and divides by k, since every
+k-clique has k members: one node is charged per clique visited there,
+plus one per representative.  The profile is reduced the same way.  A
+profile through one vertex c is that through the representative r of its
+orbit, which an automorphism maps c to; it walks, for the least vertex s
+of each suborbit, the cliques of adj[r] & adj[s], weighted by the
+suborbit size, and divides by k - 1, the members other than r, charging
+one node per suborbit plus one per clique visited.  A profile through two
+or more vertices, or through a vertex whose suborbits are single
+vertices, takes the plain walk.  The branch and bound starts from each
+representative r as the path [r] with candidates adj[r], one best shared
+by all.  Workers split the roots of every anchor by the same i::w rule in
+one pool, so counts, nodes and budget outcomes still do not depend on w.
+A graph without generators, such as one from from_edges, a tensor
+product or a blow-up, takes the ordered walk over all n roots, which is
+the oracle the orbit paths are tested against.
 """
 
 from __future__ import annotations
@@ -122,10 +130,11 @@ class Graph:
     generators is a tuple of vertex permutations (sigma[v] is the image of
     v) that the constructor claims are automorphisms; each is checked here,
     once, and one that is not raises ValueError.  The searches read only
-    orbits, their _orbits table.  Equality and hashing ignore both.
+    orbits, orbit_of and suborbits, the tables of _orbits.  Equality and
+    hashing ignore all four.
     """
 
-    __slots__ = ("n", "adj", "is_T", "labels", "generators", "orbits")
+    __slots__ = ("n", "adj", "is_T", "labels", "generators", "orbits", "orbit_of", "suborbits")
 
     def __init__(
         self,
@@ -172,7 +181,7 @@ class Graph:
         self.is_T = is_T
         self.labels = labels
         self.generators = generators
-        self.orbits = _orbits(self)
+        self.orbits, self.orbit_of, self.suborbits = _orbits(adj, generators)
 
     @classmethod
     def T(cls) -> "Graph":
@@ -359,6 +368,8 @@ def _walk(
 ):
     """Ordered walk, for each anchor (cand, common, roots, weight), over the
     cliques of 1..depth vertices of cand whose minimum vertex lies in roots.
+    At depth 1 the roots are ignored: every vertex of cand is a 1-clique,
+    and they are settled in one leaf step.
 
     Returns (counts, hist, nodes): counts[d] is the weighted number of
     d-cliques, hist[c] the weighted number of depth-cliques with exactly c
@@ -402,17 +413,16 @@ def _walk(
     for cand, common, roots, weight in anchors:
         counts = [0] * (depth + 1)
         hist = [0] * bins
+        if depth == 1:
+            rec(cand, common, 0)
         for r in roots:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(f"{what} exceeded {budget} nodes")
             counts[1] += 1
-            if depth == 1:
-                hist[(common & adj[r]).bit_count()] += 1
-            else:
-                sub = cand & adj[r] & (-1 << (r + 1))
-                if sub:
-                    rec(sub, common & adj[r], 1)
+            sub = cand & adj[r] & (-1 << (r + 1))
+            if sub:
+                rec(sub, common & adj[r], 1)
         for d, c in enumerate(counts):
             total_counts[d] += weight * c
         for e, h in enumerate(hist):
@@ -436,7 +446,7 @@ def _search(
     Each worker owns the cliques whose minimum vertex is one of its roots,
     so the summed counts, histogram and nodes do not depend on the split.
     """
-    tasks = [(cand, common, _bits(cand) if depth else [], w) for cand, common, w in anchors]
+    tasks = [(cand, common, _bits(cand) if depth > 1 else [], w) for cand, common, w in anchors]
     longest = max((len(roots) for _, _, roots, _ in tasks), default=0)
     if workers <= 1 or depth < 2 or longest < 2:
         counts, hist, nodes = _walk(adj, depth, tasks, budget, what, spent)
@@ -463,36 +473,57 @@ def _search(
     return counts, hist, nodes
 
 
-def _orbits(g: Graph) -> list[tuple[int, int]] | None:
-    """(least vertex, size) of every orbit of the group generated by
-    g.generators, in vertex order, None without generators: the table that
-    Graph.__init__ stores as g.orbits once it has checked them."""
-    if not g.generators:
-        return None
-    seen = bytearray(g.n)
-    out = []
-    for v in range(g.n):
-        if seen[v]:
+def _orbit_table(vertices: Iterable[int], generators: Sequence[Sequence[int]]):
+    """(index, table): table lists (least vertex, size) of every orbit of the
+    group generated by generators on vertices, which are ascending and closed
+    under them, and index[v] is the position in table of the orbit of v."""
+    index: dict[int, int] = {}
+    table = []
+    for v in vertices:
+        if v in index:
             continue
-        seen[v] = 1
+        index[v] = len(table)
         stack, size = [v], 0
         while stack:
             u = stack.pop()
             size += 1
-            for sigma in g.generators:
+            for sigma in generators:
                 w = sigma[u]
-                if not seen[w]:
-                    seen[w] = 1
+                if w not in index:
+                    index[w] = len(table)
                     stack.append(w)
-        out.append((v, size))
-    return out
+        table.append((v, size))
+    return index, table
 
 
-def _through(total: int, k: int) -> int:
-    """total / k, where total counts every k-clique once per member."""
-    cliques, rest = divmod(total, k)
+def _orbits(adj: Sequence[int], generators: Sequence[Sequence[int]]):
+    """(orbits, orbit_of, suborbits), the tables that Graph.__init__ stores
+    once it has checked the generators, all None without generators.
+
+    orbits lists (least vertex, size) of every orbit of the group generated
+    by the generators, in vertex order, and orbit_of[v] is the position of
+    the orbit of v in it.  suborbits[i] lists, the same way, the orbits on
+    adj[r], r the least vertex of orbit i, of the subgroup generated by the
+    generators that fix r; it is None when they merge no two neighbours.
+    """
+    if not generators:
+        return None, None, None
+    index, orbits = _orbit_table(range(len(adj)), generators)
+    suborbits = []
+    for r, _ in orbits:
+        fixing = [sigma for sigma in generators if sigma[r] == r]
+        neighbours = _bits(adj[r])
+        table = _orbit_table(neighbours, fixing)[1] if fixing else None
+        suborbits.append(table if table is not None and len(table) < len(neighbours) else None)
+    return orbits, [index[v] for v in range(len(adj))], suborbits
+
+
+def _through(total: int, per: int) -> int:
+    """total / per, where total counts every clique per times: once per
+    member, or once per member but the fixed vertex."""
+    cliques, rest = divmod(total, per)
     if rest:
-        raise AssertionError(f"orbit sum {total} is not a multiple of {k}")
+        raise AssertionError(f"orbit sum {total} is not a multiple of {per}")
     return cliques
 
 
@@ -529,8 +560,16 @@ def count_cliques(
 # ---------------------------------------------------------------------------
 
 
-def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
+def _in_range(g: Graph, vertices: Iterable[int]) -> list[int]:
     vs = list(vertices)
+    for v in vs:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
+    return vs
+
+
+def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
+    vs = _in_range(g, vertices)
     if len(set(vs)) != len(vs):
         return False
     for i, v in enumerate(vs):
@@ -564,7 +603,7 @@ def neighborhood_intersection_count(g: Graph, vertices: Iterable[int]) -> int:
     """Points non-adjacent to all the given vertices (vertices included)."""
     full = (1 << g.n) - 1
     acc = full
-    for v in vertices:
+    for v in _in_range(g, vertices):
         acc &= full ^ g.adj[v]
     return acc.bit_count()
 
@@ -582,7 +621,10 @@ def extension_profile(
     The histogram keys are sorted, so the output is canonical.  With
     generators and no `containing`, each orbit representative profiles
     the k-cliques through it, weighted by the orbit size, and every
-    k-clique is then counted k times.
+    k-clique is then counted k times.  Through one vertex c, the profile
+    is that through the representative r of its orbit; each suborbit
+    representative s of r profiles the k-cliques through r and s, weighted
+    by the suborbit size, and every k-clique is then counted k - 1 times.
     """
     if g.is_T:
         raise ValueError("extension profile of T is undefined")
@@ -592,15 +634,20 @@ def extension_profile(
     if k < len(base):
         raise ValueError("k smaller than the fixed clique")
     budget = CENSUS_NODE_BUDGET if node_budget is None else node_budget
-    orbits = None if base else g.orbits
-    if orbits is None or k == 0:
-        common = _common_neighbors(g, base)
-        _, hist, _ = _search(g.adj, k - len(base), [(common, common, 1)], budget, workers, "profile")
+    adj, orbits = g.adj, g.orbits
+    i = g.orbit_of[base[0]] if orbits is not None and len(base) == 1 else None
+    if orbits is not None and not base and k:
+        anchors = [(adj[r], adj[r], size) for r, size in orbits]
+        depth, per, spent = k - 1, k, len(anchors)
+    elif i is not None and k > 1 and g.suborbits[i] is not None:
+        r = orbits[i][0]
+        anchors = [(adj[r] & adj[s], adj[r] & adj[s], size) for s, size in g.suborbits[i]]
+        depth, per, spent = k - 2, k - 1, len(anchors)
     else:
-        anchors = [(g.adj[r], g.adj[r], size) for r, size in orbits]
-        _, through, _ = _search(g.adj, k - 1, anchors, budget, workers, "profile", len(orbits))
-        hist = [_through(t, k) for t in through]
-    return {c: h for c, h in enumerate(hist) if h}
+        common = _common_neighbors(g, base)
+        anchors, depth, per, spent = [(common, common, 1)], k - len(base), 1, 0
+    _, hist, _ = _search(adj, depth, anchors, budget, workers, "profile", spent)
+    return {c: h for c, h in enumerate(_through(t, per) for t in hist) if h}
 
 
 def _branch_and_bound(

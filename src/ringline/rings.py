@@ -33,10 +33,21 @@ and `mat_det` stay as the reference the tests compare the kernel against.
 
 The three constructors above also give their graphs generators of a
 vertex-transitive automorphism group, built from their own index tables
-or minors: (a:b) -> (-b:a) and (a:b) -> (a+b:b) on P(Z/n), U -> U g on
-P(M_m(q)) and X -> X g on GL_m(q), for g a Singer cycle and a
-transvection of GL_2m(q) and GL_m(q).  `Graph` checks them once, when
-the graph is built.  Tensor products and blow-ups carry none.
+or minors, and some of them fix vertex 0, so that the profile through a
+vertex can be searched per suborbit of vertex 0 (see `ringline.graphs`):
+
+* P(Z/n): (a:b) -> (-b:a), and (a:b) -> (a:a+b), which fixes 0:1 and
+  moves its n neighbours as one orbit.
+* P(M_m(q)): U -> U g for a Singer cycle g of GL_2m(q), and for
+  diag(S, I) and [[I, E_00], [0, S]], S a Singer cycle of GL_m(q), which
+  fix (0 | I) and move its q^(m^2) neighbours as one orbit.
+* GL_m(q): X -> X S T, S a Singer cycle and T a transvection, and for
+  m >= 2 the conjugations X -> A^-1 X J A J, A = S, T, which fix the
+  antidiagonal J; its suborbits are the conjugacy classes of GL_m(q)
+  with no eigenvalue 0 or 1 (19 on GL_2(5)).
+
+`Graph` checks them once, when the graph is built.  Tensor products and
+blow-ups carry none.
 """
 
 from __future__ import annotations
@@ -220,7 +231,9 @@ def zn_projective_line(n: int, vertex_bound: int = VERTEX_BOUND) -> Graph:
     is nonzero mod every prime p | n, that is when the two points differ
     in every P(Z/p).  So the row of a point is all points minus, for each
     p, the bitset of the points congruent to it mod p.  The generators are
-    (a:b) -> (-b:a) and (a:b) -> (a+b:b), which generate SL_2(Z/n).
+    (a:b) -> (-b:a) and (a:b) -> (a:a+b), which generate SL_2(Z/n); the
+    second fixes vertex 0, the point 0:1, and moves its neighbours 1:b
+    around one cycle.
     This construction never touches the tensor/blow-up machinery, so it
     can serve as the independent oracle for the commutative formulas.
     """
@@ -263,7 +276,7 @@ def zn_projective_line(n: int, vertex_bound: int = VERTEX_BOUND) -> Graph:
         vertex[_crt_index(factors, indices)] = v
     generators = [
         [vertex[_crt_index(factors, _local_indices(factors, -b, a))] for a, b in verts],
-        [vertex[_crt_index(factors, _local_indices(factors, a + b, b))] for a, b in verts],
+        [vertex[_crt_index(factors, _local_indices(factors, a, a + b))] for a, b in verts],
     ]
     return Graph(expected, rows, [f"{a}:{b}" for a, b in verts], generators=generators)
 
@@ -406,8 +419,8 @@ def _rref_bases(m: int, q: int) -> list[tuple[tuple[int, ...], ...]]:
 def matrix_ring_graph(m: int, q: int | GF, vertex_bound: int = VERTEX_BOUND) -> Graph:
     """Distant graph of P(M_m(q)); m = 0 is the trivial ring, i.e. T.
 
-    Its generators are U -> U g for two generators g of GL_2m(q) (see
-    _gl_generators), acting on the points through their minors.
+    Its generators are U -> U g for the g of _line_generators, acting on
+    the points through their minors.
     """
     if m == 0:
         return Graph.T()
@@ -417,7 +430,7 @@ def matrix_ring_graph(m: int, q: int | GF, vertex_bound: int = VERTEX_BOUND) -> 
         raise BoundExceeded(f"P(M_{m}({F.q})) has {count} points, bound {vertex_bound}")
     bases = _rref_bases(m, F.q)
     minors = _plucker(F, m, bases)
-    generators = [_plucker_images(F, m, minors, g, True) for g in _gl_generators(F, 2 * m)]
+    generators = _plucker_images(F, m, minors, _line_generators(F, m))
     labels = [_rows_label(F.q, rows) for rows in bases]
     return Graph(len(bases), _pairing_rows(F, m, minors), labels, generators=generators)
 
@@ -461,49 +474,77 @@ def _plucker(F: GF, m: int, bases) -> list[list[int]]:
     return out
 
 
+def _singer(F: GF, n: int) -> tuple[tuple[int, ...], ...]:
+    """A Singer cycle of GL_n(q): the companion matrix of a primitive
+    polynomial, whose determinant is a primitive element."""
+    return companion_matrix(F, find_primitive(n, F)).rows
+
+
 def _gl_generators(F: GF, n: int) -> list[tuple[tuple[int, ...], ...]]:
     """Generators of GL_n(q), acting on row vectors from the right: a Singer
-    cycle, the companion matrix of a primitive polynomial, whose determinant
-    is a primitive element, and for n >= 2 the transvection that adds
-    coordinate 0 to coordinate 1.  A subgroup of GL_n(q) with a Singer cycle
-    and a transvection contains SL_n(q) (Kantor, "Linear groups containing
-    a Singer cycle", 1980); the tests check the single orbit this gives.
+    cycle and, for n >= 2, the transvection that adds coordinate 0 to
+    coordinate 1.  A subgroup of GL_n(q) with a Singer cycle and a
+    transvection contains SL_n(q) (Kantor, "Linear groups containing a
+    Singer cycle", 1980); the tests check the single orbit this gives.
     """
-    out = [companion_matrix(F, find_primitive(n, F)).rows]
+    out = [_singer(F, n)]
     if n >= 2:
         out.append(tuple(tuple(int(i == j or (i, j) == (0, 1)) for j in range(n)) for i in range(n)))
     return out
 
 
-def _plucker_images(F: GF, m: int, minors: list[list[int]], g, rescale: bool) -> list[int]:
-    """The vertex permutation U -> U g of the bases with the given minors,
-    for g in GL_2m(q).
+def _block(a, b, d) -> tuple[tuple[int, ...], ...]:
+    """The 2m x 2m matrix [[a, b], [0, d]] from m x m blocks."""
+    m = len(a)
+    return tuple(x + y for x, y in zip(a, b)) + tuple((0,) * m + z for z in d)
+
+
+def _line_generators(F: GF, m: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Three elements of GL_2m(q) that move the points of P(M_m(q)) as one
+    orbit: a Singer cycle, and diag(S, I) and [[I, E], [0, S]] for S a Singer
+    cycle of GL_m(q) and E the matrix unit E_00.  The last two fix vertex 0,
+    the point (0 | I), and move its neighbours (I | X) as X -> S^-1 X and
+    X -> E + X S, which is one orbit on all X (the tests check it on every
+    family they build).  The orbit of vertex 0 under the Singer cycle
+    meets a neighbour, so the group is transitive on the connected graph.
+    """
+    eye = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+    zero = tuple((0,) * m for _ in range(m))
+    unit = tuple(tuple(int(i == j == 0) for j in range(m)) for i in range(m))
+    s = _singer(F, m)
+    return [_singer(F, 2 * m), _block(s, zero, eye), _block(eye, unit, s)]
+
+
+def _plucker_images(F: GF, m: int, minors: list[list[int]], gs) -> list[list[int]]:
+    """The vertex permutations U -> U g of the bases with the given minors,
+    for each g in gs, elements of GL_2m(q).
 
     By Cauchy-Binet the minors of U g are p(U) times the m-th compound of
     g, whose entry (K, J) is the minor of g on the rows K and columns J.
-    When U g is itself one of the bases its minors are looked up as they
-    are.  With rescale, the bases are in reduced echelon form, whose first
-    nonzero minor is 1, and the image minors are scaled to match.
+    Two bases span the same point iff their minors are proportional, so
+    both sides are looked up scaled to a first nonzero minor of 1.
     """
     add, mul, inv = F._add, F._mul, F._inv
     subsets = list(combinations(range(2 * m), m))
-    compound = _plucker(F, m, [[g[i] for i in rows] for rows in subsets])  # compound[K][J]
     by_subset = list(zip(*minors))  # by_subset[K][v] = p_K(U_v)
-    image = []
-    for j in range(len(subsets)):
-        terms = [(by_subset[k], mul[row[j]]) for k, row in enumerate(compound) if row[j]]
-        (first, times), *rest = terms
-        column = [times[x] for x in first]
-        for values, times in rest:
-            column = [add[a][times[x]] for a, x in zip(column, values)]
-        image.append(column)
-    vertex = {tuple(p): v for v, p in enumerate(minors)}
+
+    def projective(p) -> tuple[int, ...]:
+        scale = mul[inv[next(filter(None, p))]]
+        return tuple([scale[x] for x in p])
+
+    vertex = {projective(p): v for v, p in enumerate(minors)}
     out = []
-    for p in zip(*image):
-        if rescale:
-            scale = mul[inv[next(filter(None, p))]]
-            p = tuple([scale[x] for x in p])
-        out.append(vertex[p])
+    for g in gs:
+        compound = _plucker(F, m, [[g[i] for i in rows] for rows in subsets])  # compound[K][J]
+        image = []
+        for j in range(len(subsets)):
+            terms = [(by_subset[k], mul[row[j]]) for k, row in enumerate(compound) if row[j]]
+            (first, times), *rest = terms
+            column = [times[x] for x in first]
+            for values, times in rest:
+                column = [add[a][times[x]] for a, x in zip(column, values)]
+            image.append(column)
+        out.append([vertex[projective(p)] for p in zip(*image)])
     return out
 
 
@@ -566,8 +607,15 @@ def _pairing_rows(F: GF, m: int, minors: list[list[int]]) -> list[int]:
 def unit_difference_graph(m: int, q: int | GF, vertex_bound: int = VERTEX_BOUND) -> Graph:
     """GL_m(q) with edges between matrices whose difference is invertible.
 
-    Its generators are X -> X B for two generators B of GL_m(q), which is
-    (X | I) -> (X | I) diag(B, I) on the points below."""
+    Its generators act on the points (X | I) below.  With S and T the
+    generators of GL_m(q) from _gl_generators (T only for m >= 2), they are
+    X -> X B for B = S T, which is (X | I) -> (X | I) diag(B, I), and for
+    m >= 2 X -> A^-1 X J A J for A = S and A = T, which is
+    (X | I) -> (X | I) diag(J A J, A).  Vertex 0 is the antidiagonal matrix
+    J = J^-1, which the last two fix: on Y = X J they are the conjugations
+    Y -> A^-1 Y A, so the orbit of J holds B' J for every B' in the normal
+    closure of B = S T, which is GL_m(q) (its determinant is primitive;
+    the tests check the single orbit on every family they build)."""
     if m < 1:
         raise ValueError("m must be >= 1")
     F = gf_of(q)
@@ -577,13 +625,14 @@ def unit_difference_graph(m: int, q: int | GF, vertex_bound: int = VERTEX_BOUND)
     mats = enumerate_gl(m, F)
     # det[A, I; B, I] = det(A - B): the points (A | I) of P(M_m(q))
     eye = identity(F, m).rows
+    zero = tuple((0,) * m for _ in eye)
     minors = _plucker(F, m, [tuple(r + e for r, e in zip(mt.rows, eye)) for mt in mats])
-    generators = [
-        _plucker_images(F, m, minors, tuple(r + (0,) * m for r in b) + tuple((0,) * m + e for e in eye), False)
-        for b in _gl_generators(F, m)
-    ]
-    rows = _pairing_rows(F, m, minors)
-    return Graph(len(mats), rows, [matrix_label(mt) for mt in mats], generators=generators)
+    gens = _gl_generators(F, m)
+    moves = [_block(reduce(mat_mul, [MatrixGF(F, a) for a in gens]).rows, zero, eye)]
+    if m >= 2:
+        moves += [_block(tuple(row[::-1] for row in a[::-1]), zero, a) for a in gens]
+    generators = _plucker_images(F, m, minors, moves)
+    return Graph(len(mats), _pairing_rows(F, m, minors), [matrix_label(mt) for mt in mats], generators=generators)
 
 
 def spread_clique(m: int, q: int | GF) -> list[SubspacePoint]:

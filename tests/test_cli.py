@@ -232,6 +232,16 @@ def test_unknown_containing_label_is_a_clean_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: no vertex labelled 'nope'\n"
 
 
+def test_containing_without_profile_is_a_clean_error(tmp_path, capsys):
+    argv = ["census", "--spec", spec_file(tmp_path, Z6), "--kmax", "2", "--containing", "0|0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --containing needs --profile\n"
+    # with --profile the same labels profile through the vertex, one line more
+    assert main(argv + ["--profile", "2"]) == 0
+    assert capsys.readouterr().out == "clique counts (k=0..2): 1,12,36\nextension profile at k=2: 2:6\n"
+
+
 def test_kmax_zero_charges_no_budget(tmp_path, capsys):
     argv = ["census", "--spec", spec_file(tmp_path, Z6), "--kmax", "0", "--budget", "5"]
     assert main(argv) == 0

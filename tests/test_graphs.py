@@ -324,6 +324,25 @@ def test_extension_profile_containing_fixed_clique():
         extension_profile(blowup(Graph.complete(3), 2), 3, containing=[0, 1])
 
 
+def test_vertex_out_of_range_raises():
+    g = zn_projective_line(6)
+    n = g.n
+    calls = [
+        lambda v: is_clique(g, [v]),
+        lambda v: is_inextensible(g, [0, v]),
+        lambda v: extension_count(g, [v]),
+        lambda v: neighborhood_intersection_count(g, [v]),
+        lambda v: extension_profile(g, 2, containing=[v]),
+        lambda v: extension_profile(g, 3, containing=[0, v]),
+        lambda v: extension_profile(plain(g), 2, containing=[v]),
+    ]
+    for call in calls:
+        for v in (-1, n, -n - 1, 2 * n):
+            with pytest.raises(ValueError, match=f"^vertex {v} out of range$"):
+                call(v)
+    assert extension_count(g, [n - 1]) == g.degree(n - 1)
+
+
 def test_is_clique_and_inextensible():
     octa = blowup(Graph.complete(3), 2)
     assert is_clique(octa, [0, 2, 4])
@@ -480,6 +499,10 @@ def assert_same_search(g: Graph, kmax: int, kprofile: int) -> None:
     assert count_cliques(g, kmax, node_budget=big).counts == count_cliques(h, kmax, node_budget=big).counts
     for k in range(kprofile + 1):
         assert extension_profile(g, k, node_budget=big) == extension_profile(h, k, node_budget=big)
+    for c in (0, g.n - 1, random.Random(g.n).randrange(g.n)):
+        for k in range(1, kprofile + 1):
+            through = extension_profile(g, k, containing=[c], node_budget=big)
+            assert through == extension_profile(h, k, containing=[c], node_budget=big)
     omega = max_clique_order(g)
     assert omega == max_clique_order(h)
     for k in range(omega + 2):
@@ -531,11 +554,13 @@ def graphs_with_generators(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(g=graphs_with_generators(), kmax=st.integers(0, 5), k=st.integers(0, 4))
-def test_orbit_search_equals_plain_walk_property(g, kmax, k):
+@given(g=graphs_with_generators(), kmax=st.integers(0, 5), k=st.integers(0, 4), c=st.integers(0, 10**6))
+def test_orbit_search_equals_plain_walk_property(g, kmax, k, c):
     h = plain(g)
     assert count_cliques(g, kmax).counts == count_cliques(h, kmax).counts
     assert extension_profile(g, k) == extension_profile(h, k)
+    c %= g.n
+    assert extension_profile(g, max(k, 1), containing=[c]) == extension_profile(h, max(k, 1), containing=[c])
     omega = max_clique_order(g)
     assert omega == max_clique_order(h)
     assert find_clique(g, omega + 1) is None
@@ -556,6 +581,29 @@ def test_orbit_node_charge():
         with pytest.raises(BudgetExceeded):
             extension_profile(g, 1, node_budget=0)
         assert extension_profile(g, 1, node_budget=1) == {degree: g.n}
+
+
+def test_suborbit_node_charge():
+    # a profile through one vertex charges one node per suborbit
+    # representative s of the orbit representative r, plus one per clique
+    # visited in adj[r] & adj[s]; workers split those roots and agree
+    for g in (matrix_ring_graph(2, 3), unit_difference_graph(2, 3), zn_projective_line(30)):
+        c = g.n - 1
+        r = g.orbits[g.orbit_of[c]][0]
+        suborbits = g.suborbits[g.orbit_of[c]]
+        assert suborbits is not None
+        common = [g.adj[r] & g.adj[s] for s, _ in suborbits]
+        edges = [sum((g.adj[v] & cand).bit_count() for v in range(g.n) if cand >> v & 1) // 2 for cand in common]
+        vertices = [cand.bit_count() for cand in common]
+        need = {2: len(common), 3: len(common) + sum(vertices), 4: len(common) + sum(vertices) + sum(edges)}
+        for k, nodes in need.items():
+            want = extension_profile(plain(g), k, containing=[c])
+            for workers in (1, 3):
+                with pytest.raises(BudgetExceeded):
+                    extension_profile(g, k, containing=[c], node_budget=nodes - 1, workers=workers)
+                assert extension_profile(g, k, containing=[c], node_budget=nodes, workers=workers) == want
+        # k = 1 is the vertex alone, with no node charged
+        assert extension_profile(g, 1, containing=[c], node_budget=0) == {g.degree(c): 1}
 
 
 def test_generator_that_is_no_automorphism_raises():
@@ -588,13 +636,16 @@ def test_searches_do_not_check_generators_again(monkeypatch):
     g = matrix_ring_graph(2, 3)
     h = plain(g)
     want = count_cliques(h, 4).counts, extension_profile(h, 3), max_clique_order(h)
+    through = extension_profile(h, 4, containing=[g.n - 1])
 
     def check(*args):
         raise AssertionError("a search checked the generators again")
 
     monkeypatch.setattr(graphs, "_check_transpose", check)
     monkeypatch.setattr(graphs, "verify_isomorphism", check)
+    monkeypatch.setattr(graphs, "_orbits", check)
     assert (count_cliques(g, 4).counts, extension_profile(g, 3), max_clique_order(g)) == want
+    assert extension_profile(g, 4, containing=[g.n - 1]) == through
     witness = find_clique(g, want[2])
     assert witness is not None and len(witness) == want[2] and is_clique(g, witness)
     assert find_clique(g, want[2] + 1) is None

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from ringline.errors import BoundExceeded
 from ringline.graphs import (
     Graph,
-    _orbits,
     blowup,
     complement,
     disjoint_union,
@@ -343,7 +342,8 @@ def test_minors_from_smaller_minors_equal_determinants(m, q):
         assert minors == [_det(F, [[row[c] for c in cols] for row in rows]) for cols in subsets]
 
 
-# every family is vertex-transitive, and its generators show it
+# every family is vertex-transitive, and its generators show it; the ones
+# that fix vertex 0 move its neighbours as few suborbits
 FAMILIES = (
     [("Z", n) for n in list(range(2, 61)) + [132, 138]]
     + [("M", 1, q) for q in (2, 3, 4, 5, 7, 8, 9, 16)]
@@ -360,7 +360,32 @@ BUILD = {"Z": zn_projective_line, "M": matrix_ring_graph, "GL": unit_difference_
 def test_ring_generators_give_one_orbit(family):
     kind, *args = family
     g = BUILD[kind](*args)
-    assert g.generators and _orbits(g) == [(0, g.n)]
+    assert g.generators and g.orbits == [(0, g.n)] and set(g.orbit_of) == {0}
+    (suborbits,) = g.suborbits
+    if kind == "GL" and args[0] == 1:
+        assert suborbits is None  # GL_1(q) is abelian: no generator fixes vertex 0
+        return
+    assert sum(size for _, size in suborbits) == g.degree(0)
+    assert all(g.adj[0] >> s & 1 for s, _ in suborbits)
+    sizes = sorted(size for _, size in suborbits)
+    if kind == "GL":
+        assert sizes == gl_class_sizes(*args)
+    else:
+        assert sizes == [g.degree(0)]
+
+
+def gl_class_sizes(m: int, q: int) -> list[int]:
+    """Sizes of the conjugacy classes of GL_m(q) with no eigenvalue 0 or 1:
+    the suborbits of vertex 0 of the unit-difference graph, whose generators
+    that fix the antidiagonal J conjugate Y = X J by GL_m(q).  In GL_2(q)
+    these are q - 2 scalars (size 1), q - 2 scalars times a Jordan block
+    (q^2 - 1), C(q - 2, 2) split classes (q^2 + q) and (q^2 - q) / 2 elliptic
+    ones (q^2 - q); in GL_3(2), the two classes of order 7, of 24 each."""
+    if m == 3 and q == 2:
+        return [24, 24]
+    assert m == 2
+    sizes = [1] * (q - 2) + [q * q - 1] * (q - 2) + [q * q + q] * comb(q - 2, 2) + [q * q - q] * ((q * q - q) // 2)
+    return sorted(sizes)
 
 
 # ---------------------------------------------------------------------------
