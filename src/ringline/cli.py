@@ -167,23 +167,23 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, spec: bool) -> None:
+    def common(p: argparse.ArgumentParser, spec: bool, formats: tuple[str, ...]) -> None:
         if spec:
             p.add_argument("--spec", required=True, help="ring-spec JSON file")
             p.add_argument("--unit-graph", action="store_true",
                            help="use the unit-difference graph of a matrix summand")
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--budget", type=int, default=None, help="census node budget")
         p.add_argument("--workers", type=int, default=None, help="census worker count")
         p.add_argument("--bound", type=int, default=None, help="vertex bound")
 
     p_build = sub.add_parser("build", help="construct a distant graph and summarize it")
-    common(p_build, spec=True)
+    common(p_build, spec=True, formats=("text", "json"))
     p_build.add_argument("--dot", help="write DOT to this file")
     p_build.set_defaults(func=cmd_build)
 
     p_census = sub.add_parser("census", help="exact clique counts")
-    common(p_census, spec=True)
+    common(p_census, spec=True, formats=("text", "json", "csv"))
     p_census.add_argument("--kmax", type=int, required=True)
     p_census.add_argument("--profile", type=int, default=None,
                           help="also report the extension histogram at this clique size")
@@ -193,11 +193,11 @@ def _parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run an acceptance suite")
     p_verify.add_argument("suite", choices=sorted(SUITES))
-    common(p_verify, spec=False)
+    common(p_verify, spec=False, formats=("text", "json"))
     p_verify.set_defaults(func=cmd_verify)
 
     p_tables = sub.add_parser("tables", help="print the counting tables")
-    common(p_tables, spec=False)
+    common(p_tables, spec=False, formats=("text", "json", "csv"))
     p_tables.set_defaults(func=cmd_tables)
 
     return parser

@@ -45,11 +45,11 @@ class RunConfig:
             raise ValueError(f"unknown output format {self.output_format!r}")
 
 
-def budget_from_env(default: int = CENSUS_NODE_BUDGET) -> int:
+def budget_from_env() -> int:
     """Census node budget, honouring the RINGLINE_BUDGET override."""
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
-        return default
+        return CENSUS_NODE_BUDGET
     if not raw.strip().isdecimal() or int(raw) <= 0:
         raise ValueError(f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}")
     return int(raw)

@@ -4,7 +4,10 @@ A field element is an index in [0, q).  The index encodes a polynomial
 over GF(p) in base-p digits (least significant digit = constant term),
 reduced modulo a fixed irreducible polynomial of degree r: the first
 monic irreducible in the deterministic candidate order below.  Index 0
-is the additive identity and index 1 the multiplicative identity.
+is the additive identity and index 1 the multiplicative identity.  The
+multiplication table comes from the addition table and multiplication
+by x alone: a * b = a * (b - p^j) + a * x^j, j the lowest nonzero digit
+of b.
 
 Polynomials over a field are plain tuples of element indices, ascending
 by degree, with no trailing zeros (the empty tuple is zero).
@@ -78,21 +81,24 @@ class GF:
         self._add = tuple(add)
         self._neg = tuple(row.index(0) for row in self._add)
 
+        # row a grows from a * (b - p^j) to a * b by adding a * x^j, where j
+        # is the lowest nonzero digit of b
+        steps = []
+        for b in range(1, q):
+            j = next(j for j, d in enumerate(digits[b]) if d)
+            steps.append((b - p**j, j))
         mul = []
         for a in range(q):
-            da = digits[a]
-            row = []
-            for b in range(q):
-                prod = _polymul_mod(da, digits[b], modulus, p)
-                row.append(_undigits(prod, p))
+            times_x = [a]  # a * x^j for j < r
+            for _ in range(r - 1):
+                times_x.append(_times_x(digits[times_x[-1]], modulus, p))
+            row = [0]
+            for prev, j in steps:
+                row.append(self._add[row[prev]][times_x[j]])
             mul.append(tuple(row))
         self._mul = tuple(mul)
 
-        inv = [0] * q
-        for a in range(1, q):
-            row = self._mul[a]
-            inv[a] = row.index(1)
-        self._inv = tuple(inv)
+        self._inv = (0,) + tuple(row.index(1) for row in self._mul[1:])
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
@@ -139,22 +145,11 @@ def _undigits(ds: list[int], p: int) -> int:
     return out
 
 
-def _polymul_mod(a: list[int], b: list[int], modulus: FieldPoly, p: int) -> list[int]:
-    # schoolbook product of GF(p) digit vectors, reduced mod the monic modulus
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    r = len(modulus) - 1
-    for deg in range(len(out) - 1, r - 1, -1):
-        c = out[deg]
-        if c:
-            out[deg] = 0
-            for k in range(r):
-                out[deg - r + k] = (out[deg - r + k] - c * modulus[k]) % p
-    out = out[:r] if len(out) > r else out
-    return out + [0] * (r - len(out))
+def _times_x(da: list[int], modulus: FieldPoly, p: int) -> int:
+    # the element with digits da times x, reduced by x^r = -(modulus - x^r)
+    top = da[-1]
+    out = [0] + da[:-1]
+    return _undigits([(d - top * c) % p for d, c in zip(out, modulus)], p)
 
 
 @functools.lru_cache(maxsize=None)
@@ -265,7 +260,12 @@ def monic_polys(F: GF, degree: int):
 
 
 def fp_is_irreducible(F: GF, poly: FieldPoly) -> bool:
-    """Irreducibility over F by root search plus low-degree trial division."""
+    """Irreducibility over F by root search plus low-degree trial division.
+
+    The trial divisors are all monic polynomials of degree 2..deg/2, not
+    only the irreducible ones: a reducible divisor of poly has an
+    irreducible factor of lower degree that divides poly too.
+    """
     degree = len(poly) - 1
     if degree < 1:
         return False
@@ -274,26 +274,25 @@ def fp_is_irreducible(F: GF, poly: FieldPoly) -> bool:
     for x in F.elements():
         if fp_eval(F, poly, x) == 0:
             return False
-    if degree <= 3:
-        return True
     for d in range(2, degree // 2 + 1):
         for divisor in monic_polys(F, d):
-            if fp_is_irreducible(F, divisor):
-                _, rem = fp_divmod(F, poly, divisor)
-                if not rem:
-                    return False
+            if not fp_divmod(F, poly, divisor)[1]:
+                return False
     return True
+
+
+def _first(m: int, q: int | GF, test) -> FieldPoly:
+    """First monic polynomial of degree m over GF(q), in candidate order,
+    that passes test."""
+    if m < 1:
+        raise ValueError("degree must be >= 1")
+    F = gf_of(q)
+    return next(cand for cand in monic_polys(F, m) if test(F, cand))
 
 
 def find_irreducible(m: int, q: int | GF) -> FieldPoly:
     """First monic irreducible of degree m over GF(q), in candidate order."""
-    if m < 1:
-        raise ValueError("degree must be >= 1")
-    F = gf_of(q)
-    for cand in monic_polys(F, m):
-        if fp_is_irreducible(F, cand):
-            return cand
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    return _first(m, q, fp_is_irreducible)
 
 
 def fp_powmod(F: GF, a: FieldPoly, e: int, modulus: FieldPoly) -> FieldPoly:
@@ -325,10 +324,4 @@ def fp_is_primitive(F: GF, poly: FieldPoly) -> bool:
 
 def find_primitive(m: int, q: int | GF) -> FieldPoly:
     """First monic primitive polynomial of degree m over GF(q)."""
-    if m < 1:
-        raise ValueError("degree must be >= 1")
-    F = gf_of(q)
-    for cand in monic_polys(F, m):
-        if fp_is_primitive(F, cand):
-            return cand
-    raise AssertionError("no primitive polynomial found")  # unreachable
+    return _first(m, q, fp_is_primitive)

@@ -10,8 +10,7 @@ from __future__ import annotations
 from math import comb, factorial
 from typing import Sequence
 
-from .linalg import gl_order
-from .polynomials import IntPoly, poly_product, qbinom
+from .polynomials import IntPoly, matrix_codegree, poly_product, qbinom
 from .rings import Local, MatrixRing, RingSpec
 
 
@@ -68,10 +67,9 @@ def comm_extension_count(spec: RingSpec, k: int) -> int:
 
 
 def comm_max_clique(spec: RingSpec) -> int:
-    qs = _local_qs(spec)
-    if not qs:
-        raise ValueError("trivial ring: a clique of every order exists")
-    return min(qs) + 1
+    """general_max_clique of a commutative spec: min over summands of q + 1."""
+    _local_qs(spec)
+    return general_max_clique(spec)
 
 
 def general_max_clique(spec: RingSpec) -> int:
@@ -114,17 +112,12 @@ def matrix_degree(m: int) -> IntPoly:
     return IntPoly.monomial(m * m)
 
 
-def matrix_codegree(m: int) -> IntPoly:
-    """prod_{k<m} (q^m - q^k): common neighbours of an edge (= |GL_m|)."""
-    return poly_product(IntPoly.monomial(m) - IntPoly.monomial(k) for k in range(m))
-
-
 def cap1N_matrix(m: int) -> IntPoly:
-    return matrix_point_count(m) - matrix_degree(m)
+    return cap_k_N_from_extensions([c_extension_poly(m, i) for i in range(2)], 1)
 
 
 def cap2N_matrix(m: int) -> IntPoly:
-    return matrix_point_count(m) - 2 * matrix_degree(m) + matrix_codegree(m)
+    return cap_k_N_from_extensions([c_extension_poly(m, i) for i in range(3)], 2)
 
 
 def _semisimple_parts(spec: RingSpec) -> list[tuple[int, int]]:
@@ -146,9 +139,8 @@ def _product_extensions(spec: RingSpec) -> list[int]:
     product of the per-summand values."""
     values = [1, 1, 1]
     for m, q in _semisimple_parts(spec):
-        values[0] *= matrix_point_count(m)(q)
-        values[1] *= q ** (m * m)
-        values[2] *= gl_order(m, q)
+        for i in range(3):
+            values[i] *= c_extension_poly(m, i)(q)
     return values
 
 
@@ -190,7 +182,8 @@ def c_extension_poly(m: int, k: int) -> IntPoly:
       k=0  [2m, m]_q          (points)
       k=1  q^(m^2)            (degree)
       k=2  prod (q^m - q^k)   (codegree)
-      k=3  (-1)^m q^(m(m-1)/2) sum_i prod_{j<=m-i-1} (1 - q^(m-j))
+      k=3  (-1)^m q^(m(m-1)/2) sum_i prod_{j<=m-i-1} (1 - q^(m-j)),
+           the sum of distcoeff_poly(m, i) over i = 0..m
 
     For k > 3 the cliques split into classes with different extension
     counts, so no single polynomial exists; use extension_profile.
@@ -206,20 +199,29 @@ def c_extension_poly(m: int, k: int) -> IntPoly:
         return matrix_degree(m)
     if k == 2:
         return matrix_codegree(m)
-    total = IntPoly.zero()
-    for i in range(m + 1):
-        total = total + poly_product(_one_minus_q_to(m - j) for j in range(m - i))
+    total = sum(distcoeff_poly(m, i) for i in range(m + 1))
     nested = IntPoly.one()
     for t in range(1, m + 1):
         nested = _one_minus_q_to(t) * nested + 1
-    if total != nested:
+    # the last term, distcoeff_poly(m, m), is the common factor alone
+    if total != distcoeff_poly(m, m) * nested:
         raise AssertionError("sum and nested forms of the 4-clique count disagree")
+    return total
+
+
+def distcoeff_poly(m: int, k: int) -> IntPoly:
+    """(-1)^m q^(m(m-1)/2) prod_{j=0}^{m-1-k} (1 - q^(m-j)): the k-th of the
+    m + 1 terms of C_{m,3}(q), whose coefficients the partition theorems
+    read as parity counts of D2(h, k)."""
+    if not 0 <= k <= m:
+        raise ValueError("need 0 <= k <= m")
+    prod = poly_product(_one_minus_q_to(m - j) for j in range(m - k))
     sign = -1 if m % 2 else 1
-    return sign * IntPoly.monomial(m * (m - 1) // 2) * total
+    return sign * IntPoly.monomial(m * (m - 1) // 2) * prod
 
 
-def cap_k_N_from_extensions(extension_values: Sequence[int], k: int) -> int:
-    """sum_i (-1)^i C(k,i) * extension_values[i].
+def cap_k_N_from_extensions(extension_values: Sequence[int | IntPoly], k: int) -> int | IntPoly:
+    """sum_i (-1)^i C(k,i) * extension_values[i], on ints or on IntPolys.
 
     extension_values[i] is the number of common neighbours of an
     i-clique.  The summand is indexed by i: the printed form of this

@@ -765,8 +765,8 @@ def verify_isomorphism(a: Graph, b: Graph, mapping: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def to_dot(g: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(g: Graph) -> str:
+    lines = ["graph G {"]
     for v in range(g.n):
         label = g.labels[v] if g.labels is not None else str(v)
         lines.append(f'  {v} [label="{label}"];')

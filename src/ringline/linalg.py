@@ -12,6 +12,7 @@ from itertools import product
 from .config import GL_ENUMERATION_BOUND
 from .errors import BoundExceeded
 from .fields import GF, FieldPoly, fp_add, fp_mul, fp_neg, fp_trim, gf_of
+from .polynomials import matrix_codegree
 
 
 @dataclass(frozen=True)
@@ -152,13 +153,10 @@ def rref(m: MatrixGF) -> MatrixGF:
 
 
 def gl_order(m: int, q: int) -> int:
-    """|GL_m(q)| as an exact integer: prod_{k<m} (q^m - q^k)."""
+    """|GL_m(q)| as an exact integer: matrix_codegree(m) at q."""
     if m < 0:
         raise ValueError("negative dimension")
-    out = 1
-    for k in range(m):
-        out *= q**m - q**k
-    return out
+    return matrix_codegree(m)(q)
 
 
 def enumerate_gl(m: int, q: int | GF, bound: int | None = None) -> list[MatrixGF]:

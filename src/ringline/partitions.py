@@ -7,16 +7,18 @@ ones.  Signed (parity) counts weigh a partition by (-1)^rows, the empty
 partition counting as even.
 
 All q-series arithmetic carries an explicit truncation order N and is
-exact below it; the expansions here are generated, never hard-coded.
+exact below it; the expansions here are generated, never hard-coded, one
+in-place stride update per factor 1 - q^i.  The coefficient checks read
+the closed forms of `ringline.formulas` (C_{m,k} and its terms
+distcoeff_poly) and compare them with these expansions and counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from .formulas import c_extension_poly
-from .polynomials import IntPoly, poly_product
+from .formulas import c_extension_poly, distcoeff_poly
 
 Partition = tuple[int, ...]
 
@@ -128,44 +130,26 @@ def dist2p_bijection(x: TwoDistinctPartition) -> TwoDistinctPartition:
 # ---------------------------------------------------------------------------
 
 
-def _mul_trunc(a: list[int], b: Sequence[int], order: int) -> list[int]:
-    out = [0] * (order + 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if i + j > order:
-                    break
-                out[i + j] += x * y
-    return out
-
-
 def qseries_product(exponent: int, truncation: int) -> list[int]:
     """Coefficients of prod_{i>=1} (1 - q^i)^exponent up to q^truncation.
 
-    Negative exponents go through exact truncated power-series inversion
-    (the constant term is 1, so the inverse exists termwise).
+    Each factor 1 - q^i is applied |exponent| times in place with stride
+    i: multiplying subtracts the series shifted by i (from the top down),
+    dividing adds it (from the bottom up), since 1 / (1 - q^i) is
+    1 + q^i + q^2i + ...
     """
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
     n = truncation
-    base = [0] * (n + 1)
-    base[0] = 1
+    series = [1] + [0] * n
     for i in range(1, n + 1):
-        factor = [0] * (i + 1)
-        factor[0] = 1
-        factor[i] = -1
-        for _ in range(abs(exponent)):
-            base = _mul_trunc(base, factor, n)
-    if exponent >= 0:
-        return base
-    inv = [0] * (n + 1)
-    inv[0] = 1
-    for d in range(1, n + 1):
-        acc = 0
-        for j in range(1, d + 1):
-            acc += base[j] * inv[d - j]
-        inv[d] = -acc
-    return inv
+        for _ in range(exponent):
+            for d in range(n, i - 1, -1):
+                series[d] -= series[d - i]
+        for _ in range(-exponent):
+            for d in range(i, n + 1):
+                series[d] += series[d - i]
+    return series
 
 
 OEIS_SERIES_EXPONENT = {
@@ -176,25 +160,16 @@ OEIS_SERIES_EXPONENT = {
 }
 
 
-def oeis_prefix(tag: str, terms: int = 12) -> list[int]:
-    """First terms of the four catalogued expansions, generated locally."""
+def oeis_prefix(tag: str) -> list[int]:
+    """First 12 terms of the four catalogued expansions, generated locally."""
     if tag not in OEIS_SERIES_EXPONENT:
         raise ValueError(f"unknown sequence id {tag!r}")
-    return qseries_product(OEIS_SERIES_EXPONENT[tag], terms - 1)
+    return qseries_product(OEIS_SERIES_EXPONENT[tag], 11)
 
 
 # ---------------------------------------------------------------------------
 # coefficient checks
 # ---------------------------------------------------------------------------
-
-
-def distcoeff_poly(m: int, k: int) -> IntPoly:
-    """(-1)^m q^(m(m-1)/2) prod_{j=0}^{m-1-k} (1 - q^(m-j)) as an IntPoly."""
-    if not 0 <= k <= m:
-        raise ValueError("need 0 <= k <= m")
-    prod = poly_product(IntPoly.one() - IntPoly.monomial(m - j) for j in range(m - k))
-    sign = -1 if m % 2 else 1
-    return sign * IntPoly.monomial(m * (m - 1) // 2) * prod
 
 
 def distcoeff_check(m: int, k: int, h: int) -> bool:
@@ -208,24 +183,27 @@ def distcoeff_check(m: int, k: int, h: int) -> bool:
     return coeff == parity_count(enumerate_D2(h, k))
 
 
+def _coefficient_comparison(m: int, k: int) -> list[tuple[int, int, int]]:
+    """(h, coefficient of q^(m^2-h) in C_{m,k}(q), coefficient of q^h in
+    prod (1 - q^i)^(k-1)) for every h <= m."""
+    poly = c_extension_poly(m, k)
+    series = qseries_product(k - 1, m)
+    return [(h, poly.coefficient(m * m - h), series[h]) for h in range(m + 1)]
+
+
 def coeffs_theorem_check(m: int, k: int) -> bool:
     """For all h <= m: coefficient of q^(m^2-h) in C_{m,k}(q) equals the
     coefficient of q^h in prod (1 - q^i)^(k-1)."""
-    poly = c_extension_poly(m, k)
-    series = qseries_product(k - 1, m)
-    return all(poly.coefficient(m * m - h) == series[h] for h in range(m + 1))
+    return all(a == b for _, a, b in _coefficient_comparison(m, k))
 
 
-def coefficient_comparison_rows(m_max: int, k_max: int = 3) -> list[tuple[int, int, int, int, int, bool]]:
+def coefficient_comparison_rows(m_max: int) -> list[tuple[int, int, int, int, int, bool]]:
     """(m, k, h, polynomial coefficient, series coefficient, equal) rows
-    for every m <= m_max, k <= k_max, h <= m; the CSV-facing table."""
-    rows = []
-    for m in range(m_max + 1):
-        for k in range(k_max + 1):
-            poly = c_extension_poly(m, k)
-            series = qseries_product(k - 1, m)
-            for h in range(m + 1):
-                a = poly.coefficient(m * m - h)
-                b = series[h]
-                rows.append((m, k, h, a, b, a == b))
-    return rows
+    for every m <= m_max, k <= 3 (the closed forms), h <= m; the CSV-facing
+    table."""
+    return [
+        (m, k, h, a, b, a == b)
+        for m in range(m_max + 1)
+        for k in range(4)
+        for h, a, b in _coefficient_comparison(m, k)
+    ]

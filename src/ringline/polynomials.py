@@ -34,11 +34,11 @@ class IntPoly:
         return cls((1,))
 
     @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "IntPoly":
-        """coeff * q^degree"""
+    def monomial(cls, degree: int) -> "IntPoly":
+        """q^degree"""
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        return cls([0] * degree + [coeff])
+        return cls([0] * degree + [1])
 
     @property
     def degree(self) -> int | float:
@@ -94,9 +94,10 @@ class IntPoly:
         if not a or not b:
             return IntPoly(())
         out = [0] * (len(a) + len(b) - 1)
+        terms = [(j, cb) for j, cb in enumerate(b) if cb]
         for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(b):
+                for j, cb in terms:
                     out[i + j] += ca * cb
         return IntPoly(out)
 
@@ -161,11 +162,17 @@ def poly_product(factors: Iterable[IntPoly]) -> IntPoly:
 def qbinom(n: int, k: int) -> IntPoly:
     """Gaussian binomial [n, k]_q: the subspace-counting polynomial.
 
-    It lives here, below both `rings` and `formulas`, so that both can
-    import it.
+    It lives here, below `linalg`, `rings` and `formulas`, so that all
+    of them can import it, as does matrix_codegree.
     """
     if k < 0 or k > n:
         raise ValueError(f"k={k} out of range for n={n}")
     if k == 0 or k == n:
         return IntPoly.one()
     return qbinom(n - 1, k - 1) + IntPoly.monomial(k) * qbinom(n - 1, k)
+
+
+def matrix_codegree(m: int) -> IntPoly:
+    """prod_{k<m} (q^m - q^k): |GL_m(q)|, which is also the number of common
+    neighbours of an edge of the matrix-ring line."""
+    return poly_product(IntPoly.monomial(m) - IntPoly.monomial(k) for k in range(m))

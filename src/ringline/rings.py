@@ -38,9 +38,10 @@ vertex can be searched per suborbit of vertex 0 (see `ringline.graphs`):
 
 * P(Z/n): (a:b) -> (-b:a), and (a:b) -> (a:a+b), which fixes 0:1 and
   moves its n neighbours as one orbit.
-* P(M_m(q)): U -> U g for a Singer cycle g of GL_2m(q), and for
-  diag(S, I) and [[I, E_00], [0, S]], S a Singer cycle of GL_m(q), which
-  fix (0 | I) and move its q^(m^2) neighbours as one orbit.
+* P(M_m(q)): U -> U g for the block swap g = [[0, I], [I, 0]], which maps
+  (0 | I) to its neighbour (I | 0), and for diag(S, I) and
+  [[I, E_00], [0, S]], S a Singer cycle of GL_m(q), which fix (0 | I) and
+  move its q^(m^2) neighbours as one orbit.
 * GL_m(q): X -> X S T, S a Singer cycle and T a transvection, and for
   m >= 2 the conjugations X -> A^-1 X J A J, A = S, T, which fix the
   antidiagonal J; its suborbits are the conjugacy classes of GL_m(q)
@@ -48,6 +49,12 @@ vertex can be searched per suborbit of vertex 0 (see `ringline.graphs`):
 
 `Graph` checks them once, when the graph is built.  Tensor products and
 blow-ups carry none.
+
+Before they count their vertices exactly, the two matrix constructors
+refuse any m whose lower bound already passes the vertex bound:
+P(M_m(q)) has more than 2^(m^2) points and |GL_m(q)| >= 2^(m(m-1)/2).
+The exact [2m, m]_q and |GL_m(q)| are polynomials of degree m^2, far too
+slow to build for m in the hundreds.
 """
 
 from __future__ import annotations
@@ -182,14 +189,14 @@ def parse_ring_spec(data: dict | str | Path) -> RingSpec:
         else:
             raise ValueError(f"unknown summand {item!r}")
     radical = data.get("radical", 1)
-    if not isinstance(radical, int):
+    if type(radical) is not int:  # JSON true and false load as bool, an int subclass
         raise ValueError(f"'radical' must be an integer, got {radical!r}")
     return RingSpec(summands, radical)
 
 
 def _spec_ints(body: object, kind: str, *keys: str) -> list[int]:
     for key in keys:
-        if not isinstance(body, dict) or not isinstance(body.get(key), int):
+        if not isinstance(body, dict) or type(body.get(key)) is not int:
             raise ValueError(f"{kind} summand {body!r} needs an integer {key!r}")
     return [body[key] for key in keys]  # type: ignore[index]
 
@@ -425,6 +432,8 @@ def matrix_ring_graph(m: int, q: int | GF, vertex_bound: int = VERTEX_BOUND) -> 
     if m == 0:
         return Graph.T()
     F = gf_of(q)
+    if m * m >= vertex_bound.bit_length():  # before qbinom, which is slow for large m
+        raise BoundExceeded(f"P(M_{m}({F.q})) has more than 2^{m * m} points, bound {vertex_bound}")
     count = qbinom(2 * m, m)(F.q)
     if count > vertex_bound:
         raise BoundExceeded(f"P(M_{m}({F.q})) has {count} points, bound {vertex_bound}")
@@ -493,26 +502,26 @@ def _gl_generators(F: GF, n: int) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
-def _block(a, b, d) -> tuple[tuple[int, ...], ...]:
-    """The 2m x 2m matrix [[a, b], [0, d]] from m x m blocks."""
-    m = len(a)
-    return tuple(x + y for x, y in zip(a, b)) + tuple((0,) * m + z for z in d)
+def _block(a, b, c, d) -> tuple[tuple[int, ...], ...]:
+    """The 2m x 2m matrix [[a, b], [c, d]] from m x m blocks."""
+    return tuple(x + y for x, y in zip(a, b)) + tuple(x + y for x, y in zip(c, d))
 
 
 def _line_generators(F: GF, m: int) -> list[tuple[tuple[int, ...], ...]]:
     """Three elements of GL_2m(q) that move the points of P(M_m(q)) as one
-    orbit: a Singer cycle, and diag(S, I) and [[I, E], [0, S]] for S a Singer
-    cycle of GL_m(q) and E the matrix unit E_00.  The last two fix vertex 0,
-    the point (0 | I), and move its neighbours (I | X) as X -> S^-1 X and
-    X -> E + X S, which is one orbit on all X (the tests check it on every
-    family they build).  The orbit of vertex 0 under the Singer cycle
-    meets a neighbour, so the group is transitive on the connected graph.
+    orbit: the block swap [[0, I], [I, 0]], and diag(S, I) and
+    [[I, E], [0, S]] for S a Singer cycle of GL_m(q) and E the matrix unit
+    E_00.  The last two fix vertex 0, the point (0 | I), and move its
+    neighbours (I | X) as X -> S^-1 X and X -> E + X S, which is one orbit
+    on all X (the tests check it on every family they build).  The swap
+    maps vertex 0 to its neighbour (I | 0), so the group is transitive on
+    the connected graph.
     """
     eye = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
     zero = tuple((0,) * m for _ in range(m))
     unit = tuple(tuple(int(i == j == 0) for j in range(m)) for i in range(m))
     s = _singer(F, m)
-    return [_singer(F, 2 * m), _block(s, zero, eye), _block(eye, unit, s)]
+    return [_block(zero, eye, eye, zero), _block(s, zero, zero, eye), _block(eye, unit, zero, s)]
 
 
 def _plucker_images(F: GF, m: int, minors: list[list[int]], gs) -> list[list[int]]:
@@ -619,6 +628,8 @@ def unit_difference_graph(m: int, q: int | GF, vertex_bound: int = VERTEX_BOUND)
     if m < 1:
         raise ValueError("m must be >= 1")
     F = gf_of(q)
+    if m * (m - 1) // 2 >= vertex_bound.bit_length():  # before gl_order, which is slow for large m
+        raise BoundExceeded(f"GL_{m}({F.q}) has at least 2^{m * (m - 1) // 2} elements, bound {vertex_bound}")
     order = gl_order(m, F.q)
     if order > vertex_bound:
         raise BoundExceeded(f"GL_{m}({F.q}) has {order} elements, bound {vertex_bound}")
@@ -628,9 +639,9 @@ def unit_difference_graph(m: int, q: int | GF, vertex_bound: int = VERTEX_BOUND)
     zero = tuple((0,) * m for _ in eye)
     minors = _plucker(F, m, [tuple(r + e for r, e in zip(mt.rows, eye)) for mt in mats])
     gens = _gl_generators(F, m)
-    moves = [_block(reduce(mat_mul, [MatrixGF(F, a) for a in gens]).rows, zero, eye)]
+    moves = [_block(reduce(mat_mul, [MatrixGF(F, a) for a in gens]).rows, zero, zero, eye)]
     if m >= 2:
-        moves += [_block(tuple(row[::-1] for row in a[::-1]), zero, a) for a in gens]
+        moves += [_block(tuple(row[::-1] for row in a[::-1]), zero, zero, a) for a in gens]
     generators = _plucker_images(F, m, minors, moves)
     return Graph(len(mats), _pairing_rows(F, m, minors), [matrix_label(mt) for mt in mats], generators=generators)
 

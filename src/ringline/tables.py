@@ -6,16 +6,18 @@ from .formulas import cap1N_matrix, cap2N_matrix, cap_k_N_from_extensions, matri
 from .partitions import coefficient_comparison_rows, qseries_product
 
 COEFF_COLUMNS = 5  # leading coefficients shown: q^{m^2} .. q^{m^2-4}
+M_MAX = 3  # polynomial tables: m = 0..M_MAX
+COMPARISON_M_MAX = 5  # coefficient comparison rows: m = 0..COMPARISON_M_MAX
 
 
-def point_count_rows(m_max: int = 3) -> list[tuple[str, str]]:
-    return [(f"m={m}", matrix_point_count(m).render()) for m in range(m_max + 1)]
+def point_count_rows() -> list[tuple[str, str]]:
+    return [(f"m={m}", matrix_point_count(m).render()) for m in range(M_MAX + 1)]
 
 
-def capN_polynomial_rows(m_max: int = 3) -> list[tuple[str, str, str]]:
+def capN_polynomial_rows() -> list[tuple[str, str, str]]:
     return [
         (f"m={m}", cap1N_matrix(m).render(), cap2N_matrix(m).render())
-        for m in range(m_max + 1)
+        for m in range(M_MAX + 1)
     ]
 
 
@@ -52,17 +54,15 @@ def capkN_coefficient_table_text() -> str:
     return _coeff_block("capkN coefficients", capkN_coefficient_rows())
 
 
-def point_count_table_text(m_max: int = 3) -> str:
+def point_count_table_text() -> str:
     lines = ["point counts [2m,m]_q"]
-    lines += [f"{name}: {poly}" for name, poly in point_count_rows(m_max)]
+    lines += [f"{name}: {poly}" for name, poly in point_count_rows()]
     return "\n".join(lines)
 
 
-def capN_polynomial_table_text(m_max: int = 3) -> str:
+def capN_polynomial_table_text() -> str:
     lines = ["cap1N and cap2N polynomials"]
-    lines += [
-        f"{name}: cap1N={c1} cap2N={c2}" for name, c1, c2 in capN_polynomial_rows(m_max)
-    ]
+    lines += [f"{name}: cap1N={c1} cap2N={c2}" for name, c1, c2 in capN_polynomial_rows()]
     return "\n".join(lines)
 
 
@@ -77,7 +77,7 @@ def all_tables_text() -> str:
     ) + "\n"
 
 
-def all_tables_csv(comparison_m_max: int = 5) -> str:
+def all_tables_csv() -> str:
     lines = ["table,row,values"]
     for name, poly in point_count_rows():
         lines.append(f"point_count,{name},{poly}")
@@ -87,7 +87,7 @@ def all_tables_csv(comparison_m_max: int = 5) -> str:
         lines.append("c_coefficients," + name + "," + " ".join(map(str, coeffs)))
     for name, coeffs in capkN_coefficient_rows():
         lines.append("capkN_coefficients," + name + "," + " ".join(map(str, coeffs)))
-    for m, k, h, poly_c, series_c, equal in coefficient_comparison_rows(comparison_m_max):
+    for m, k, h, poly_c, series_c, equal in coefficient_comparison_rows(COMPARISON_M_MAX):
         lines.append(
             f"coeff_comparison,m={m} k={k} h={h},poly={poly_c} series={series_c} match={equal}"
         )

@@ -156,6 +156,14 @@ def test_verify_rejects_unknown_suite():
         main(["verify", "everything"])
 
 
+@pytest.mark.parametrize("command", [["build", "--spec", "unused.json"], ["verify", "matrix"]])
+def test_build_and_verify_offer_only_text_and_json(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--format", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv' (choose from 'text', 'json')" in capsys.readouterr().err
+
+
 def test_verify_exits_nonzero_when_a_criterion_fails(capsys):
     # the commutative suite carries the two known-defective product-formula
     # criteria; the exit code must reflect the failure
@@ -217,8 +225,10 @@ def test_bad_settings_are_clean_errors(tmp_path, capsys, monkeypatch, flags, env
         ('{"summands": "xx"}', "'summands' must be a list"),
         ('{"summands": [{"matrix": {"m": 2}}]}', "needs an integer 'q'"),
         ('[1, 2]', "must be a JSON object"),
+        ('{"summands": [{"matrix": {"m": true, "q": 2}}]}', "needs an integer 'm'"),
+        ('{"summands": [{"local": {"R": 4, "J": 2}}], "radical": true}', "'radical' must be an integer"),
     ],
-    ids=["missing-key", "summands-string", "missing-q", "not-an-object"],
+    ids=["missing-key", "summands-string", "missing-q", "not-an-object", "bool-m", "bool-radical"],
 )
 def test_malformed_spec_is_a_clean_error(tmp_path, capsys, spec, message):
     assert main(["build", "--spec", spec_file(tmp_path, spec)]) == 2
@@ -279,3 +289,48 @@ def test_huge_modulus_fails_fast(tmp_path, spec):
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error: ") and "no prime factor up to" in done.stderr
     assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "spec, flags, message",
+    [
+        ('{"summands":[{"matrix":{"m":200,"q":2}}]}', [], "P(M_200(2)) has more than 2^40000 points"),
+        ('{"summands":[{"matrix":{"m":400,"q":2}}]}', [], "P(M_400(2)) has more than 2^160000 points"),
+        ('{"summands":[{"matrix":{"m":3000,"q":2}}]}', ["--unit-graph"], "GL_3000(2) has at least 2^4498500 elements"),
+    ],
+    ids=["line-200", "line-400", "unit-3000"],
+)
+def test_oversized_matrix_summand_fails_fast(tmp_path, spec, flags, message):
+    # the exact point count [2m, m]_q and |GL_m(q)| take far too long to
+    # build at these m (the q-binomial recursion also overflows the stack),
+    # so a lower bound refuses them first
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "ringline.cli", "build", "--spec", spec_file(tmp_path, spec)] + flags,
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == f"error: {message}, bound 20000\n"
+
+
+def test_fixed_sizes_are_constants_not_parameters():
+    # these sizes were defaulted parameters that no caller set
+    import inspect
+
+    from ringline import config, graphs, partitions, polynomials, tables
+
+    takes = {
+        partitions.oeis_prefix: ["tag"],
+        partitions.coefficient_comparison_rows: ["m_max"],
+        tables.point_count_rows: [],
+        tables.capN_polynomial_rows: [],
+        tables.point_count_table_text: [],
+        tables.capN_polynomial_table_text: [],
+        tables.all_tables_csv: [],
+        config.budget_from_env: [],
+        graphs.to_dot: ["g"],
+        polynomials.IntPoly.monomial: ["degree"],
+    }
+    for function, names in takes.items():
+        assert list(inspect.signature(function).parameters) == names, function.__qualname__

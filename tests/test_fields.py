@@ -14,6 +14,7 @@ from ringline.fields import (
     fp_is_primitive,
     fp_mul,
     fp_powmod,
+    fp_trim,
     gf_build,
     gf_of,
     is_prime,
@@ -60,6 +61,38 @@ def test_field_axioms_exhaustively_small_orders():
                     assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
                     assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
                     assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+
+
+def test_multiplication_tables_match_polynomial_products():
+    # the tables grow each row by a * x^j; the oracle multiplies the digit
+    # polynomials over GF(p) and reduces them by the modulus
+    for q in (4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 125):
+        F = gf_of(q)
+        P = gf_build(F.p)
+
+        def poly(a):
+            return fp_trim([a // F.p**i % F.p for i in range(F.r)])
+
+        for a in range(q):
+            for b in range(q):
+                _, rem = fp_divmod(P, fp_mul(P, poly(a), poly(b)), F.modulus)
+                assert poly(F.mul(a, b)) == rem
+
+
+def test_irreducibility_matches_exhaustive_products():
+    # a monic polynomial of degree d is reducible iff it is a product of two
+    # monic polynomials of degrees e and d - e, 1 <= e <= d / 2
+    for q, top in ((2, 7), (3, 5), (4, 4)):
+        F = gf_of(q)
+        for d in range(1, top + 1):
+            reducible = {
+                fp_mul(F, f, g)
+                for e in range(1, d // 2 + 1)
+                for f in monic_polys(F, e)
+                for g in monic_polys(F, d - e)
+            }
+            for cand in monic_polys(F, d):
+                assert fp_is_irreducible(F, cand) == (cand not in reducible)
 
 
 def test_gf_build_rejects_bad_input():

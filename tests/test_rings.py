@@ -374,6 +374,24 @@ def test_ring_generators_give_one_orbit(family):
         assert sizes == [g.degree(0)]
 
 
+def test_matrix_line_moves_vertex_0_by_the_block_swap(monkeypatch):
+    # the generator that moves vertex 0 is [[0, I], [I, 0]], so a build
+    # searches a primitive polynomial of degree m only, never of degree 2m
+    import ringline.rings
+
+    degrees = []
+    search = ringline.rings.find_primitive
+    monkeypatch.setattr(ringline.rings, "find_primitive", lambda n, F: degrees.append(n) or search(n, F))
+    for m, q in [(1, 4), (2, 3), (3, 2)]:
+        degrees.clear()
+        g = matrix_ring_graph(m, q)
+        assert degrees == [m]
+        swap = g.generators[0]
+        assert g.labels[0] == matrix_label(mat_hstack(zeros(q, m, m), identity(q, m)))
+        assert g.labels[swap[0]] == matrix_label(mat_hstack(identity(q, m), zeros(q, m, m)))
+        assert all(swap[swap[v]] == v for v in range(g.n))
+
+
 def gl_class_sizes(m: int, q: int) -> list[int]:
     """Sizes of the conjugacy classes of GL_m(q) with no eigenvalue 0 or 1:
     the suborbits of vertex 0 of the unit-difference graph, whose generators
