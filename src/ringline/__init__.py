@@ -9,7 +9,6 @@ partition-coefficient and divisibility identities against independent
 brute-force oracles.
 """
 
-from .config import RunConfig
 from .errors import BoundExceeded, BudgetExceeded, FixtureMismatch
 from .fields import (
     GF,

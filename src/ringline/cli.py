@@ -6,9 +6,11 @@ Subcommands:
   verify  run an acceptance suite; nonzero exit on any failure
   tables  the headline polynomial and coefficient tables
 
-The census node budget honours the RINGLINE_BUDGET environment variable
-unless --budget is given explicitly.  All output orderings are fixed, so
-repeated runs are byte-identical.
+main resolves each setting once: the census node budget is --budget,
+else the RINGLINE_BUDGET environment variable, else the default; the
+worker count --workers, else the CPUs available; the vertex bound
+--bound, else VERTEX_BOUND.  All output orderings are fixed, so repeated
+runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from .config import RunConfig, budget_from_env
+from .config import VERTEX_BOUND, _default_workers, budget_from_env
 from .errors import BoundExceeded, BudgetExceeded, FixtureMismatch
 from .graphs import Graph, count_cliques, extension_profile, to_dot
 from .rings import MatrixRing, RingSpec, parse_ring_spec, spec_graph, unit_difference_graph
@@ -38,9 +40,10 @@ def _load_spec(path: str) -> RingSpec:
     return spec
 
 
-def _build_graph(spec: RingSpec, config: RunConfig, unit_graph: bool) -> Graph:
-    if not unit_graph:
-        return spec_graph(spec, config.vertex_bound)
+def _build_graph(args: argparse.Namespace) -> Graph:
+    spec = _load_spec(args.spec)
+    if not args.unit_graph:
+        return spec_graph(spec, args.bound)
     if (
         len(spec.summands) != 1
         or not isinstance(spec.summands[0], MatrixRing)
@@ -49,7 +52,7 @@ def _build_graph(spec: RingSpec, config: RunConfig, unit_graph: bool) -> Graph:
     ):
         raise ValueError("--unit-graph needs a spec with exactly one matrix summand (m >= 1)")
     s = spec.summands[0]
-    return unit_difference_graph(s.m, s.q, config.vertex_bound)
+    return unit_difference_graph(s.m, s.q, args.bound)
 
 
 def _summary(g: Graph) -> dict:
@@ -63,12 +66,12 @@ def _summary(g: Graph) -> dict:
     }
 
 
-def cmd_build(args: argparse.Namespace, config: RunConfig) -> int:
-    g = _build_graph(_load_spec(args.spec), config, args.unit_graph)
+def cmd_build(args: argparse.Namespace) -> int:
+    g = _build_graph(args)
     if args.dot:
         Path(args.dot).write_text(to_dot(g))
     info = _summary(g)
-    if config.output_format == "json":
+    if args.format == "json":
         print(json.dumps(info, sort_keys=True))
     elif info["is_T"]:
         print("graph T")
@@ -79,31 +82,37 @@ def cmd_build(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def cmd_census(args: argparse.Namespace, config: RunConfig) -> int:
+def _vertices(g: Graph, labels: str) -> list[int]:
+    # every label of a graph the CLI builds has the same number c of commas,
+    # so each c + 1 consecutive comma-separated pieces make one label
+    pieces = labels.split(",")
+    width = g.labels[0].count(",") + 1 if g.labels else 1
+    if len(pieces) % width:
+        raise ValueError(f"--containing {labels!r} does not split into labels of {width} parts")
+    return [g.index_of(",".join(pieces[i : i + width])) for i in range(0, len(pieces), width)]
+
+
+def cmd_census(args: argparse.Namespace) -> int:
     if args.containing is not None and args.profile is None:
         raise ValueError("--containing needs --profile")
-    g = _build_graph(_load_spec(args.spec), config, args.unit_graph)
-    census = count_cliques(
-        g, args.kmax, node_budget=config.census_node_budget, workers=config.worker_count
-    )
+    for flag, k in (("--kmax", args.kmax), ("--profile", args.profile)):
+        # no graph the CLI builds has more than --bound vertices, so no larger clique
+        if k is not None and k > args.bound:
+            raise ValueError(f"{flag} {k} exceeds the vertex bound {args.bound}")
+    g = _build_graph(args)
+    census = count_cliques(g, args.kmax, node_budget=args.budget, workers=args.workers)
     profile = None
     if args.profile is not None:
-        containing = []
-        if args.containing:
-            containing = [g.index_of(lbl) for lbl in args.containing.split(",")]
+        containing = _vertices(g, args.containing) if args.containing else []
         profile = extension_profile(
-            g,
-            args.profile,
-            containing=containing,
-            node_budget=config.census_node_budget,
-            workers=config.worker_count,
+            g, args.profile, containing=containing, node_budget=args.budget, workers=args.workers
         )
-    if config.output_format == "json":
+    if args.format == "json":
         payload: dict = {"counts": census.as_list()}
         if profile is not None:
             payload["profile"] = {str(k): v for k, v in profile.items()}
         print(json.dumps(payload, sort_keys=True))
-    elif config.output_format == "csv":
+    elif args.format == "csv":
         print("k,cliques")
         for k in range(args.kmax + 1):
             print(f"{k},{census.counts[k]}")
@@ -120,9 +129,9 @@ def cmd_census(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     results = run_suite(args.suite)
-    if config.output_format == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 [
@@ -146,10 +155,10 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
-def cmd_tables(args: argparse.Namespace, config: RunConfig) -> int:
-    if config.output_format == "csv":
+def cmd_tables(args: argparse.Namespace) -> int:
+    if args.format == "csv":
         sys.stdout.write(all_tables_csv())
-    elif config.output_format == "json":
+    elif args.format == "json":
         payload = {
             "c_coefficients": {name: coeffs for name, coeffs in c_coefficient_rows()},
             "capkN_coefficients": {name: coeffs for name, coeffs in capkN_coefficient_rows()},
@@ -173,9 +182,9 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--unit-graph", action="store_true",
                            help="use the unit-difference graph of a matrix summand")
         p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--budget", type=int, default=None, help="census node budget")
-        p.add_argument("--workers", type=int, default=None, help="census worker count")
-        p.add_argument("--bound", type=int, default=None, help="vertex bound")
+        p.add_argument("--budget", type=int, help="census node budget")
+        p.add_argument("--workers", type=int, default=_default_workers(), help="census worker count")
+        p.add_argument("--bound", type=int, default=VERTEX_BOUND, help="vertex bound")
 
     p_build = sub.add_parser("build", help="construct a distant graph and summarize it")
     common(p_build, spec=True, formats=("text", "json"))
@@ -206,13 +215,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        given = {"vertex_bound": args.bound, "worker_count": args.workers}
-        config = RunConfig(
-            output_format=args.format,
-            census_node_budget=budget_from_env() if args.budget is None else args.budget,
-            **{name: value for name, value in given.items() if value is not None},
-        )
-        return args.func(args, config)
+        if args.budget is None:
+            args.budget = budget_from_env()
+        settings = {"vertex_bound": args.bound, "census_node_budget": args.budget, "worker_count": args.workers}
+        for name, value in settings.items():
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        return args.func(args)
     except (BoundExceeded, BudgetExceeded, FixtureMismatch, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

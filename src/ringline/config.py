@@ -1,9 +1,8 @@
-"""Default size bounds and the run configuration record."""
+"""Default size bounds, the default worker count and the budget override."""
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
 # Largest field table we will build (q = p^r).
 FIELD_SIZE_BOUND = 512
@@ -25,24 +24,11 @@ BUDGET_ENV_VAR = "RINGLINE_BUDGET"
 
 
 def _default_workers() -> int:
+    """The CPUs this process may run on: the CLI's worker default and the
+    cap on every search's process pool."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-@dataclass
-class RunConfig:
-    """Bounds and output options shared by the command-line entry points."""
-
-    vertex_bound: int = VERTEX_BOUND
-    census_node_budget: int = CENSUS_NODE_BUDGET
-    worker_count: int = field(default_factory=_default_workers)
-    output_format: str = "text"
-
-    def __post_init__(self) -> None:
-        for name in ("vertex_bound", "census_node_budget", "worker_count"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.output_format not in ("json", "csv", "text"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
 
 
 def budget_from_env() -> int:

@@ -4,10 +4,10 @@ A field element is an index in [0, q).  The index encodes a polynomial
 over GF(p) in base-p digits (least significant digit = constant term),
 reduced modulo a fixed irreducible polynomial of degree r: the first
 monic irreducible in the deterministic candidate order below.  Index 0
-is the additive identity and index 1 the multiplicative identity.  The
-multiplication table comes from the addition table and multiplication
-by x alone: a * b = a * (b - p^j) + a * x^j, j the lowest nonzero digit
-of b.
+is the additive identity and index 1 the multiplicative identity.  With
+j the lowest nonzero digit of b, the tables grow from earlier entries:
+b + c is (b - p^j) + c with digit j incremented mod p, and a * b is
+a * (b - p^j) + a * x^j, from the addition table and multiplication by x.
 
 Polynomials over a field are plain tuples of element indices, ascending
 by degree, with no trailing zeros (the empty tuple is zero).
@@ -72,21 +72,24 @@ class GF:
         self.modulus = modulus  # over GF(p), ascending, monic of degree r
 
         digits = [_digits(i, p, r) for i in range(q)]
-        add = []
-        for a in range(q):
-            da = digits[a]
-            add.append(
-                tuple(_undigits([(x + y) % p for x, y in zip(da, digits[b])], p) for b in range(q))
-            )
-        self._add = tuple(add)
-        self._neg = tuple(row.index(0) for row in self._add)
-
-        # row a grows from a * (b - p^j) to a * b by adding a * x^j, where j
-        # is the lowest nonzero digit of b
+        # b - p^j and j for each b > 0, j the lowest nonzero digit of b
         steps = []
         for b in range(1, q):
             j = next(j for j, d in enumerate(digits[b]) if d)
             steps.append((b - p**j, j))
+
+        # row a is row a - p^j with digit j of every entry incremented mod p
+        bump = [
+            tuple(v - (p - 1) * p**j if ds[j] == p - 1 else v + p**j for v, ds in enumerate(digits))
+            for j in range(r)
+        ]
+        add = [tuple(range(q))]
+        for prev, j in steps:
+            add.append(tuple(map(bump[j].__getitem__, add[prev])))
+        self._add = tuple(add)
+        self._neg = tuple(row.index(0) for row in self._add)
+
+        # row a grows from a * (b - p^j) to a * b by adding a * x^j
         mul = []
         for a in range(q):
             times_x = [a]  # a * x^j for j < r
@@ -162,15 +165,14 @@ def _build_field(p: int, r: int) -> GF:
     return GF(p, r, modulus)
 
 
-def gf_build(p: int, r: int = 1, bound: int | None = None) -> GF:
+def gf_build(p: int, r: int = 1, bound: int = FIELD_SIZE_BOUND) -> GF:
     """The field GF(p^r).  Deterministic; instances are cached and shared."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if r < 1:
         raise ValueError("exponent must be >= 1")
-    limit = FIELD_SIZE_BOUND if bound is None else bound
-    if p**r > limit:
-        raise BoundExceeded(f"field size {p**r} exceeds bound {limit}")
+    if p**r > bound:
+        raise BoundExceeded(f"field size {p**r} exceeds bound {bound}")
     return _build_field(p, r)
 
 

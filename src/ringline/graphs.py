@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator, Sequence
 
-from .config import CENSUS_NODE_BUDGET, VERTEX_BOUND
+from .config import CENSUS_NODE_BUDGET, VERTEX_BOUND, _default_workers
 from .errors import BoundExceeded, BudgetExceeded
 
 
@@ -440,20 +440,22 @@ def _search(
     spent: int = 0,
 ):
     """_walk over every root of every anchor (cand, common, weight), plus the
-    empty clique of each anchor; worker i takes the roots [i::workers] of
-    every anchor, all in one pool.
+    empty clique of each anchor; worker i of w takes the roots [i::w] of
+    every anchor, all in one pool, where w is workers capped at the CPUs
+    available and at the most roots of any anchor.
 
     Each worker owns the cliques whose minimum vertex is one of its roots,
     so the summed counts, histogram and nodes do not depend on the split.
     """
     tasks = [(cand, common, _bits(cand) if depth > 1 else [], w) for cand, common, w in anchors]
     longest = max((len(roots) for _, _, roots, _ in tasks), default=0)
-    if workers <= 1 or depth < 2 or longest < 2:
+    workers = min(workers, longest, _default_workers())
+    if workers <= 1:
         counts, hist, nodes = _walk(adj, depth, tasks, budget, what, spent)
     else:
         shares = [
             [(cand, common, roots[i::workers], w) for cand, common, roots, w in tasks]
-            for i in range(min(workers, longest))
+            for i in range(workers)
         ]
         # imported here so that a serial run never loads the process pool
         from concurrent.futures import ProcessPoolExecutor
@@ -530,7 +532,7 @@ def _through(total: int, per: int) -> int:
 def count_cliques(
     g: Graph,
     kmax: int,
-    node_budget: int | None = None,
+    node_budget: int = CENSUS_NODE_BUDGET,
     workers: int = 1,
 ) -> CliqueCensus:
     """Exact number of k-cliques for 0 <= k <= kmax.
@@ -543,14 +545,13 @@ def count_cliques(
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    budget = CENSUS_NODE_BUDGET if node_budget is None else node_budget
     if g.is_T:
         return CliqueCensus({k: 1 for k in range(kmax + 1)}, kmax, 0)
     if g.orbits is None or kmax == 0:
-        counts, _, nodes = _search(g.adj, kmax, [((1 << g.n) - 1, 0, 1)], budget, workers, "census")
+        counts, _, nodes = _search(g.adj, kmax, [((1 << g.n) - 1, 0, 1)], node_budget, workers, "census")
     else:
         anchors = [(g.adj[r], 0, size) for r, size in g.orbits]
-        through, _, nodes = _search(g.adj, kmax - 1, anchors, budget, workers, "census", len(g.orbits))
+        through, _, nodes = _search(g.adj, kmax - 1, anchors, node_budget, workers, "census", len(g.orbits))
         counts = [1] + [_through(t, k) for k, t in enumerate(through, 1)]
     return CliqueCensus(dict(enumerate(counts)), kmax, nodes)
 
@@ -612,7 +613,7 @@ def extension_profile(
     g: Graph,
     k: int,
     containing: Iterable[int] = (),
-    node_budget: int | None = None,
+    node_budget: int = CENSUS_NODE_BUDGET,
     workers: int = 1,
 ) -> dict[int, int]:
     """Histogram {extension count: number of k-cliques with that count}.
@@ -633,7 +634,6 @@ def extension_profile(
         raise ValueError("containing set is not a clique")
     if k < len(base):
         raise ValueError("k smaller than the fixed clique")
-    budget = CENSUS_NODE_BUDGET if node_budget is None else node_budget
     adj, orbits = g.adj, g.orbits
     i = g.orbit_of[base[0]] if orbits is not None and len(base) == 1 else None
     if orbits is not None and not base and k:
@@ -646,7 +646,7 @@ def extension_profile(
     else:
         common = _common_neighbors(g, base)
         anchors, depth, per, spent = [(common, common, 1)], k - len(base), 1, 0
-    _, hist, _ = _search(adj, depth, anchors, budget, workers, "profile", spent)
+    _, hist, _ = _search(adj, depth, anchors, node_budget, workers, "profile", spent)
     return {c: h for c, h in enumerate(_through(t, per) for t in hist) if h}
 
 
@@ -731,7 +731,7 @@ def find_clique(g: Graph, k: int) -> list[int] | None:
     return witness[:k] if len(witness) >= k else None
 
 
-def max_clique_order(g: Graph, node_budget: int | None = None) -> int:
+def max_clique_order(g: Graph, node_budget: int = CENSUS_NODE_BUDGET) -> int:
     """Exact maximum clique size, by branch and bound with greedy coloring.
 
     With generators, every clique maps into one through an orbit
@@ -739,8 +739,7 @@ def max_clique_order(g: Graph, node_budget: int | None = None) -> int:
     """
     if g.is_T:
         raise ValueError("T has a clique of every order")
-    budget = CENSUS_NODE_BUDGET if node_budget is None else node_budget
-    return len(_branch_and_bound(g.adj, 0, budget, "max-clique search", orbits=g.orbits))
+    return len(_branch_and_bound(g.adj, 0, node_budget, "max-clique search", orbits=g.orbits))
 
 
 def verify_isomorphism(a: Graph, b: Graph, mapping: Sequence[int]) -> bool:

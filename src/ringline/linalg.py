@@ -159,12 +159,11 @@ def gl_order(m: int, q: int) -> int:
     return matrix_codegree(m)(q)
 
 
-def enumerate_gl(m: int, q: int | GF, bound: int | None = None) -> list[MatrixGF]:
+def enumerate_gl(m: int, q: int | GF, bound: int = GL_ENUMERATION_BOUND) -> list[MatrixGF]:
     """All invertible m x m matrices, lexicographic on the entry vector."""
     F = gf_of(q)
-    limit = GL_ENUMERATION_BOUND if bound is None else bound
-    if F.q ** (m * m) > limit:
-        raise BoundExceeded(f"{F.q}^{m*m} candidate matrices exceed bound {limit}")
+    if F.q ** (m * m) > bound:
+        raise BoundExceeded(f"{F.q}^{m*m} candidate matrices exceed bound {bound}")
     out = []
     for entries in product(range(F.q), repeat=m * m):
         rows = tuple(entries[i * m : (i + 1) * m] for i in range(m))

@@ -170,24 +170,27 @@ class RingSpec:
 
 def parse_ring_spec(data: dict | str | Path) -> RingSpec:
     """Ring-spec JSON: {"summands":[{"local":{"R":4,"J":2}},
-    {"matrix":{"m":2,"q":3}}],"radical":1}."""
+    {"matrix":{"m":2,"q":3}}],"radical":1}.  "radical" is optional; every
+    other key shown is required, and no other key is allowed."""
     if isinstance(data, Path):
         data = json.loads(data.read_text())
     elif isinstance(data, str):
         data = json.loads(data)
     if not isinstance(data, dict):
         raise ValueError("a ring spec must be a JSON object")
-    items = data.get("summands", [])
+    if "summands" not in data or not set(data) <= {"summands", "radical"}:
+        raise ValueError(f"a ring spec has the keys 'summands' and optionally 'radical', got {sorted(data)}")
+    items = data["summands"]
     if not isinstance(items, list):
         raise ValueError(f"'summands' must be a list, got {items!r}")
     summands: list[Summand] = []
     for item in items:
-        if isinstance(item, dict) and "local" in item:
+        if isinstance(item, dict) and list(item) == ["local"]:
             summands.append(Local(*_spec_ints(item["local"], "local", "R", "J")))
-        elif isinstance(item, dict) and "matrix" in item:
+        elif isinstance(item, dict) and list(item) == ["matrix"]:
             summands.append(MatrixRing(*_spec_ints(item["matrix"], "matrix", "m", "q")))
         else:
-            raise ValueError(f"unknown summand {item!r}")
+            raise ValueError(f"summand {item!r} must have one key, either 'local' or 'matrix'")
     radical = data.get("radical", 1)
     if type(radical) is not int:  # JSON true and false load as bool, an int subclass
         raise ValueError(f"'radical' must be an integer, got {radical!r}")
@@ -198,6 +201,8 @@ def _spec_ints(body: object, kind: str, *keys: str) -> list[int]:
     for key in keys:
         if not isinstance(body, dict) or type(body.get(key)) is not int:
             raise ValueError(f"{kind} summand {body!r} needs an integer {key!r}")
+    if len(body) > len(keys):  # type: ignore[arg-type]
+        raise ValueError(f"{kind} summand {body!r} takes only the keys {' and '.join(map(repr, keys))}")
     return [body[key] for key in keys]  # type: ignore[index]
 
 

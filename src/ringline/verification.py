@@ -20,12 +20,12 @@ package README.
 from __future__ import annotations
 
 import functools
-import os
 import time
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product as iproduct
 from math import comb, factorial
 
+from .config import _default_workers
 from .fields import gf_of
 from .formulas import (
     c_extension_poly,
@@ -407,7 +407,7 @@ def _census_suite(workers: int) -> list:
 
 
 def _criterion_13() -> tuple[bool, str]:
-    wide = max(2, os.cpu_count() or 1)
+    wide = max(2, _default_workers())
     serial = _census_suite(1)
     parallel = _census_suite(wide)
     if serial != parallel:

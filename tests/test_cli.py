@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from ringline.cli import main
+from ringline.graphs import extension_profile
+from ringline.rings import parse_ring_spec, spec_graph
 
 Z6 = '{"summands": [{"local": {"R": 2, "J": 1}}, {"local": {"R": 3, "J": 1}}], "radical": 1}'
 M22 = '{"summands": [{"matrix": {"m": 2, "q": 2}}], "radical": 1}'
@@ -227,8 +229,15 @@ def test_bad_settings_are_clean_errors(tmp_path, capsys, monkeypatch, flags, env
         ('[1, 2]', "must be a JSON object"),
         ('{"summands": [{"matrix": {"m": true, "q": 2}}]}', "needs an integer 'm'"),
         ('{"summands": [{"local": {"R": 4, "J": 2}}], "radical": true}', "'radical' must be an integer"),
+        ('{"sumands": [{"local": {"R": 4, "J": 2}}]}', "got ['sumands']"),
+        ('{"summands": [{"local": {"R": 4, "J": 2}}], "radicl": 3}', "got ['radicl', 'summands']"),
+        ('{"summands": [{"local": {"R": 4, "J": 2}, "matrix": {"m": 2, "q": 2}}]}', "either 'local' or 'matrix'"),
+        ('{"summands": [{"local": {"R": 4, "J": 2, "X": 1}}]}', "takes only the keys 'R' and 'J'"),
     ],
-    ids=["missing-key", "summands-string", "missing-q", "not-an-object", "bool-m", "bool-radical"],
+    ids=[
+        "missing-key", "summands-string", "missing-q", "not-an-object", "bool-m", "bool-radical",
+        "summands-typo", "radical-typo", "local-and-matrix", "extra-local-key",
+    ],
 )
 def test_malformed_spec_is_a_clean_error(tmp_path, capsys, spec, message):
     assert main(["build", "--spec", spec_file(tmp_path, spec)]) == 2
@@ -240,6 +249,33 @@ def test_unknown_containing_label_is_a_clean_error(tmp_path, capsys):
     argv = ["census", "--spec", spec_file(tmp_path, Z6), "--kmax", "2", "--profile", "2"]
     assert main(argv + ["--containing", "nope"]) == 2
     assert capsys.readouterr().err == "error: no vertex labelled 'nope'\n"
+
+
+def test_containing_labels_may_hold_commas(tmp_path, capsys):
+    # over GF(q), q > 10, label entries are comma-separated: each label of
+    # P(M_1(11)) holds one comma, so every two pieces make one label
+    spec = '{"summands": [{"matrix": {"m": 1, "q": 11}}]}'
+    g = spec_graph(parse_ring_spec(spec))
+    assert g.has_edge(g.index_of("0,1"), g.index_of("1,0"))
+    argv = ["census", "--spec", spec_file(tmp_path, spec), "--kmax", "2", "--format", "json"]
+    for k, labels in [(2, ["0,1"]), (3, ["0,1", "1,0"])]:
+        want = extension_profile(g, k, containing=[g.index_of(lbl) for lbl in labels])
+        assert main(argv + ["--profile", str(k), "--containing", ",".join(labels)]) == 0
+        profile = json.loads(capsys.readouterr().out)["profile"]
+        assert profile == {str(c): h for c, h in want.items()}
+    assert main(argv + ["--profile", "3", "--containing", "0,1,1"]) == 2
+    assert capsys.readouterr().err == "error: --containing '0,1,1' does not split into labels of 2 parts\n"
+
+
+@pytest.mark.parametrize("flag", ["--kmax", "--profile"])
+def test_clique_size_above_the_vertex_bound_is_a_clean_error(tmp_path, capsys, flag):
+    # no graph the CLI builds has more than --bound vertices; the per-size
+    # lists of a larger k are refused before anything is built
+    argv = ["census", "--spec", spec_file(tmp_path, Z6), "--kmax", "2", flag, "20001"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {flag} 20001 exceeds the vertex bound 20000\n"
+    assert main(argv + ["--bound", "20001"]) == 0
 
 
 def test_containing_without_profile_is_a_clean_error(tmp_path, capsys):

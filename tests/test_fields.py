@@ -79,6 +79,19 @@ def test_multiplication_tables_match_polynomial_products():
                 assert poly(F.mul(a, b)) == rem
 
 
+def test_addition_tables_are_digitwise_sums_mod_p():
+    # the tables grow each row by incrementing one digit; the oracle adds
+    # the base-p digits of the two indices mod p
+    for q in (2, 4, 7, 8, 9, 16, 25, 27, 32, 49, 64, 81, 125, 243, 256):
+        F = gf_of(q)
+        p, r = F.p, F.r
+        for a in range(q):
+            for b in range(q):
+                want = sum((a // p**i + b // p**i) % p * p**i for i in range(r))
+                assert F.add(a, b) == want
+                assert F.sub(want, b) == a
+
+
 def test_irreducibility_matches_exhaustive_products():
     # a monic polynomial of degree d is reducible iff it is a product of two
     # monic polynomials of degrees e and d - e, 1 <= e <= d / 2

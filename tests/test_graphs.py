@@ -705,3 +705,33 @@ def test_combinators_carry_no_generators():
     for h in (tensor_product(g, g), blowup(g, 2), complement(g), disjoint_union([g, g])):
         assert h.generators == ()
     assert tensor_product(Graph.T(), g) is g and blowup(g, 1) is g
+
+
+def test_search_pool_is_capped_at_the_available_cpus(monkeypatch):
+    # a serial stand-in records the pool size, so no process is started
+    import concurrent.futures
+
+    from ringline.config import _default_workers
+
+    opened = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    g = plain(zn_projective_line(30))
+    wide = count_cliques(g, 3, workers=10**6)
+    cpus = _default_workers()
+    assert opened == ([cpus] if cpus > 1 else [])
+    serial = count_cliques(g, 3)
+    assert wide.counts == serial.counts and wide.nodes == serial.nodes
