@@ -96,7 +96,7 @@ def cmd_census(args: argparse.Namespace) -> int:
     if args.containing is not None and args.profile is None:
         raise ValueError("--containing needs --profile")
     for flag, k in (("--kmax", args.kmax), ("--profile", args.profile)):
-        # no graph the CLI builds has more than --bound vertices, so no larger clique
+        # a cap on k: the walk and the census hold k + 1 entries, whatever the graph
         if k is not None and k > args.bound:
             raise ValueError(f"{flag} {k} exceeds the vertex bound {args.bound}")
     g = _build_graph(args)

@@ -441,15 +441,15 @@ def _search(
 ):
     """_walk over every root of every anchor (cand, common, weight), plus the
     empty clique of each anchor; worker i of w takes the roots [i::w] of
-    every anchor, all in one pool, where w is workers capped at the CPUs
-    available and at the most roots of any anchor.
+    every anchor, where w is workers capped at the most roots of any anchor,
+    and the shares run in one pool of at most as many processes as CPUs.
 
     Each worker owns the cliques whose minimum vertex is one of its roots,
     so the summed counts, histogram and nodes do not depend on the split.
     """
     tasks = [(cand, common, _bits(cand) if depth > 1 else [], w) for cand, common, w in anchors]
     longest = max((len(roots) for _, _, roots, _ in tasks), default=0)
-    workers = min(workers, longest, _default_workers())
+    workers = min(workers, longest)
     if workers <= 1:
         counts, hist, nodes = _walk(adj, depth, tasks, budget, what, spent)
     else:
@@ -461,7 +461,7 @@ def _search(
         from concurrent.futures import ProcessPoolExecutor
 
         task = partial(_walk, adj, depth, budget=budget, what=what)
-        with ProcessPoolExecutor(max_workers=len(shares)) as pool:
+        with ProcessPoolExecutor(max_workers=min(len(shares), _default_workers())) as pool:
             parts = list(pool.map(task, shares))
         sums, hists, used = zip(*parts)
         nodes = spent + sum(used)
