@@ -21,12 +21,10 @@ import sys
 import warnings
 from pathlib import Path
 
-from .config import VERTEX_BOUND, _default_workers, budget_from_env
+from .config import SUITES, VERTEX_BOUND, _default_workers, budget_from_env
 from .errors import BoundExceeded, BudgetExceeded, FixtureMismatch
 from .graphs import Graph, count_cliques, extension_profile, to_dot
 from .rings import MatrixRing, RingSpec, parse_ring_spec, spec_graph, unit_difference_graph
-from .tables import all_tables_csv, all_tables_text, c_coefficient_rows, capkN_coefficient_rows
-from .verification import SUITES, run_suite
 
 
 def _load_spec(path: str) -> RingSpec:
@@ -130,6 +128,8 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verification import run_suite  # on demand, like tables: build and census never load it
+
     results = run_suite(args.suite)
     if args.format == "json":
         print(
@@ -156,6 +156,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
+    from .tables import all_tables_csv, all_tables_text, c_coefficient_rows, capkN_coefficient_rows
+
     if args.format == "csv":
         sys.stdout.write(all_tables_csv())
     elif args.format == "json":

@@ -1,4 +1,5 @@
-"""Default size bounds, the default worker count and the budget override."""
+"""Default size bounds, the default worker count, the budget override and
+the verify suites."""
 
 from __future__ import annotations
 
@@ -21,6 +22,17 @@ VERTEX_BOUND = 20_000
 CENSUS_NODE_BUDGET = 1_000_000
 
 BUDGET_ENV_VAR = "RINGLINE_BUDGET"
+
+# The criteria each `verify` suite runs; here, not in `verification`, so
+# that the CLI parser offers the suite names without importing it.
+SUITES = {
+    "matrix": [1, 2, 3, 4, 5, 8],
+    "commutative": [6, 7, 13],
+    "partitions": [9, 12],
+    "identities": [10],
+    "fixtures": [11],
+    "all": list(range(1, 14)),
+}
 
 
 def _default_workers() -> int:

@@ -1,8 +1,9 @@
 """Closed-form counting expressions, exact in the indeterminate q.
 
 Everything here is arbitrary-precision: polynomials are IntPoly, values
-are Python ints.  The Gaussian binomials are built by the q-Pascal
-recurrence, never by rational division.
+are Python ints.  The Gaussian binomials are built from their product
+formula on integer coefficients (polynomials.qbinom), never by rational
+division.
 """
 
 from __future__ import annotations

@@ -547,13 +547,14 @@ def count_cliques(
         raise ValueError("kmax must be >= 0")
     if g.is_T:
         return CliqueCensus({k: 1 for k in range(kmax + 1)}, kmax, 0)
-    if g.orbits is None or kmax == 0:
-        counts, _, nodes = _search(g.adj, kmax, [((1 << g.n) - 1, 0, 1)], node_budget, workers, "census")
+    depth = min(kmax, g.n)  # no clique has more than n vertices
+    if g.orbits is None or depth == 0:
+        counts, _, nodes = _search(g.adj, depth, [((1 << g.n) - 1, 0, 1)], node_budget, workers, "census")
     else:
         anchors = [(g.adj[r], 0, size) for r, size in g.orbits]
-        through, _, nodes = _search(g.adj, kmax - 1, anchors, node_budget, workers, "census", len(g.orbits))
+        through, _, nodes = _search(g.adj, depth - 1, anchors, node_budget, workers, "census", len(g.orbits))
         counts = [1] + [_through(t, k) for k, t in enumerate(through, 1)]
-    return CliqueCensus(dict(enumerate(counts)), kmax, nodes)
+    return CliqueCensus(dict(enumerate(counts + [0] * (kmax - depth))), kmax, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +647,8 @@ def extension_profile(
     else:
         common = _common_neighbors(g, base)
         anchors, depth, per, spent = [(common, common, 1)], k - len(base), 1, 0
-    _, hist, _ = _search(adj, depth, anchors, node_budget, workers, "profile", spent)
+    # a walk deeper than n visits the same cliques and reaches no leaf
+    _, hist, _ = _search(adj, min(depth, g.n + 1), anchors, node_budget, workers, "profile", spent)
     return {c: h for c, h in enumerate(_through(t, per) for t in hist) if h}
 
 

@@ -9,6 +9,8 @@ floating point anywhere on these paths.
 from __future__ import annotations
 
 import functools
+from itertools import accumulate
+from operator import sub
 from typing import Iterable, Iterator
 
 NEG_INF = float("-inf")
@@ -163,13 +165,26 @@ def qbinom(n: int, k: int) -> IntPoly:
     """Gaussian binomial [n, k]_q: the subspace-counting polynomial.
 
     It lives here, below `linalg`, `rings` and `formulas`, so that all
-    of them can import it, as does matrix_codegree.
+    of them can import it, as does matrix_codegree.  Without recursion:
+    step i multiplies by 1 - q^(n-i) and divides by 1 - q^(i+1) (prefix
+    sums at stride i + 1), so after it c holds [n, i+1]_q.  No step reads
+    a coefficient above the one it writes, and the coefficients are
+    palindromic, so only those up to half the degree k(n - k) are kept.
     """
     if k < 0 or k > n:
         raise ValueError(f"k={k} out of range for n={n}")
-    if k == 0 or k == n:
-        return IntPoly.one()
-    return qbinom(n - 1, k - 1) + IntPoly.monomial(k) * qbinom(n - 1, k)
+    k = min(k, n - k)
+    top = k * (n - k)
+    half = top // 2
+    c = [1]
+    for i in range(k):
+        a, b = n - i, i + 1
+        c += [0] * (min(b * a, half) + 1 - len(c))
+        c[a:] = map(sub, c[a:], c)
+        for r in range(b):
+            c[r::b] = accumulate(c[r::b])
+        del c[b * (a - 1) + 1 :]
+    return IntPoly(c + c[: top - half][::-1])
 
 
 def matrix_codegree(m: int) -> IntPoly:

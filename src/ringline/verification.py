@@ -4,6 +4,9 @@ Each criterion is a function returning (ok, detail); run_criterion wraps
 it with wall-clock timing and marks it failed whenever it overruns its
 stated runtime limit.  cmd_verify and the test suite both drive these,
 so the pass/fail lines printed by either come from the same code.
+A module that only one criterion uses (partitions and tables in 9,
+identities in 10, fixtures in 11) is imported inside it, so a suite
+loads only what its criteria run.
 
 Criteria 6 and 7 check the printed product-formula claims verbatim.
 Those claims are provably wrong for multi-summand rings (vertex-set
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product as iproduct
 from math import comb, factorial
 
-from .config import _default_workers
+from .config import SUITES, _default_workers
 from .fields import gf_of
 from .formulas import (
     c_extension_poly,
@@ -49,14 +52,7 @@ from .graphs import (
     tensor_product,
     verify_isomorphism,
 )
-from .identities import capN_divisibility_check, lacunary_identity_check
 from .linalg import MatrixGF, gl_order, identity, mat_det, mat_sub
-from .partitions import (
-    coeffs_theorem_check,
-    distcoeff_check,
-    dist2p_bijection,
-    enumerate_D2,
-)
 from .rings import (
     f1_graph,
     local_graph,
@@ -68,8 +64,6 @@ from .rings import (
     zn_local_decomposition,
     zn_projective_line,
 )
-from . import fixtures
-from . import tables
 from .formulas import incexc_Wprime
 
 COMMUTATIVE_ORDERS = [4, 6, 8, 9, 10, 12, 15, 16, 18, 20, 24, 25, 27, 30, 32]
@@ -324,6 +318,9 @@ cap3N: 0 0 0 1 4"""
 
 
 def _criterion_9() -> tuple[bool, str]:
+    from . import tables
+    from .partitions import coeffs_theorem_check, distcoeff_check, dist2p_bijection, enumerate_D2
+
     for m in range(6):
         for k in range(4):
             if not coeffs_theorem_check(m, k):
@@ -356,6 +353,8 @@ def _criterion_9() -> tuple[bool, str]:
 
 
 def _criterion_10() -> tuple[bool, str]:
+    from .identities import capN_divisibility_check, lacunary_identity_check
+
     if not lacunary_identity_check(13, 13):
         return False, "lacunary binomial identity fails below (13, 13)"
     for n in COMMUTATIVE_ORDERS:
@@ -369,6 +368,8 @@ def _criterion_10() -> tuple[bool, str]:
 
 
 def _criterion_11() -> tuple[bool, str]:
+    from . import fixtures
+
     b = fixtures.verify_appendix_B()
     if b["class_sizes"] != (4, 4, 1) or b["extension_count_via_C"] != 8:
         return False, f"triangle-extension fixture report off: {b}"
@@ -429,15 +430,6 @@ CRITERIA = {
     11: ("matrix fixtures", _criterion_11),
     12: ("q -> 1 limit", _criterion_12),
     13: ("census determinism", _criterion_13),
-}
-
-SUITES = {
-    "matrix": [1, 2, 3, 4, 5, 8],
-    "commutative": [6, 7, 13],
-    "partitions": [9, 12],
-    "identities": [10],
-    "fixtures": [11],
-    "all": list(range(1, 14)),
 }
 
 

@@ -1,5 +1,8 @@
 """Closed-form counts against the brute-force graph oracles."""
 
+import inspect
+import sys
+from functools import lru_cache
 from itertools import product as iproduct
 from math import comb
 
@@ -61,6 +64,47 @@ def test_qbinom_symmetry_and_q1_limit():
         for k in range(n + 1):
             assert qbinom(n, k) == qbinom(n, n - k)
             assert qbinom(n, k)(1) == comb(n, k)
+
+
+@lru_cache(maxsize=None)
+def pascal(n, k):
+    """[n, k]_q by the q-Pascal rule [n-1, k-1] + q^k [n-1, k], as coefficients."""
+    if k in (0, n):
+        return (1,)
+    low, high = pascal(n - 1, k - 1), (0,) * k + pascal(n - 1, k)
+    return tuple(map(sum, zip(low + (0,) * (len(high) - len(low)), high)))
+
+
+def test_qbinom_matches_q_pascal_and_the_product_formula():
+    for n in range(17):
+        for k in range(n + 1):
+            assert qbinom(n, k).coeffs == pascal(n, k), (n, k)
+    for n in range(41):
+        for k in range(n + 1):
+            for q in (2, 3, 5):
+                num = den = 1
+                for i in range(k):
+                    num *= q ** (n - i) - 1
+                    den *= q ** (i + 1) - 1
+                assert num % den == 0 and qbinom(n, k)(q) == num // den, (n, k, q)
+
+
+def test_matrix_point_count_needs_no_recursion_depth():
+    # the memoised q-Pascal recursion went about 2m frames deep, so the
+    # default limit of 1000 stopped it near m = 250; here m = 80 must build
+    # within 50 frames of the caller
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        poly = matrix_point_count(80)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert poly.degree == 80 * 80 and poly(1) == comb(160, 80)
+    num = den = 1
+    for i in range(80):
+        num *= 2 ** (160 - i) - 1
+        den *= 2 ** (i + 1) - 1
+    assert poly(2) == num // den
 
 
 def test_qbinom_counts_subspaces():

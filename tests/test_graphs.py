@@ -230,6 +230,22 @@ def test_census_support_is_monotone():
             seen_zero = seen_zero or c == 0
 
 
+def test_census_and_profile_past_n_walk_no_deeper(monkeypatch):
+    # no clique has more than n vertices: a huge k is zeros, not a deeper walk
+    big, depths, search = 10**5, [], graphs._search
+    monkeypatch.setattr(graphs, "_search", lambda adj, depth, *rest: depths.append(depth) or search(adj, depth, *rest))
+    for g in (zn_projective_line(6), plain(zn_projective_line(6)), Graph.complete(5)):
+        capped, census = count_cliques(g, g.n), count_cliques(g, big)
+        assert census.as_list() == capped.as_list() + [0] * (big - g.n)
+        assert census.nodes == capped.nodes
+        assert extension_profile(g, big) == extension_profile(g, g.n + 1) == {}
+        for k in (g.n + 1, big):
+            with pytest.raises(BudgetExceeded):
+                extension_profile(g, k, node_budget=capped.nodes - 1)
+    assert extension_profile(Graph.complete(5), 5) == {0: 1}
+    assert max(depths) == 13  # n + 1: the profile walk on the 12 points of P(Z/6)
+
+
 def test_census_T_returns_one_per_size():
     assert count_cliques(Graph.T(), 7).as_list() == [1] * 8
 
