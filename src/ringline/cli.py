@@ -94,7 +94,7 @@ def cmd_census(args: argparse.Namespace) -> int:
     if args.containing is not None and args.profile is None:
         raise ValueError("--containing needs --profile")
     for flag, k in (("--kmax", args.kmax), ("--profile", args.profile)):
-        # a cap on k: the walk and the census hold k + 1 entries, whatever the graph
+        # a cap on k: the census output lists k + 1 counts, whatever the graph
         if k is not None and k > args.bound:
             raise ValueError(f"{flag} {k} exceeds the vertex bound {args.bound}")
     g = _build_graph(args)
@@ -105,21 +105,22 @@ def cmd_census(args: argparse.Namespace) -> int:
         profile = extension_profile(
             g, args.profile, containing=containing, node_budget=args.budget, workers=args.workers
         )
+    counts = census.as_list()
     if args.format == "json":
-        payload: dict = {"counts": census.as_list()}
+        payload: dict = {"counts": counts}
         if profile is not None:
             payload["profile"] = {str(k): v for k, v in profile.items()}
         print(json.dumps(payload, sort_keys=True))
     elif args.format == "csv":
         print("k,cliques")
-        for k in range(args.kmax + 1):
-            print(f"{k},{census.counts[k]}")
+        for k, count in enumerate(counts):
+            print(f"{k},{count}")
         if profile is not None:
             print("extensions,cliques")
             for ext, cnt in profile.items():
                 print(f"{ext},{cnt}")
     else:
-        joined = ",".join(str(census.counts[k]) for k in range(args.kmax + 1))
+        joined = ",".join(map(str, counts))
         print(f"clique counts (k=0..{args.kmax}): {joined}")
         if profile is not None:
             body = ", ".join(f"{ext}:{cnt}" for ext, cnt in profile.items())

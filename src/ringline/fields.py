@@ -165,14 +165,14 @@ def _build_field(p: int, r: int) -> GF:
     return GF(p, r, modulus)
 
 
-def gf_build(p: int, r: int = 1, bound: int = FIELD_SIZE_BOUND) -> GF:
+def gf_build(p: int, r: int = 1) -> GF:
     """The field GF(p^r).  Deterministic; instances are cached and shared."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if r < 1:
         raise ValueError("exponent must be >= 1")
-    if p**r > bound:
-        raise BoundExceeded(f"field size {p**r} exceeds bound {bound}")
+    if p**r > FIELD_SIZE_BOUND:
+        raise BoundExceeded(f"field size {p**r} exceeds bound {FIELD_SIZE_BOUND}")
     return _build_field(p, r)
 
 
@@ -297,31 +297,28 @@ def find_irreducible(m: int, q: int | GF) -> FieldPoly:
     return _first(m, q, fp_is_irreducible)
 
 
-def fp_powmod(F: GF, a: FieldPoly, e: int, modulus: FieldPoly) -> FieldPoly:
-    _, acc = fp_divmod(F, (1,), modulus)
-    _, base = fp_divmod(F, a, modulus)
-    while e:
-        if e & 1:
-            _, acc = fp_divmod(F, fp_mul(F, acc, base), modulus)
-        _, base = fp_divmod(F, fp_mul(F, base, base), modulus)
-        e >>= 1
-    return acc
-
-
 def fp_is_primitive(F: GF, poly: FieldPoly) -> bool:
-    """Irreducible with a root of full multiplicative order q^deg - 1.
+    """x generates the unit group of GF(q)[x]/(poly), of order q^deg - 1.
 
-    Equivalently, x generates the unit group of GF(q)[x]/(poly).
+    That is, poly(0) != 0 and x^i, stepped by the field tables, first
+    returns to 1 at i = q^deg - 1.  A reducible poly has fewer than
+    q^deg - 1 units, so the order of x falls short and the test is exact.
     """
-    if not poly or poly[0] == 0 or not fp_is_irreducible(F, poly):
+    degree = len(poly) - 1
+    if degree < 1 or poly[0] == 0:
         return False
-    order = F.q ** (len(poly) - 1) - 1
-    if order == 1:
-        return True
-    x: FieldPoly = (0, 1)
-    if fp_powmod(F, x, order, poly) != (1,):
-        return False
-    return all(fp_powmod(F, x, order // p, poly) != (1,) for p, _ in factorize(order))
+    # x^deg = sum_i low[i] x^i, so times[t] is t * x^deg in the low terms
+    lead = F.inv(poly[-1])
+    low = [F.neg(F.mul(lead, c)) for c in poly[:-1]]
+    times = [[F.mul(t, c) for c in low] for t in F.elements()]
+    add = F._add
+    one = [1] + [0] * (degree - 1)
+    power, order = one, F.q**degree - 1
+    for i in range(1, order + 1):
+        power = [add[c][d] for c, d in zip([0] + power[:-1], times[power[-1]])]
+        if power == one:
+            return i == order
+    return False
 
 
 def find_primitive(m: int, q: int | GF) -> FieldPoly:

@@ -5,6 +5,13 @@ u ~ v.  Graphs are immutable after construction and safe to share
 across workers.  T, the single vertex with a loop, is the identity of
 the tensor product and is rejected by every other combinator.
 
+The tensor product and the blow-up are row arithmetic on one spread
+rule: spread(row, w) moves bit u of row to bit u * w.  A number below
+2^w times a spread row is one copy of it per set bit, in w-bit blocks
+that never overlap, so nothing carries.  Row (va, vb) of a x b is
+spread(a.adj[va], b.n) * b.adj[vb], and every copy of v in the t-fold
+blow-up has the row (2^t - 1) * spread(g.adj[v], t).
+
 Every constructor checks the rows in full: no bits outside the vertex
 range, no loops, and symmetry.  Symmetry is checked on transposed bit
 strings rather than edge by edge, by the one transpose check that also
@@ -84,6 +91,12 @@ def _bits(bits: int) -> list[int]:
         out.append(_lowest(bits))
         bits &= bits - 1
     return out
+
+
+def _spread(rows: Iterable[int], width: int) -> list[int]:
+    """Each row with its bit u moved to bit u * width, zeros in between."""
+    gap = "0" * (width - 1)
+    return [int(gap.join(format(row, "b")), 2) for row in rows]
 
 
 def _check_transpose(rows: Sequence[int], cols: Sequence[int], orders: list) -> list[tuple[int, int] | None]:
@@ -219,10 +232,7 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for v in range(self.n):
-            bits = self.adj[v] >> (v + 1) << (v + 1)
-            while bits:
-                u = (bits & -bits).bit_length() - 1
-                bits &= bits - 1
+            for u in _bits(self.adj[v] >> (v + 1) << (v + 1)):
                 yield (v, u)
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -272,17 +282,7 @@ def tensor_product(a: Graph, b: Graph, vertex_bound: int = VERTEX_BOUND) -> Grap
     n = a.n * b.n
     if n > vertex_bound:
         raise BoundExceeded(f"tensor product has {n} vertices, bound {vertex_bound}")
-    rows = []
-    for va in range(a.n):
-        abits = a.adj[va]
-        for vb in range(b.n):
-            row = 0
-            bits = abits
-            while bits:
-                ua = (bits & -bits).bit_length() - 1
-                bits &= bits - 1
-                row |= b.adj[vb] << (ua * b.n)
-            rows.append(row)
+    rows = [spread * row for spread in _spread(a.adj, b.n) for row in b.adj]
     labels = None
     if a.labels is not None and b.labels is not None:
         labels = [f"{la}|{lb}" for la in a.labels for lb in b.labels]
@@ -300,16 +300,8 @@ def blowup(g: Graph, t: int, vertex_bound: int = VERTEX_BOUND) -> Graph:
     n = g.n * t
     if n > vertex_bound:
         raise BoundExceeded(f"blow-up has {n} vertices, bound {vertex_bound}")
-    spread_rows: list[int] = []
-    for v in range(g.n):
-        row = 0
-        bits = g.adj[v]
-        while bits:
-            u = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            row |= ((1 << t) - 1) << (u * t)
-        spread_rows.append(row)
-    rows = [spread_rows[v] for v in range(g.n) for _ in range(t)]
+    block = (1 << t) - 1
+    rows = [row for spread in _spread(g.adj, t) for row in [block * spread] * t]
     labels = None
     if g.labels is not None:
         labels = [f"{lab}#{i}" for lab in g.labels for i in range(t)]
@@ -348,14 +340,19 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
 
 @dataclass(frozen=True)
 class CliqueCensus:
-    """Exact per-size clique counts; counts[0] = 1 is the empty clique."""
+    """Exact per-size clique counts; counts[0] = 1 is the empty clique.
+
+    counts stops at min(kmax, n), as no clique has more than n vertices
+    (T, with a clique of every size, stops at kmax); as_list gives all
+    kmax + 1 counts, zeros past the last stored.
+    """
 
     counts: dict[int, int]
     kmax: int
     nodes: int = 0
 
     def as_list(self) -> list[int]:
-        return [self.counts[k] for k in range(self.kmax + 1)]
+        return [self.counts.get(k, 0) for k in range(self.kmax + 1)]
 
 
 def _walk(
@@ -554,7 +551,7 @@ def count_cliques(
         anchors = [(g.adj[r], 0, size) for r, size in g.orbits]
         through, _, nodes = _search(g.adj, depth - 1, anchors, node_budget, workers, "census", len(g.orbits))
         counts = [1] + [_through(t, k) for k, t in enumerate(through, 1)]
-    return CliqueCensus(dict(enumerate(counts + [0] * (kmax - depth))), kmax, nodes)
+    return CliqueCensus(dict(enumerate(counts)), kmax, nodes)
 
 
 # ---------------------------------------------------------------------------

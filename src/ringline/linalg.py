@@ -159,11 +159,11 @@ def gl_order(m: int, q: int) -> int:
     return matrix_codegree(m)(q)
 
 
-def enumerate_gl(m: int, q: int | GF, bound: int = GL_ENUMERATION_BOUND) -> list[MatrixGF]:
+def enumerate_gl(m: int, q: int | GF) -> list[MatrixGF]:
     """All invertible m x m matrices, lexicographic on the entry vector."""
     F = gf_of(q)
-    if F.q ** (m * m) > bound:
-        raise BoundExceeded(f"{F.q}^{m*m} candidate matrices exceed bound {bound}")
+    if F.q ** (m * m) > GL_ENUMERATION_BOUND:
+        raise BoundExceeded(f"{F.q}^{m*m} candidate matrices exceed bound {GL_ENUMERATION_BOUND}")
     out = []
     for entries in product(range(F.q), repeat=m * m):
         rows = tuple(entries[i * m : (i + 1) * m] for i in range(m))

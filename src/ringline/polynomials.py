@@ -133,7 +133,7 @@ class IntPoly:
     def __str__(self) -> str:
         return self.render()
 
-    def render(self, var: str = "q") -> str:
+    def render(self) -> str:
         """Human form, descending degree: "q^4+q^3+2q^2+q+1"."""
         if not self.coeffs:
             return "0"
@@ -147,7 +147,7 @@ class IntPoly:
             if deg == 0:
                 body = str(mag)
             else:
-                x = var if deg == 1 else f"{var}^{deg}"
+                x = "q" if deg == 1 else f"q^{deg}"
                 body = x if mag == 1 else f"{mag}{x}"
             parts.append(sign + body)
         return "".join(parts)

@@ -249,9 +249,31 @@ def zn_projective_line(n: int, vertex_bound: int = VERTEX_BOUND) -> Graph:
     This construction never touches the tensor/blow-up machinery, so it
     can serve as the independent oracle for the commutative formulas.
     """
+    factors = _local_factors([p**a for p, a in factorize(n)])
+    verts = _zn_points(n, factors, vertex_bound)
+    local = [_local_indices(factors, a, b) for a, b in verts]
+    # the point of P(Z/p) a vertex lies over is its local index // p^(e-1)
+    over = [[i // j_order for i, (_, _, j_order, _) in zip(indices, factors)] for indices in local]
+    classes = [[0] * (p + 1) for _, p, _, _ in factors]
+    for v, points in enumerate(over):
+        for cls, x in zip(classes, points):
+            cls[x] |= 1 << v
+    everyone = (1 << len(verts)) - 1
+    rows = [everyone ^ reduce(or_, [cls[x] for cls, x in zip(classes, points)]) for points in over]
+    vertex = [0] * len(verts)  # CRT index -> vertex
+    for v, indices in enumerate(local):
+        vertex[_crt_index(factors, indices)] = v
+    generators = [
+        [vertex[_crt_index(factors, _local_indices(factors, -b, a))] for a, b in verts],
+        [vertex[_crt_index(factors, _local_indices(factors, a, a + b))] for a, b in verts],
+    ]
+    return Graph(len(verts), rows, [f"{a}:{b}" for a, b in verts], generators=generators)
+
+
+def _zn_points(n: int, factors, vertex_bound: int) -> list[tuple[int, int]]:
+    """The points of P(Z/n) as least pairs (a, b), ascending, given its _local_factors."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    factors = _local_factors([p**a for p, a in factorize(n)])
     expected = 1
     for *_, count in factors:
         expected *= count
@@ -274,23 +296,7 @@ def zn_projective_line(n: int, vertex_bound: int = VERTEX_BOUND) -> Graph:
     verts.sort()
     if len(verts) != expected:
         raise AssertionError("point count disagrees with the multiplicative formula")
-    local = [_local_indices(factors, a, b) for a, b in verts]
-    # the point of P(Z/p) a vertex lies over is its local index // p^(e-1)
-    over = [[i // j_order for i, (_, _, j_order, _) in zip(indices, factors)] for indices in local]
-    classes = [[0] * (p + 1) for _, p, _, _ in factors]
-    for v, points in enumerate(over):
-        for cls, x in zip(classes, points):
-            cls[x] |= 1 << v
-    everyone = (1 << expected) - 1
-    rows = [everyone ^ reduce(or_, [cls[x] for cls, x in zip(classes, points)]) for points in over]
-    vertex = [0] * expected  # CRT index -> vertex
-    for v, indices in enumerate(local):
-        vertex[_crt_index(factors, indices)] = v
-    generators = [
-        [vertex[_crt_index(factors, _local_indices(factors, -b, a))] for a, b in verts],
-        [vertex[_crt_index(factors, _local_indices(factors, a, a + b))] for a, b in verts],
-    ]
-    return Graph(expected, rows, [f"{a}:{b}" for a, b in verts], generators=generators)
+    return verts
 
 
 def _local_factors(factorization: list[int]) -> list[tuple[int, int, int, int]]:
@@ -346,11 +352,7 @@ def zn_crt_map(n: int, factorization: list[int] | None = None) -> list[int]:
         if gcd(f1, f2) != 1:
             raise ValueError("factors are not coprime")
     factors = _local_factors(factorization)
-    mapping = []
-    for label in zn_projective_line(n).labels:  # type: ignore[union-attr]
-        a, b = map(int, label.split(":"))
-        mapping.append(_crt_index(factors, _local_indices(factors, a, b)))
-    return mapping
+    return [_crt_index(factors, _local_indices(factors, a, b)) for a, b in _zn_points(n, factors, VERTEX_BOUND)]
 
 
 def spec_graph(spec: RingSpec, vertex_bound: int = VERTEX_BOUND) -> Graph:

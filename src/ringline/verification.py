@@ -270,7 +270,7 @@ def _tensor_record() -> ProductFormulaRecord:
         "octahedron": local_graph(4, 2),
         "P(M_2(2))": _mrg(2, 2),
     }
-    counts = {name: count_cliques(g, 6).counts for name, g in factors.items()}
+    counts = {name: count_cliques(g, 6).as_list() for name, g in factors.items()}
     rec = ProductFormulaRecord()
     for (na, a), (nb, b) in combinations_with_replacement(factors.items(), 2):
         got = count_cliques(tensor_product(a, b), 6, node_budget=10_000_000).counts

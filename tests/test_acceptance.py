@@ -101,7 +101,7 @@ def test_criterion_07_tensor_multiplicativity():
         "octahedron": local_graph(4, 2),
         "P(M_2(2))": matrix_ring_graph(2, 2),
     }
-    counts = {name: count_cliques(g, 6).counts for name, g in factors.items()}
+    counts = {name: count_cliques(g, 6).as_list() for name, g in factors.items()}
     pairs = list(combinations_with_replacement(factors, 2))
     assert len(pairs) == 10
     keys = {(a, b, k) for a, b in pairs for k in range(7)}

@@ -1,5 +1,7 @@
 """Field construction and polynomial-over-field behaviour."""
 
+from math import gcd
+
 import pytest
 
 from ringline.errors import BoundExceeded
@@ -13,7 +15,6 @@ from ringline.fields import (
     fp_is_irreducible,
     fp_is_primitive,
     fp_mul,
-    fp_powmod,
     fp_trim,
     gf_build,
     gf_of,
@@ -114,7 +115,7 @@ def test_gf_build_rejects_bad_input():
     with pytest.raises(ValueError):
         gf_build(2, 0)
     with pytest.raises(BoundExceeded):
-        gf_build(2, 1, bound=1)
+        gf_build(2, 10)  # 1024 > FIELD_SIZE_BOUND
 
 
 def test_extension_moduli_are_the_first_irreducibles():
@@ -199,9 +200,13 @@ def test_primitive_polynomials():
     assert not fp_is_primitive(F3, (1, 0, 1))
     prim = find_primitive(2, 3)
     assert fp_is_primitive(F3, prim)
-    x = (0, 1)
-    assert fp_powmod(F3, x, 8, prim) == (1,)
-    assert fp_powmod(F3, x, 4, prim) != (1,)
+    # there are phi(q^m - 1) / m monic primitives of degree m over GF(q)
+    for q, m in [(2, 1), (2, 4), (2, 6), (3, 1), (3, 3), (4, 2), (5, 2), (7, 2), (9, 2)]:
+        F = gf_of(q)
+        phi = sum(gcd(i, q**m - 1) == 1 for i in range(1, q**m))
+        assert sum(fp_is_primitive(F, poly) for poly in monic_polys(F, m)) == phi // m
+    # reducible with a nonzero constant term: x^2 + 1 = (x + 1)^2 over GF(2)
+    assert not fp_is_primitive(gf_build(2), (1, 0, 1))
     # over GF(2) all of F_8^* generates, so irreducible == primitive
     assert find_primitive(3, 2) == find_irreducible(3, 2)
 

@@ -9,12 +9,14 @@ import os
 import random
 import subprocess
 import sys
+import time
+import tracemalloc
 from itertools import combinations
 from math import factorial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringline import graphs
@@ -246,6 +248,21 @@ def test_census_and_profile_past_n_walk_no_deeper(monkeypatch):
     assert max(depths) == 13  # n + 1: the profile walk on the 12 points of P(Z/6)
 
 
+def test_census_past_n_stores_no_padding():
+    # the counts stop at n, so a kmax of 10^6 costs what kmax = n does
+    g, big = zn_projective_line(6), 10**6
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        census = count_cliques(g, big)
+        seconds, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(census.counts) == list(range(g.n + 1))
+    assert seconds < 0.1 and peak < 1 << 20, (seconds, peak)
+    assert census.as_list() == count_cliques(g, g.n).as_list() + [0] * (big - g.n)
+
+
 def test_census_T_returns_one_per_size():
     assert count_cliques(Graph.T(), 7).as_list() == [1] * 8
 
@@ -294,9 +311,9 @@ def test_tensor_census_carries_matching_factor():
         (blowup(Graph.complete(3), 2), Graph.complete(3)),
     ]
     for a, b in pairs:
-        ca = count_cliques(a, 5).counts
-        cb = count_cliques(b, 5).counts
-        ct = count_cliques(tensor_product(a, b), 5).counts
+        ca = count_cliques(a, 5).as_list()
+        cb = count_cliques(b, 5).as_list()
+        ct = count_cliques(tensor_product(a, b), 5).as_list()
         for k in range(6):
             assert ct[k] == factorial(k) * ca[k] * cb[k]
 
@@ -685,14 +702,49 @@ def test_decomposition_laws_property(a, b, t):
     # products and blow-ups carry no generators: the plain census of the
     # product checks the orbit census of the factors
     kmax = 4
-    na, nb = count_cliques(a, kmax).counts, count_cliques(b, kmax).counts
+    na, nb = count_cliques(a, kmax).as_list(), count_cliques(b, kmax).as_list()
     product = tensor_product(a, b)
     assert not product.generators
-    nab = count_cliques(product, kmax).counts
+    nab = count_cliques(product, kmax).as_list()
     assert all(nab[k] == factorial(k) * na[k] * nb[k] for k in range(kmax + 1))
-    scaled = count_cliques(blowup(a, t), kmax).counts
+    scaled = count_cliques(blowup(a, t), kmax).as_list()
     assert all(scaled[k] == t**k * na[k] for k in range(kmax + 1))
     assert max_clique_order(product) == min(max_clique_order(a), max_clique_order(b))
+
+
+def edgewise_product(a: Graph, b: Graph) -> list[int]:
+    """Rows of a x b by definition, the loop of T included: (va, vb) ~
+    (ua, ub) iff va ~ ua and vb ~ ub."""
+    return [
+        sum(1 << ua * b.n + ub for ua in range(a.n) for ub in range(b.n) if a.has_edge(va, ua) and b.has_edge(vb, ub))
+        for va in range(a.n)
+        for vb in range(b.n)
+    ]
+
+
+def edgewise_blowup(g: Graph, t: int) -> list[int]:
+    """Rows of the t-fold blow-up by definition: (v, i) ~ (u, j) iff v ~ u."""
+    return [
+        sum(1 << u * t + j for u in range(g.n) for j in range(t) if g.has_edge(v, u))
+        for v in range(g.n)
+        for _ in range(t)
+    ]
+
+
+algebra_factors = st.one_of(st.just(Graph.T()), small_graphs())
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=algebra_factors, b=algebra_factors, t=st.integers(1, 4))
+@example(a=Graph.T(), b=Graph.empty(1), t=4)
+@example(a=Graph.empty(1), b=Graph.T(), t=4)
+@example(a=Graph.T(), b=Graph.T(), t=1)
+@example(a=Graph.empty(5), b=Graph.complete(3), t=4)
+@example(a=Graph.complete(4), b=Graph.empty(0), t=2)
+def test_algebra_rows_follow_the_edgewise_definition(a, b, t):
+    assert list(tensor_product(a, b).adj) == edgewise_product(a, b)
+    if not a.is_T:
+        assert list(blowup(a, t).adj) == edgewise_blowup(a, t)
 
 
 def test_orbit_budget_is_schedule_independent():

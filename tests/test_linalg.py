@@ -112,7 +112,7 @@ def test_enumerate_gl_counts_match_order_formula():
     for m, q in [(2, 2), (2, 3), (3, 2)]:
         assert len(enumerate_gl(m, q)) == gl_order(m, q)
     with pytest.raises(BoundExceeded):
-        enumerate_gl(3, 5, bound=1000)
+        enumerate_gl(4, 5)  # 5^16 > GL_ENUMERATION_BOUND
 
 
 def test_enumerate_gl_is_lexicographic_and_deterministic():

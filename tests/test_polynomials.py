@@ -48,7 +48,6 @@ def test_render_descending_form():
     assert IntPoly([0, -1]).render() == "-q"
     assert IntPoly().render() == "0"
     assert IntPoly([2]).render() == "2"
-    assert IntPoly([0, 1]).render(var="x") == "x"
 
 
 def test_coefficient_access_and_json():
