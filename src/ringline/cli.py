@@ -133,21 +133,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     results = run_suite(args.suite)
     if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "criterion": r.number,
-                        "name": r.name,
-                        "ok": r.ok,
-                        "detail": r.detail,
-                        "seconds": round(r.elapsed, 3),
-                    }
-                    for r in results
-                ],
-                indent=2,
-            )
-        )
+        rows = [
+            {"criterion": r.number, "name": r.name, "ok": r.ok, "detail": r.detail, "seconds": round(r.elapsed, 3)}
+            for r in results
+        ]
+        print(json.dumps(rows, indent=2))
     else:
         for r in results:
             print(r.line())

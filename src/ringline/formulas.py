@@ -8,7 +8,7 @@ division.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Sequence
 
 from .polynomials import IntPoly, matrix_codegree, poly_product, qbinom
@@ -41,11 +41,7 @@ def comm_clique_count(spec: RingSpec, k: int) -> int:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    qs = _local_qs(spec)
-    out = spec.radical_order**k
-    for q in qs:
-        out *= comb(q + 1, k)
-    return out
+    return spec.radical_order**k * prod(comb(q + 1, k) for q in _local_qs(spec))
 
 
 def comm_clique_count_vertex_sets(spec: RingSpec, k: int) -> int:
@@ -61,10 +57,7 @@ def comm_extension_count(spec: RingSpec, k: int) -> int:
     (k+1)-clique.  Meaningful whenever a k-clique exists."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    out = spec.radical_order
-    for q in _local_qs(spec):
-        out *= q + 1 - k
-    return out
+    return spec.radical_order * prod(q + 1 - k for q in _local_qs(spec))
 
 
 def comm_max_clique(spec: RingSpec) -> int:
@@ -169,11 +162,7 @@ def incexc_Wprime(m: int, k: int, W: Sequence[int], q: int) -> int:
         raise ValueError("need 0 <= k <= m")
     if len(W) < m + 1:
         raise ValueError(f"W must supply dimensions 0..{m}")
-    total = 0
-    for i in range(m - k + 1):
-        term = qbinom(m - k, i)(q) * q ** (i * (i - 1) // 2) * W[k + i]
-        total += -term if i % 2 else term
-    return total
+    return sum((-1) ** i * qbinom(m - k, i)(q) * q ** (i * (i - 1) // 2) * W[k + i] for i in range(m - k + 1))
 
 
 def c_extension_poly(m: int, k: int) -> IntPoly:
@@ -232,11 +221,7 @@ def cap_k_N_from_extensions(extension_values: Sequence[int | IntPoly], k: int) -
     """
     if len(extension_values) < k + 1:
         raise ValueError(f"need extension counts for i = 0..{k}")
-    total = 0
-    for i in range(k + 1):
-        term = comb(k, i) * extension_values[i]
-        total += -term if i % 2 else term
-    return total
+    return sum((-1) ** i * comb(k, i) * extension_values[i] for i in range(k + 1))
 
 
 def radical_scale(value: int, J_order: int) -> int:

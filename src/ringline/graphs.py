@@ -29,9 +29,15 @@ one budget "node" charged per clique visited.  The last level is
 settled in one step per parent, or per anchor when it is the first:
 its candidates are charged and counted by a popcount, and binned by
 extension count only when there are common neighbours to bin by.
-Worker i of w walks the cliques whose minimum vertex is root i, i + w,
-..., so counts and budget outcomes do not depend on w.  Exceeding the budget raises; there are no silent
-partial answers.
+Exceeding the budget raises; there are no silent partial answers.
+
+A search with workers walks its roots serially, in order, until it has
+charged more than _POOL_PROBE nodes, about what starting a pool costs a
+fresh process; a search that ends first never loads the pool.  The roots
+not yet walked go to one pool: worker i of w walks the cliques whose
+minimum vertex is root i, i + w, ... of them.  Each clique is walked by
+the one process that owns its minimum vertex, so counts, nodes and
+budget outcomes do not depend on w or on where the prefix stopped.
 
 Clique existence (find_clique) and the maximum clique (max_clique_order)
 share a second core, one colour-bounded branch and bound.  There are two
@@ -59,8 +65,7 @@ one node per suborbit plus one per clique visited.  A profile through two
 or more vertices, or through a vertex whose suborbits are single
 vertices, takes the plain walk.  The branch and bound starts from each
 representative r as the path [r] with candidates adj[r], one best shared
-by all.  Workers split the roots of every anchor by the same i::w rule in
-one pool, so counts, nodes and budget outcomes still do not depend on w.
+by all.  Orbit searches split their roots the same way, anchor by anchor.
 A graph without generators, such as one from from_edges, a tensor
 product or a blow-up, takes the ordered walk over all n roots, which is
 the oracle the orbit paths are tested against.
@@ -68,16 +73,21 @@ the oracle the orbit paths are tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .config import CENSUS_NODE_BUDGET, VERTEX_BOUND, _default_workers
-from .errors import BoundExceeded, BudgetExceeded
+from .errors import BoundExceeded, BudgetExceeded, Record
 
 
 # Columns per pass of the transpose check; it bounds the pass's memory.
 _SYMMETRY_BLOCK = 512
+
+# Nodes a search with workers walks serially before it opens a pool: at 2-3
+# million nodes per second, about what importing, starting and stopping the
+# pool costs a fresh process (40-50 ms).
+_POOL_PROBE = 1 << 17
 
 
 def _lowest(bits: int) -> int:
@@ -319,18 +329,14 @@ def complement(g: Graph) -> Graph:
 def disjoint_union(graphs: Sequence[Graph]) -> Graph:
     if any(g.is_T for g in graphs):
         raise ValueError("disjoint union of T is undefined here")
-    n = sum(g.n for g in graphs)
-    rows = []
-    offset = 0
-    have_labels = all(g.labels is not None for g in graphs)
-    labels: list[str] | None = [] if have_labels else None
-    for i, g in enumerate(graphs):
-        for v in range(g.n):
-            rows.append(g.adj[v] << offset)
-        if labels is not None:
-            labels.extend(f"{i}/{lab}" for lab in g.labels)  # type: ignore[union-attr]
-        offset += g.n
-    return Graph(n, rows, labels)
+    rows: list[int] = []
+    for g in graphs:
+        offset = len(rows)
+        rows += [row << offset for row in g.adj]
+    labels = None
+    if all(g.labels is not None for g in graphs):
+        labels = [f"{i}/{lab}" for i, g in enumerate(graphs) for lab in g.labels]  # type: ignore[union-attr]
+    return Graph(len(rows), rows, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -338,21 +344,19 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CliqueCensus:
+class CliqueCensus(Record):
     """Exact per-size clique counts; counts[0] = 1 is the empty clique.
 
-    counts stops at min(kmax, n), as no clique has more than n vertices
-    (T, with a clique of every size, stops at kmax); as_list gives all
-    kmax + 1 counts, zeros past the last stored.
+    counts stops at min(kmax, n), as no clique has more than n vertices;
+    as_list gives all kmax + 1 counts, fill past the last stored: 0, or 1
+    for T, which has one clique of every size.
     """
 
-    counts: dict[int, int]
-    kmax: int
-    nodes: int = 0
+    __slots__ = ("counts", "kmax", "nodes", "fill")
+    _defaults = {"nodes": 0, "fill": 0}
 
     def as_list(self) -> list[int]:
-        return [self.counts.get(k, 0) for k in range(self.kmax + 1)]
+        return [self.counts.get(k, self.fill) for k in range(self.kmax + 1)]
 
 
 def _walk(
@@ -362,21 +366,26 @@ def _walk(
     budget: int,
     what: str,
     spent: int = 0,
+    stop: int | None = None,
 ):
     """Ordered walk, for each anchor (cand, common, roots, weight), over the
     cliques of 1..depth vertices of cand whose minimum vertex lies in roots.
     At depth 1 the roots are ignored: every vertex of cand is a 1-clique,
     and they are settled in one leaf step.
 
-    Returns (counts, hist, nodes): counts[d] is the weighted number of
+    Returns (counts, hist, nodes, rest): counts[d] is the weighted number of
     d-cliques, hist[c] the weighted number of depth-cliques with exactly c
     vertices of common adjacent to all of them, and nodes = spent plus one
-    per clique visited, unweighted.
+    per clique visited, unweighted.  With stop, the walk ends before the
+    first root it meets with nodes > stop, and rest lists every anchor with
+    the roots not walked; otherwise rest is empty.
     """
     bins = max((common.bit_count() for _, common, _, _ in anchors), default=0) + 1
     total_counts = [0] * (depth + 1)
     total_hist = [0] * bins
     nodes = spent
+    if stop is None:  # never passed: nodes starts at spent, then stays <= budget or raises
+        stop = max(spent, budget)
 
     def rec(cand: int, common: int, size: int) -> None:
         nonlocal nodes
@@ -407,12 +416,17 @@ def _walk(
             if sub:
                 rec(sub, common & adj[v], size + 1)
 
-    for cand, common, roots, weight in anchors:
+    rest: list = []
+    for i, (cand, common, roots, weight) in enumerate(anchors):
         counts = [0] * (depth + 1)
         hist = [0] * bins
         if depth == 1:
             rec(cand, common, 0)
         for r in roots:
+            if nodes > stop:
+                done = [(c, m, [], w) for c, m, _, w in anchors[:i]]
+                rest = [*done, (cand, common, roots[roots.index(r) :], weight), *anchors[i + 1 :]]
+                break
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(f"{what} exceeded {budget} nodes")
@@ -424,7 +438,9 @@ def _walk(
             total_counts[d] += weight * c
         for e, h in enumerate(hist):
             total_hist[e] += weight * h
-    return total_counts, total_hist, nodes
+        if rest:
+            break
+    return total_counts, total_hist, nodes, rest
 
 
 def _search(
@@ -437,31 +453,26 @@ def _search(
     spent: int = 0,
 ):
     """_walk over every root of every anchor (cand, common, weight), plus the
-    empty clique of each anchor; worker i of w takes the roots [i::w] of
-    every anchor, where w is workers capped at the most roots of any anchor,
-    and the shares run in one pool of at most as many processes as CPUs.
-
-    Each worker owns the cliques whose minimum vertex is one of its roots,
-    so the summed counts, histogram and nodes do not depend on the split.
+    empty clique of each anchor.  With workers, the roots left after the
+    serial prefix run in one pool of at most as many processes as CPUs:
+    worker i of w takes the roots [i::w] of each anchor left, where w is
+    workers capped at the most roots of any anchor.
     """
     tasks = [(cand, common, _bits(cand) if depth > 1 else [], w) for cand, common, w in anchors]
     longest = max((len(roots) for _, _, roots, _ in tasks), default=0)
     workers = min(workers, longest)
-    if workers <= 1:
-        counts, hist, nodes = _walk(adj, depth, tasks, budget, what, spent)
-    else:
-        shares = [
-            [(cand, common, roots[i::workers], w) for cand, common, roots, w in tasks]
-            for i in range(workers)
-        ]
-        # imported here so that a serial run never loads the process pool
+    stop = spent + _POOL_PROBE if workers > 1 else None
+    counts, hist, nodes, rest = _walk(adj, depth, tasks, budget, what, spent, stop)
+    if rest:
+        shares = [[(cand, common, roots[i::workers], w) for cand, common, roots, w in rest] for i in range(workers)]
+        # imported here so that a search under the probe never loads the pool
         from concurrent.futures import ProcessPoolExecutor
 
         task = partial(_walk, adj, depth, budget=budget, what=what)
-        with ProcessPoolExecutor(max_workers=min(len(shares), _default_workers())) as pool:
-            parts = list(pool.map(task, shares))
+        with ProcessPoolExecutor(max_workers=min(workers, _default_workers())) as pool:
+            parts = [(counts, hist, nodes), *(part[:3] for part in pool.map(task, shares))]
         sums, hists, used = zip(*parts)
-        nodes = spent + sum(used)
+        nodes = sum(used)
         counts, hist = [sum(c) for c in zip(*sums)], [sum(h) for h in zip(*hists)]
     if nodes > budget:  # also when spent alone is over it
         raise BudgetExceeded(f"{what} exceeded {budget} nodes")
@@ -543,7 +554,7 @@ def count_cliques(
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     if g.is_T:
-        return CliqueCensus({k: 1 for k in range(kmax + 1)}, kmax, 0)
+        return CliqueCensus(dict.fromkeys(range(min(kmax, 1) + 1), 1), kmax, 0, 1)
     depth = min(kmax, g.n)  # no clique has more than n vertices
     if g.orbits is None or depth == 0:
         counts, _, nodes = _search(g.adj, depth, [((1 << g.n) - 1, 0, 1)], node_budget, workers, "census")
@@ -551,7 +562,7 @@ def count_cliques(
         anchors = [(g.adj[r], 0, size) for r, size in g.orbits]
         through, _, nodes = _search(g.adj, depth - 1, anchors, node_budget, workers, "census", len(g.orbits))
         counts = [1] + [_through(t, k) for k, t in enumerate(through, 1)]
-    return CliqueCensus(dict(enumerate(counts)), kmax, nodes)
+    return CliqueCensus(dict(enumerate(counts)), kmax, nodes, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -569,13 +580,7 @@ def _in_range(g: Graph, vertices: Iterable[int]) -> list[int]:
 
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
     vs = _in_range(g, vertices)
-    if len(set(vs)) != len(vs):
-        return False
-    for i, v in enumerate(vs):
-        for u in vs[i + 1 :]:
-            if not g.has_edge(v, u):
-                return False
-    return True
+    return len(set(vs)) == len(vs) and all(g.has_edge(v, u) for v, u in combinations(vs, 2))
 
 
 def _common_neighbors(g: Graph, vertices: Iterable[int]) -> int:

@@ -6,19 +6,16 @@ matrices are immutable and hashable so they can live in sets and dicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .config import GL_ENUMERATION_BOUND
-from .errors import BoundExceeded
+from .errors import BoundExceeded, Record
 from .fields import GF, FieldPoly, fp_add, fp_mul, fp_neg, fp_trim, gf_of
 from .polynomials import matrix_codegree
 
 
-@dataclass(frozen=True)
-class MatrixGF:
-    field: GF
-    rows: tuple[tuple[int, ...], ...]
+class MatrixGF(Record):
+    __slots__ = ("field", "rows")
 
     def __post_init__(self) -> None:
         if self.rows:

@@ -15,9 +15,10 @@ distcoeff_poly) and compare them with these expansions and counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 from typing import Iterable, Iterator
 
+from .errors import Record
 from .formulas import c_extension_poly, distcoeff_poly
 
 Partition = tuple[int, ...]
@@ -60,12 +61,10 @@ def _partitions(
     yield from rec(h, top, length, [])
 
 
-@dataclass(frozen=True)
-class TwoDistinctPartition:
+class TwoDistinctPartition(Record):
     """Red rows and white rows, each strictly decreasing."""
 
-    red: tuple[int, ...]
-    white: tuple[int, ...]
+    __slots__ = ("red", "white")
 
     def __post_init__(self) -> None:
         for rows in (self.red, self.white):
@@ -89,14 +88,17 @@ def enumerate_D2(h: int, k: int) -> list[TwoDistinctPartition]:
         raise ValueError("h and k must be >= 0")
     out = []
     for red_weight in range(h + 1):
-        reds = [r for r in enumerate_distinct_partitions(red_weight) if len(r) == k]
-        if not reds:
-            continue
-        whites = enumerate_distinct_partitions(h - red_weight)
-        for red in reds:
-            for white in whites:
-                out.append(TwoDistinctPartition(red, white))
+        whites = _distinct(h - red_weight)
+        for red in _distinct(red_weight):
+            if len(red) == k:
+                out.extend(TwoDistinctPartition(red, white) for white in whites)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _distinct(h: int) -> tuple[Partition, ...]:
+    """enumerate_distinct_partitions(h), enumerated once per weight."""
+    return tuple(_partitions(h, None, None, distinct=True))
 
 
 def parity_count(items: Iterable) -> int:

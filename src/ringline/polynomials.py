@@ -9,6 +9,7 @@ floating point anywhere on these paths.
 from __future__ import annotations
 
 import functools
+import math
 from itertools import accumulate
 from operator import sub
 from typing import Iterable, Iterator
@@ -154,10 +155,7 @@ class IntPoly:
 
 
 def poly_product(factors: Iterable[IntPoly]) -> IntPoly:
-    out = IntPoly.one()
-    for f in factors:
-        out = out * f
-    return out
+    return math.prod(factors, start=IntPoly.one())
 
 
 @functools.lru_cache(maxsize=None)

@@ -61,15 +61,14 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, product
-from math import comb, gcd
+from math import comb, gcd, prod
 from operator import and_, or_
 from pathlib import Path
 
 from .config import VERTEX_BOUND
-from .errors import BoundExceeded
+from .errors import BoundExceeded, Record
 from .fields import GF, factor_prime_power, factorize, find_primitive, gf_of
 from .graphs import Graph, blowup, tensor_product
 from .linalg import (
@@ -93,12 +92,10 @@ from .polynomials import qbinom
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Local:
+class Local(Record):
     """A finite local ring given by |R| and |J| (graph depends only on these)."""
 
-    R_order: int
-    J_order: int
+    __slots__ = ("R_order", "J_order")
 
     def __post_init__(self) -> None:
         R, J = self.R_order, self.J_order
@@ -120,12 +117,10 @@ class Local:
         return self.R_order // self.J_order
 
 
-@dataclass(frozen=True)
-class MatrixRing:
+class MatrixRing(Record):
     """The ring of m x m matrices over GF(q); m = 0 is the trivial ring."""
 
-    m: int
-    q: int
+    __slots__ = ("m", "q")
 
     def __post_init__(self) -> None:
         if self.m < 0:
@@ -136,14 +131,11 @@ class MatrixRing:
 Summand = Local | MatrixRing
 
 
-@dataclass(frozen=True)
-class RingSpec:
-    summands: tuple[Summand, ...]
-    radical_multiplier: int = 1
+class RingSpec(Record):
+    __slots__ = ("summands", "radical_multiplier")
 
     def __init__(self, summands, radical_multiplier: int = 1):
-        object.__setattr__(self, "summands", tuple(summands))
-        object.__setattr__(self, "radical_multiplier", int(radical_multiplier))
+        super().__init__(tuple(summands), int(radical_multiplier))
         if self.radical_multiplier < 1:
             raise ValueError("radical multiplier must be >= 1")
         if self.radical_multiplier > 1 and any(
@@ -210,10 +202,7 @@ def zn_local_decomposition(n: int) -> RingSpec:
     """Z/n as a sum of Local(p^a, p^(a-1)), primes ascending."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    summands = []
-    for p, a in factorize(n):
-        summands.append(Local(p**a, p ** (a - 1)))
-    return RingSpec(summands)
+    return RingSpec(Local(p**a, p ** (a - 1)) for p, a in factorize(n))
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +263,7 @@ def _zn_points(n: int, factors, vertex_bound: int) -> list[tuple[int, int]]:
     """The points of P(Z/n) as least pairs (a, b), ascending, given its _local_factors."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    expected = 1
-    for *_, count in factors:
-        expected *= count
+    expected = prod(count for *_, count in factors)
     if expected > vertex_bound:
         raise BoundExceeded(f"P(Z/{n}) has {expected} points, bound {vertex_bound}")
     units = [u for u in range(n) if gcd(u, n) == 1]
@@ -343,10 +330,7 @@ def zn_crt_map(n: int, factorization: list[int] | None = None) -> list[int]:
     """
     if factorization is None:
         factorization = [p**a for p, a in factorize(n)]
-    prod = 1
-    for f in factorization:
-        prod *= f
-    if prod != n:
+    if prod(factorization) != n:
         raise ValueError("factors do not multiply to n")
     for f1, f2 in combinations(factorization, 2):
         if gcd(f1, f2) != 1:
@@ -374,11 +358,10 @@ def spec_graph(spec: RingSpec, vertex_bound: int = VERTEX_BOUND) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubspacePoint:
+class SubspacePoint(Record):
     """An m-dimensional subspace of F_q^{2m}: canonical RREF basis rows."""
 
-    basis: MatrixGF
+    __slots__ = ("basis",)
 
     def __post_init__(self) -> None:
         m = self.basis.nrows

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product as iproduct
 from math import comb, factorial
 
 from .config import SUITES, _default_workers
+from .errors import Record
 from .fields import gf_of
 from .formulas import (
     c_extension_poly,
@@ -71,19 +71,19 @@ COMMUTATIVE_ORDERS = [4, 6, 8, 9, 10, 12, 15, 16, 18, 20, 24, 25, 27, 30, 32]
 TIME_LIMITS = {1: 10.0, 2: 30.0, 5: 120.0, 6: 60.0, 9: 30.0, 11: 30.0}
 
 
-@dataclass
-class ProductFormulaRecord:
+class ProductFormulaRecord(Record):
     """Sub-results of criteria 6 and 7, keyed by (n, k) for P(Z/n) or by
     (factor A, factor B, k) for A x B.  The mismatch maps hold, for each
     key whose census differs, the value the printed product formula or
     the corrected (k!)^(s-1) law gave; structural_failure is the first
     failed structural sub-check (isomorphism, max clique, extension
-    profile, capnN), after which the record stops."""
+    profile, capnN), after which the record stops: stop gives a copy with
+    it set."""
 
-    structural_failure: str | None = None
-    census: dict[tuple, int] = field(default_factory=dict)
-    printed_mismatches: dict[tuple, int] = field(default_factory=dict)
-    corrected_mismatches: dict[tuple, int] = field(default_factory=dict)
+    __slots__ = ("structural_failure", "census", "printed_mismatches", "corrected_mismatches")
+
+    def stop(self, failure: str) -> "ProductFormulaRecord":
+        return ProductFormulaRecord(failure, self.census, self.printed_mismatches, self.corrected_mismatches)
 
     def add(self, key: tuple, census: int, printed: int, corrected: int) -> None:
         self.census[key] = census
@@ -93,14 +93,9 @@ class ProductFormulaRecord:
             self.corrected_mismatches[key] = corrected
 
 
-@dataclass
-class CriterionResult:
-    number: int
-    name: str
-    ok: bool
-    detail: str
-    elapsed: float
-    record: ProductFormulaRecord | None = None
+class CriterionResult(Record):
+    __slots__ = ("number", "name", "ok", "detail", "elapsed", "record")
+    _defaults = {"record": None}
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -208,18 +203,16 @@ def _criterion_5() -> tuple[bool, str]:
 
 
 def _commutative_record() -> ProductFormulaRecord:
-    rec = ProductFormulaRecord()
+    rec = ProductFormulaRecord(None, {}, {}, {})
     for n in COMMUTATIVE_ORDERS:
         g = _oracle(n)
         spec = zn_local_decomposition(n)
         h = spec_graph(spec)
         if not verify_isomorphism(g, h, zn_crt_map(n)):
-            rec.structural_failure = f"n={n}: CRT map is not an isomorphism"
-            return rec
+            return rec.stop(f"n={n}: CRT map is not an isomorphism")
         maxc = comm_max_clique(spec)
         if max_clique_order(g) != maxc:
-            rec.structural_failure = f"n={n}: max clique search disagrees with min(q_i)+1"
-            return rec
+            return rec.stop(f"n={n}: max clique search disagrees with min(q_i)+1")
         census = count_cliques(g, maxc + 1)
         for k in range(maxc + 2):
             rec.add(
@@ -232,14 +225,12 @@ def _commutative_record() -> ProductFormulaRecord:
             prof = extension_profile(g, k)
             want = comm_extension_count(spec, k)
             if set(prof) != {want}:
-                rec.structural_failure = f"n={n},k={k}: extension profile {prof} not uniformly {want}"
-                return rec
+                return rec.stop(f"n={n},k={k}: extension profile {prof} not uniformly {want}")
         for nn in range(1, maxc + 1):
             clique = find_clique(g, nn)
             got = neighborhood_intersection_count(g, clique)
             if got != cap_n_N_comm(spec, nn):
-                rec.structural_failure = f"n={n}: cap{nn}N oracle {got} != formula"
-                return rec
+                return rec.stop(f"n={n}: cap{nn}N oracle {got} != formula")
     return rec
 
 
@@ -271,7 +262,7 @@ def _tensor_record() -> ProductFormulaRecord:
         "P(M_2(2))": _mrg(2, 2),
     }
     counts = {name: count_cliques(g, 6).as_list() for name, g in factors.items()}
-    rec = ProductFormulaRecord()
+    rec = ProductFormulaRecord(None, {}, {}, {})
     for (na, a), (nb, b) in combinations_with_replacement(factors.items(), 2):
         got = count_cliques(tensor_product(a, b), 6, node_budget=10_000_000).counts
         for k in range(7):
@@ -404,6 +395,9 @@ def _census_suite(workers: int) -> list:
     g = _mrg(2, 2)
     out.append(count_cliques(g, 6, workers=workers).as_list())
     out.append(extension_profile(g, 3, workers=workers))
+    # the plain walk of P(Z/138) passes graphs._POOL_PROBE, so here the pool runs
+    g = _oracle(138)
+    out.append(count_cliques(Graph(g.n, g.adj), 4, workers=workers).as_list())
     return out
 
 

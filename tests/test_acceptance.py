@@ -24,6 +24,7 @@ from ringline.verification import (
     COMMUTATIVE_ORDERS,
     CRITERIA,
     TIME_LIMITS,
+    _census_suite,
     run_criterion,
 )
 
@@ -149,6 +150,23 @@ def test_criterion_12_f1_limit():
 def test_criterion_13_determinism():
     r = _run(13)
     assert r.ok, r.detail
+
+
+def test_criterion_13_parallel_leg_opens_a_pool(monkeypatch):
+    # one of its searches passes the pool probe, so 13 compares serial with a pool
+    import concurrent.futures
+
+    opened = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    serial = _census_suite(1)
+    assert not opened
+    assert _census_suite(2) == serial and opened
 
 
 def test_runtime_limit_is_enforced_on_red_and_green_criteria(monkeypatch):

@@ -44,6 +44,13 @@ from ringline.graphs import (
 from ringline.rings import matrix_ring_graph, unit_difference_graph, zn_projective_line
 
 
+@pytest.fixture
+def eager_pool(monkeypatch):
+    """Searches with workers hand over to their pool after the first root,
+    so that tests of small graphs still run the pool."""
+    monkeypatch.setattr(graphs, "_POOL_PROBE", 0)
+
+
 def brute_counts(g: Graph, kmax: int) -> list[int]:
     out = [1]
     for k in range(1, kmax + 1):
@@ -186,7 +193,7 @@ def test_complement_and_disjoint_union():
         disjoint_union([Graph.T()])
 
 
-def test_census_against_subset_oracle():
+def test_census_against_subset_oracle(eager_pool):
     cases = [
         Graph.complete(4),
         blowup(Graph.complete(3), 2),
@@ -267,13 +274,21 @@ def test_census_T_returns_one_per_size():
     assert count_cliques(Graph.T(), 7).as_list() == [1] * 8
 
 
+def test_census_T_stores_two_counts():
+    # T has one clique of every size; as_list fills them past the stored two
+    census = count_cliques(Graph.T(), 10**6)
+    assert census.counts == {0: 1, 1: 1} and census.nodes == 0
+    assert census.as_list() == [1] * (10**6 + 1)
+    assert count_cliques(Graph.T(), 0).as_list() == [1]
+
+
 def test_census_budget_is_an_error_not_a_truncation():
     g = Graph.complete(12)
     with pytest.raises(BudgetExceeded):
         count_cliques(g, 6, node_budget=10)
 
 
-def test_census_parallel_matches_serial():
+def test_census_parallel_matches_serial(eager_pool):
     g = tensor_product(zn_projective_line(6), Graph.complete(4))
     serial = count_cliques(g, 5, workers=1)
     parallel = count_cliques(g, 5, workers=3)
@@ -283,7 +298,7 @@ def test_census_parallel_matches_serial():
     assert prof_serial == prof_parallel
 
 
-def test_budget_outcome_is_schedule_independent():
+def test_budget_outcome_is_schedule_independent(eager_pool):
     g = tensor_product(zn_projective_line(6), Graph.complete(4))
     for kmax in range(6):
         census = count_cliques(g, kmax)
@@ -295,7 +310,7 @@ def test_budget_outcome_is_schedule_independent():
         assert count_cliques(g, 5, node_budget=needed, workers=workers).nodes == needed
 
 
-def test_profile_containing_parallel_matches_serial():
+def test_profile_containing_parallel_matches_serial(eager_pool):
     g = matrix_ring_graph(2, 2)
     base = find_clique(g, 2)
     serial = extension_profile(g, 4, containing=base, workers=1)
@@ -616,7 +631,7 @@ def test_orbit_node_charge():
         assert extension_profile(g, 1, node_budget=1) == {degree: g.n}
 
 
-def test_suborbit_node_charge():
+def test_suborbit_node_charge(eager_pool):
     # a profile through one vertex charges one node per suborbit
     # representative s of the orbit representative r, plus one per clique
     # visited in adj[r] & adj[s]; workers split those roots and agree
@@ -747,7 +762,7 @@ def test_algebra_rows_follow_the_edgewise_definition(a, b, t):
         assert list(blowup(a, t).adj) == edgewise_blowup(a, t)
 
 
-def test_orbit_budget_is_schedule_independent():
+def test_orbit_budget_is_schedule_independent(eager_pool):
     g = zn_projective_line(30)
     serial = count_cliques(g, 4, workers=1)
     parallel = count_cliques(g, 4, workers=3)
@@ -775,11 +790,11 @@ def test_combinators_carry_no_generators():
     assert tensor_product(Graph.T(), g) is g and blowup(g, 1) is g
 
 
-def test_search_pool_is_capped_at_the_available_cpus(monkeypatch):
-    # a serial stand-in records the pool size, so no process is started
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """A serial stand-in for the process pool, so no process is started; the
+    list it returns gets the max_workers of every pool opened."""
     import concurrent.futures
-
-    from ringline.config import _default_workers
 
     opened = []
 
@@ -797,9 +812,49 @@ def test_search_pool_is_capped_at_the_available_cpus(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return opened
+
+
+def test_search_pool_is_capped_at_the_available_cpus(eager_pool, serial_pool):
+    from ringline.config import _default_workers
+
     g = plain(zn_projective_line(30))
     wide = count_cliques(g, 3, workers=10**6)
     # every root is its own share, and the shares run on at most the CPUs
-    assert opened == [min(g.n, _default_workers())]
+    assert serial_pool == [min(g.n, _default_workers())]
     serial = count_cliques(g, 3)
     assert wide.counts == serial.counts and wide.nodes == serial.nodes
+
+
+def test_search_under_the_probe_opens_no_pool(serial_pool):
+    g = plain(zn_projective_line(30))
+    census = count_cliques(g, 4, workers=3)
+    assert census.nodes <= graphs._POOL_PROBE
+    assert census == count_cliques(g, 4)
+    assert extension_profile(g, 3, workers=3) == extension_profile(g, 3)
+    assert serial_pool == []
+
+
+def test_search_crossing_the_probe_hands_over_to_the_pool(monkeypatch):
+    # the serial prefix and the pool's shares add up to the serial walk
+    import concurrent.futures
+
+    opened = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    g = plain(zn_projective_line(110))
+    serial = count_cliques(g, 3)
+    needed = serial.nodes
+    assert needed > 1.2 * graphs._POOL_PROBE and not opened
+    for workers in (1, 2, 3):
+        opened.clear()
+        assert count_cliques(g, 3, node_budget=needed, workers=workers) == serial
+        with pytest.raises(BudgetExceeded):
+            count_cliques(g, 3, node_budget=needed - 1, workers=workers)
+        assert len(opened) == (0 if workers == 1 else 2)
+    assert extension_profile(g, 3, workers=2) == extension_profile(g, 3)

@@ -68,15 +68,16 @@ def test_verify_parser_offers_the_suites_table():
     assert suite.choices == sorted(verification.SUITES)
 
 
-def loaded_after(tmp_path, code: str) -> set[str]:
-    """The ringline submodules a fresh interpreter holds after running code."""
-    probe = code + "\nimport sys; print(json.dumps(sorted(m for m in sys.modules if m.startswith('ringline.'))))"
+def loaded_after(tmp_path, code: str, prefix: str = "ringline.") -> set[str]:
+    """The modules under prefix, without it, that a fresh interpreter holds
+    after running code."""
+    probe = code + f"\nimport sys; print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))"
     done = subprocess.run(
         [sys.executable, "-c", "import json\n" + probe],
         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    return {m.removeprefix("ringline.") for m in json.loads(done.stdout.splitlines()[-1])}
+    return {m.removeprefix(prefix) for m in json.loads(done.stdout.splitlines()[-1])}
 
 
 def test_bare_import_loads_no_submodule_until_first_use(tmp_path):
@@ -102,3 +103,22 @@ def test_tables_loads_no_verification(tmp_path):
     loaded = loaded_after(tmp_path, "from ringline.cli import main; assert main(['tables']) == 0")
     assert {"tables", "formulas", "partitions"} | TRACED <= loaded
     assert not loaded & {"verification", "fixtures", "identities"}, loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--spec", "s.json"],
+        ["census", "--spec", "s.json", "--kmax", "3", "--workers", "2"],
+        ["verify", "matrix"],
+        ["tables"],
+    ],
+)
+def test_commands_load_neither_dataclasses_nor_a_process_pool(tmp_path, argv):
+    # a small search stays under graphs._POOL_PROBE and never loads the pool;
+    # what the interpreter loads on its own start-up does not count
+    (tmp_path / "s.json").write_text('{"summands": [{"matrix": {"m": 2, "q": 2}}]}')
+    run = loaded_after(tmp_path, f"from ringline.cli import main; assert main({argv!r}) == 0", prefix="")
+    loaded = run - loaded_after(tmp_path, "pass", prefix="")
+    assert "ringline.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "concurrent.futures", "multiprocessing"}, loaded

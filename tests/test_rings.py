@@ -1,5 +1,6 @@
 """Ring descriptions and the distant-graph constructors."""
 
+import pickle
 import random
 from itertools import combinations
 from math import comb, gcd
@@ -83,6 +84,28 @@ def test_ring_spec_radical_and_warning():
     with pytest.raises(ValueError):
         RingSpec([], radical_multiplier=0)
     assert RingSpec([MatrixRing(2, 2)], radical_multiplier=3).radical_order == 3
+
+
+def test_records_compare_by_type_and_fields():
+    a, b = Local(4, 2), Local(J_order=2, R_order=4)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != MatrixRing(4, 2) and len({a, b, MatrixRing(4, 2)}) == 2
+    assert a != Local(8, 4) and a != (4, 2)
+    spec = RingSpec([Local(3, 1), MatrixRing(2, 3)], 2)
+    assert repr(a) == "Local(R_order=4, J_order=2)"
+    assert repr(spec) == "RingSpec(summands=(Local(R_order=3, J_order=1), MatrixRing(m=2, q=3)), radical_multiplier=2)"
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    for record, name in ((a, "R_order"), (spec, "summands"), (a, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 8)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert a.R_order == 4 and spec.summands == (Local(3, 1), MatrixRing(2, 3))
+    for args, kwargs in (((4,), {}), ((4, 2, 1), {}), ((4,), {"R_order": 4}), ((4,), {"j": 2})):
+        with pytest.raises(TypeError):
+            Local(*args, **kwargs)
+    with pytest.raises(ValueError):  # keyword construction validates too
+        Local(R_order=8, J_order=2)
 
 
 def test_ring_spec_json_roundtrip():
