@@ -298,27 +298,27 @@ def find_irreducible(m: int, q: int | GF) -> FieldPoly:
 
 
 def fp_is_primitive(F: GF, poly: FieldPoly) -> bool:
-    """x generates the unit group of GF(q)[x]/(poly), of order q^deg - 1.
+    """x generates the unit group of GF(q)[x]/(poly), of order N = q^deg - 1.
 
-    That is, poly(0) != 0 and x^i, stepped by the field tables, first
-    returns to 1 at i = q^deg - 1.  A reducible poly has fewer than
-    q^deg - 1 units, so the order of x falls short and the test is exact.
+    That is, poly(0) != 0, x^N = 1 and x^(N/p) != 1 for every prime p
+    dividing N, the powers taken by square-and-multiply modulo poly.  A
+    reducible poly has fewer than N units, so the order of x falls short
+    and the test is exact.
     """
     degree = len(poly) - 1
     if degree < 1 or poly[0] == 0:
         return False
-    # x^deg = sum_i low[i] x^i, so times[t] is t * x^deg in the low terms
-    lead = F.inv(poly[-1])
-    low = [F.neg(F.mul(lead, c)) for c in poly[:-1]]
-    times = [[F.mul(t, c) for c in low] for t in F.elements()]
-    add = F._add
-    one = [1] + [0] * (degree - 1)
-    power, order = one, F.q**degree - 1
-    for i in range(1, order + 1):
-        power = [add[c][d] for c, d in zip([0] + power[:-1], times[power[-1]])]
-        if power == one:
-            return i == order
-    return False
+
+    def power(e: int) -> FieldPoly:  # x^e mod poly, from the top bit of e down
+        acc: FieldPoly = (1,)
+        for bit in bin(e)[2:]:
+            acc = fp_divmod(F, fp_mul(F, acc, acc), poly)[1]
+            if bit == "1":
+                acc = fp_divmod(F, (0,) + acc, poly)[1]
+        return acc
+
+    order = F.q**degree - 1
+    return power(order) == (1,) and all(power(order // p) != (1,) for p, _ in factorize(order))
 
 
 def find_primitive(m: int, q: int | GF) -> FieldPoly:

@@ -165,9 +165,12 @@ def parse_ring_spec(data: dict | str | Path) -> RingSpec:
     {"matrix":{"m":2,"q":3}}],"radical":1}.  "radical" is optional; every
     other key shown is required, and no other key is allowed."""
     if isinstance(data, Path):
-        data = json.loads(data.read_text())
-    elif isinstance(data, str):
-        data = json.loads(data)
+        data = data.read_text()
+    if isinstance(data, str):
+        try:
+            data = json.loads(data)
+        except RecursionError:  # the parser recurses once per level of nesting
+            raise ValueError("a ring spec must not nest that deeply") from None
     if not isinstance(data, dict):
         raise ValueError("a ring spec must be a JSON object")
     if "summands" not in data or not set(data) <= {"summands", "radical"}:

@@ -1,12 +1,17 @@
 """Command-line surface: outputs are frozen strings, orderings stable."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ringline.cli import main
 from ringline.graphs import extension_profile
@@ -370,3 +375,105 @@ def test_fixed_sizes_are_constants_not_parameters():
     }
     for function, names in takes.items():
         assert list(inspect.signature(function).parameters) == names, function.__qualname__
+
+
+# ---------------------------------------------------------------------------
+# the command-line boundary under drawn input
+# ---------------------------------------------------------------------------
+
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12), st.integers(), st.floats(), st.text(max_size=4)
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["summands", "radical", "local", "matrix", "R", "J", "m", "q", ""]), kids, max_size=3),
+    max_leaves=8,
+)
+small_ints = st.integers(-1, 9)
+rings = [{"local": {"R": 2, "J": 1}}, {"local": {"R": 3, "J": 1}}, {"local": {"R": 4, "J": 2}},
+         {"local": {"R": 9, "J": 3}}, {"matrix": {"m": 1, "q": 5}}, {"matrix": {"m": 2, "q": 2}}]
+
+
+def summand_shaped(kind: str, keys: str):
+    body = st.fixed_dictionaries({key: small_ints | json_trees for key in keys}, optional={"X": json_leaves})
+    return st.fixed_dictionaries({kind: body})
+
+
+valid_specs = st.fixed_dictionaries(
+    {"summands": st.lists(st.sampled_from(rings), max_size=2)}, optional={"radical": st.integers(1, 2)}
+).map(json.dumps)
+# specs near the valid shape (small ints, wrong types, unknown keys), any
+# JSON tree, text nested past the parser's recursion limit, raw bytes
+wild_specs = st.one_of(
+    valid_specs,
+    st.fixed_dictionaries(
+        {"summands": st.lists(summand_shaped("local", "RJ") | summand_shaped("matrix", "mq") | json_trees, max_size=3)},
+        optional={"radical": st.integers(0, 3) | json_trees, "radicl": json_leaves},
+    ).map(json.dumps),
+    json_trees.map(json.dumps),
+    st.sampled_from([200_000, 3000, 1000, 100, 10]).map(lambda depth: '{"summands": [' + "[" * depth + "]" * depth + "]}"),
+    st.binary(max_size=12),
+)
+wild_values = st.one_of(st.integers(-2, 7).map(str), st.sampled_from(["", "x", "1e3", "0x10", "-" + "9" * 30]))
+# every argv sets --budget and --bound, and no drawn value raises them past
+# the valid ones: the budget stays under the pool probe and the bound at a
+# thousand vertices, so that every build and search is small and serial
+valid_values = {
+    "--budget": st.integers(1, 20_000).map(str),
+    "--bound": st.integers(1, 1000).map(str),
+    "--kmax": st.integers(0, 5).map(str),
+    "--profile": st.integers(0, 4).map(str),
+    "--containing": st.sampled_from(["0|0", "0|0,1|1", "0", "x", ""]),
+    "--workers": st.integers(1, 3).map(str),
+    "--format": st.sampled_from(["text", "json", "csv"]),
+}
+COMMAND_FLAGS = {
+    "build": ["--bound", "--workers", "--format"],
+    "census": ["--bound", "--kmax", "--profile", "--containing", "--workers", "--format"],
+    "tables": ["--bound", "--workers", "--format"],
+}
+
+
+@st.composite
+def cli_inputs(draw):
+    """(argv, spec text): a command with --budget, --bound and optional
+    flags, and a spec.  Tame: a valid spec and valid values of the flags the command
+    takes, --kmax always with census; wild: each flag, value and spec drawn
+    from anything."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    wild = draw(st.booleans())
+    argv = [command] + (["--spec", "SPEC"] if command != "tables" else [])
+    required = ["--budget", "--bound"] + (["--kmax"] if command == "census" and not wild else [])
+    for flag in ["--budget"] + (list(valid_values)[1:] if wild else COMMAND_FLAGS[command]):
+        if flag in required or draw(st.booleans()):
+            argv += [flag, draw(wild_values | valid_values[flag] if wild else valid_values[flag])]
+    if command != "tables" and draw(st.sampled_from([False, False, False, True])):
+        argv.append("--unit-graph")
+    return argv, draw(wild_specs if wild else valid_specs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=cli_inputs())
+@example(drawn=(["build", "--spec", "SPEC", "--budget", "10", "--bound", "10"], "[" * 200_000))
+def test_drawn_cli_input_exits_0_or_2_with_one_error_line(tmp_path_factory, drawn):
+    argv, spec = drawn
+    path = tmp_path_factory.getbasetemp() / "drawn-spec.json"
+    if isinstance(spec, bytes):
+        path.write_bytes(spec)
+    else:
+        path.write_text(spec)
+    argv = [str(path) if arg == "SPEC" else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the flags
+            code = exc.code
+    assert time.perf_counter() - start < 10, argv  # small inputs, bounded work
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert len(errors) == (1 if code == 2 else 0), (argv, err.getvalue())
+    assert bool(out.getvalue()) == (code == 0)

@@ -1,5 +1,6 @@
 """Field construction and polynomial-over-field behaviour."""
 
+import time
 from math import gcd
 
 import pytest
@@ -209,6 +210,45 @@ def test_primitive_polynomials():
     assert not fp_is_primitive(gf_build(2), (1, 0, 1))
     # over GF(2) all of F_8^* generates, so irreducible == primitive
     assert find_primitive(3, 2) == find_irreducible(3, 2)
+
+
+def stepped_is_primitive(F, poly) -> bool:
+    """The definition: poly(0) != 0 and x^i, stepped once per i and reduced
+    by poly, first returns to 1 at i = q^deg - 1."""
+    degree = len(poly) - 1
+    if degree < 1 or poly[0] == 0:
+        return False
+    # times x, then minus t * poly for t the top coefficient over the lead
+    lead, one = F.inv(poly[-1]), [1] + [0] * (degree - 1)
+    minus = [[F.neg(F.mul(F.mul(top, lead), c)) for c in poly[:-1]] for top in F.elements()]
+    power, order, add = one, F.q**degree - 1, F._add
+    for i in range(1, order + 1):
+        power = [add[c][d] for c, d in zip([0] + power, minus[power[-1]])]
+        if power == one:
+            return i == order
+    return False
+
+
+def test_primitive_test_matches_stepping_on_every_small_extension():
+    # every monic poly of every degree m over every GF(q), q^m <= 1000, for
+    # the q whose field tables are small (q <= 31; every q with m >= 2)
+    for q in [q for q in range(2, 32) if len(factorize(q)) == 1]:
+        F, m = gf_of(q), 1
+        while q**m <= 1000:
+            for poly in monic_polys(F, m):
+                assert fp_is_primitive(F, poly) == stepped_is_primitive(F, poly), (q, poly)
+            m += 1
+
+
+def test_find_primitive_is_fast_and_first():
+    # the first primitive by the order test is the first by the stepping
+    # definition; degree 16 over GF(2) stepped 65,535 powers per candidate
+    for m, q in [(1, 7), (2, 4), (2, 9), (3, 5), (4, 3), (6, 2)]:
+        F = gf_of(q)
+        assert find_primitive(m, q) == next(p for p in monic_polys(F, m) if stepped_is_primitive(F, p))
+    start = time.perf_counter()
+    assert find_primitive(16, 2) == (1, 0, 1, 1, 0, 1) + (0,) * 10 + (1,)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_fp_mul_and_divmod_roundtrip():

@@ -16,7 +16,7 @@ from math import factorial
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 from ringline import graphs
@@ -24,6 +24,7 @@ from ringline.errors import BoundExceeded, BudgetExceeded
 from ringline.graphs import (
     _SYMMETRY_BLOCK,
     Graph,
+    _bits,
     _branch_and_bound,
     _orbits,
     blowup,
@@ -652,6 +653,70 @@ def test_suborbit_node_charge(eager_pool):
                 assert extension_profile(g, k, containing=[c], node_budget=nodes, workers=workers) == want
         # k = 1 is the vertex alone, with no node charged
         assert extension_profile(g, 1, containing=[c], node_budget=0) == {g.degree(c): 1}
+
+
+def pair_anchors(g: Graph) -> list[tuple[int, int, int]]:
+    """(r, s, weight) for r the least vertex of each orbit and s the least
+    vertex of each of its suborbits, read from the tables."""
+    return [(r, s, size * part) for i, (r, size) in enumerate(g.orbits) for s, part in g.suborbits[i]]
+
+
+@pytest.mark.parametrize("case", ORBIT_GRAPHS, ids=lambda c: "-".join(map(str, c[:-1])))
+def test_pair_anchors_equal_the_level_one_walk(case, monkeypatch):
+    # every case with a suborbit table at each orbit takes the pairs; the
+    # level-1 walk, forced here, is the one the plain walk checks in
+    # test_orbit_search_equals_plain_walk on the cases without tables
+    kind, *args, _ = case
+    g, big = BUILD[kind](*args), 10**8
+    tables = all(table is not None for table in g.suborbits)
+    assert tables == (kind != "GL" or args[0] > 1)  # GL_1(q) fixes no vertex
+    census = count_cliques(g, 5, node_budget=big)
+    profiles = [extension_profile(g, k, node_budget=big) for k in (2, 3, 4)]
+    if tables:
+        assert census.nodes >= len(pair_anchors(g))
+    monkeypatch.setattr(graphs, "_pair_anchors", lambda g, through=None: None)
+    level_one = count_cliques(g, 5, node_budget=big)
+    assert census.counts == level_one.counts
+    assert profiles == [extension_profile(g, k, node_budget=big) for k in (2, 3, 4)]
+    assert (census.nodes < level_one.nodes) == tables
+
+
+def test_pair_node_charge(eager_pool, serial_pool):
+    # a census to kmax and a profile without containing at k >= 3 charge one
+    # node per pair (r, s), plus one per clique of adj[r] & adj[s] of at most
+    # k - 2 vertices, however many workers split those roots (in shares run
+    # by the serial stand-in for the pool)
+    for g in (matrix_ring_graph(2, 3), unit_difference_graph(2, 3), zn_projective_line(30)):
+        pairs = pair_anchors(g)
+        common = [g.adj[r] & g.adj[s] for r, s, _ in pairs]
+        cliques = [
+            sum(sum(is_clique(g, c) for c in combinations(_bits(cand), j)) for cand in common) for j in (1, 2, 3)
+        ]
+        need = {k: len(pairs) + sum(cliques[: k - 2]) for k in (3, 4, 5)}
+        for k, nodes in need.items():
+            want = count_cliques(g, k).counts, extension_profile(g, k)
+            for workers in (1, 3):
+                with pytest.raises(BudgetExceeded):
+                    count_cliques(g, k, node_budget=nodes - 1, workers=workers)
+                with pytest.raises(BudgetExceeded):
+                    extension_profile(g, k, node_budget=nodes - 1, workers=workers)
+                census = count_cliques(g, k, node_budget=nodes, workers=workers)
+                assert (census.counts, census.nodes) == (want[0], nodes)
+                assert extension_profile(g, k, node_budget=nodes, workers=workers) == want[1]
+        # k = 2: the profile's pairs settle at depth 0, one node each
+        assert extension_profile(g, 2, node_budget=len(pairs)) == extension_profile(g, 2)
+        with pytest.raises(BudgetExceeded):
+            extension_profile(g, 2, node_budget=len(pairs) - 1)
+
+
+def test_drawn_graphs_reach_the_pairs_and_the_level_one_fallback():
+    # test_orbit_search_equals_plain_walk_property draws graphs of both kinds
+    def tables(g: Graph) -> bool:
+        return all(table is not None for table in g.suborbits)
+
+    settings_ = settings(database=None, max_examples=500, phases=[Phase.generate])
+    assert tables(find(graphs_with_generators(), tables, settings=settings_))
+    assert not tables(find(graphs_with_generators(), lambda g: not tables(g), settings=settings_))
 
 
 def test_generator_that_is_no_automorphism_raises():
