@@ -73,10 +73,8 @@ def cmd_build(args: argparse.Namespace) -> int:
         print(json.dumps(info, sort_keys=True))
     elif info["is_T"]:
         print("graph T")
-    elif info["regular_degree"] is not None:
+    else:  # every graph the CLI builds besides T is regular
         print(f"{info['vertices']} vertices, {info['regular_degree']}-regular, {info['edges']} edges")
-    else:
-        print(f"{info['vertices']} vertices, {info['edges']} edges")
     return 0
 
 

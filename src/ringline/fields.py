@@ -262,21 +262,17 @@ def monic_polys(F: GF, degree: int):
 
 
 def fp_is_irreducible(F: GF, poly: FieldPoly) -> bool:
-    """Irreducibility over F by root search plus low-degree trial division.
+    """Irreducibility over F by trial division.
 
-    The trial divisors are all monic polynomials of degree 2..deg/2, not
+    The trial divisors are all monic polynomials of degree 1..deg/2, not
     only the irreducible ones: a reducible divisor of poly has an
-    irreducible factor of lower degree that divides poly too.
+    irreducible factor of lower degree that divides poly too.  The linear
+    divisor x - a divides poly exactly when a is a root.
     """
     degree = len(poly) - 1
     if degree < 1:
         return False
-    if degree == 1:
-        return True
-    for x in F.elements():
-        if fp_eval(F, poly, x) == 0:
-            return False
-    for d in range(2, degree // 2 + 1):
+    for d in range(1, degree // 2 + 1):
         for divisor in monic_polys(F, d):
             if not fp_divmod(F, poly, divisor)[1]:
                 return False

@@ -24,20 +24,21 @@ the 20,000-vertex bound).  A mismatch raises on the first edge v->u, least
 v then least u, whose reverse is missing.
 
 The census and the extension profile run one ordered backtracking walk:
-cliques are enumerated exactly once, in increasing vertex order, with
-one budget "node" charged per clique visited.  The last level is
-settled in one step per parent, or per anchor when it is the first:
-its candidates are charged and counted by a popcount, and binned by
-extension count only when there are common neighbours to bin by.
-Exceeding the budget raises; there are no silent partial answers.
+cliques are enumerated exactly once, in increasing vertex order, each
+charged one budget "node" and counted with its anchor's weight.  The
+last level is settled in one step per parent, or per anchor when it is
+the first: its candidates are charged and counted by a popcount, and
+binned by extension count only when there are common neighbours to bin
+by.  Exceeding the budget raises; there are no silent partial answers.
 
 A search with workers walks its roots serially, in order, until it has
 charged more than _POOL_PROBE nodes, about what starting a pool costs a
-fresh process; a search that ends first never loads the pool.  The roots
-not yet walked go to one pool: worker i of w walks the cliques whose
-minimum vertex is root i, i + w, ... of them.  Each clique is walked by
-the one process that owns its minimum vertex, so counts, nodes and
-budget outcomes do not depend on w or on where the prefix stopped.
+fresh process; a search that ends first never loads the pool.  The
+anchors not finished go to one pool, with the roots not yet walked:
+worker i of w walks the cliques whose minimum vertex is root i, i + w,
+... of them.  Each clique is walked by the one process that owns its
+minimum vertex, so counts, nodes and budget outcomes do not depend on w
+or on where the prefix stopped.
 
 Clique existence (find_clique) and the maximum clique (max_clique_order)
 share a second core, one colour-bounded branch and bound.  There are two
@@ -61,26 +62,26 @@ the orbit size, and divides by k, the members of a k-clique.  Level 2
 walks adj[r] & adj[s] to depth k - 2 for each s the least vertex of a
 suborbit of r, weighted by the orbit size times the suborbit size, and
 divides by k(k - 1), the ordered pairs of members.  Levels 1 and 2 charge
-one node per anchor, and every level one per clique visited.  The census
-with kmax >= 3 and the profile without `containing` with k >= 2 take
-level 2 when every orbit has a suborbit table, else level 1; with
-kmax <= 2 one popcount per representative settles the census (GL_2(5):
-13 us, 44 us at pairs).  A profile through one vertex c takes the pairs
-(r, s) of the orbit of c, which an automorphism maps c to, weighted by
-the suborbit size, and divides by k - 1; through more vertices, or with
-no table, level 0.  find_clique and max_clique_order stay at level 1,
-each r the path [r] with candidates adj[r], one best shared by all: on a
-vertex-transitive graph the first branches find a largest clique and the
-colour bound cuts the rest, while pairs colour one neighbourhood per
-suborbit (GL_2(5): 0.6 ms, 2.5 ms at pairs).  Orbit searches split their
-roots anchor by anchor.
+one node per anchor, and every level one per clique visited.  In
+_anchors, the census with kmax >= 3 and the profile without `containing`
+with k >= 2 take level 2 when every orbit has a suborbit table, else
+level 1; with kmax <= 2 one popcount per representative settles the
+census (GL_2(5): 13 us, 44 us at pairs).  A profile through one vertex c
+takes the pairs (r, s) of the orbit of c, which an automorphism maps c
+to, weighted by the suborbit size, and divides by k - 1; through more
+vertices, or with no table, level 0.  find_clique and max_clique_order
+stay at level 1, each r the path [r] with candidates adj[r], one best
+shared by all: on a vertex-transitive graph the first branches find a
+largest clique and the colour bound cuts the rest, while pairs colour
+one neighbourhood per suborbit (GL_2(5): 0.6 ms, 2.5 ms at pairs).
+Orbit searches split their roots anchor by anchor.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations
-from math import perm
+from itertools import combinations, zip_longest
+from math import inf, perm
 from typing import Iterable, Iterator, Sequence
 
 from .config import CENSUS_NODE_BUDGET, VERTEX_BOUND, _default_workers
@@ -372,26 +373,23 @@ def _walk(
     budget: int,
     what: str,
     spent: int = 0,
-    stop: int | None = None,
+    stop: float = inf,
 ):
     """Ordered walk, for each anchor (cand, common, roots, weight), over the
     cliques of 1..depth vertices of cand whose minimum vertex lies in roots.
     At depth 1 the roots are ignored: every vertex of cand is a 1-clique,
     and they are settled in one leaf step.
 
-    Returns (counts, hist, nodes, rest): counts[d] is the weighted number of
-    d-cliques, hist[c] the weighted number of depth-cliques with exactly c
+    Returns (counts, hist, nodes, rest): counts[d] for d < depth is the
+    weighted number of d-cliques, hist[c] that of depth-cliques with c
     vertices of common adjacent to all of them, and nodes = spent plus one
-    per clique visited, unweighted.  With stop, the walk ends before the
-    first root it meets with nodes > stop, and rest lists every anchor with
-    the roots not walked; otherwise rest is empty.
+    per clique visited, unweighted.  The walk ends before the first root it
+    meets with nodes > stop, and rest lists the anchors not finished: that
+    one with the roots not walked, then the later ones; else rest is empty.
     """
-    bins = max((common.bit_count() for _, common, _, _ in anchors), default=0) + 1
-    total_counts = [0] * (depth + 1)
-    total_hist = [0] * bins
+    counts = [0] * depth
+    hist = [0] * (max((common.bit_count() for _, common, _, _ in anchors), default=0) + 1)
     nodes = spent
-    if stop is None:  # never passed: nodes starts at spent, then stays <= budget or raises
-        stop = max(spent, budget)
 
     def rec(cand: int, common: int, size: int) -> None:
         nonlocal nodes
@@ -401,14 +399,13 @@ def _walk(
             nodes += width
             if nodes > budget:
                 raise BudgetExceeded(f"{what} exceeded {budget} nodes")
-            counts[depth] += width
             if not common:
-                hist[0] += width
+                hist[0] += weight * width
                 return
             while cand:
                 lsb = cand & -cand
                 cand ^= lsb
-                hist[(common & adj[lsb.bit_length() - 1]).bit_count()] += 1
+                hist[(common & adj[lsb.bit_length() - 1]).bit_count()] += weight
             return
         while cand:
             lsb = cand & -cand
@@ -417,36 +414,25 @@ def _walk(
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(f"{what} exceeded {budget} nodes")
-            counts[size + 1] += 1
+            counts[size + 1] += weight
             sub = cand & adj[v]
             if sub:
                 rec(sub, common & adj[v], size + 1)
 
-    rest: list = []
     for i, (cand, common, roots, weight) in enumerate(anchors):
-        counts = [0] * (depth + 1)
-        hist = [0] * bins
         if depth == 1:
             rec(cand, common, 0)
         for r in roots:
             if nodes > stop:
-                done = [(c, m, [], w) for c, m, _, w in anchors[:i]]
-                rest = [*done, (cand, common, roots[roots.index(r) :], weight), *anchors[i + 1 :]]
-                break
+                return counts, hist, nodes, [(cand, common, roots[roots.index(r) :], weight), *anchors[i + 1 :]]
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(f"{what} exceeded {budget} nodes")
-            counts[1] += 1
+            counts[1] += weight
             sub = cand & adj[r] & (-1 << (r + 1))
             if sub:
                 rec(sub, common & adj[r], 1)
-        for d, c in enumerate(counts):
-            total_counts[d] += weight * c
-        for e, h in enumerate(hist):
-            total_hist[e] += weight * h
-        if rest:
-            break
-    return total_counts, total_hist, nodes, rest
+    return counts, hist, nodes, []
 
 
 def _search(
@@ -459,15 +445,15 @@ def _search(
     spent: int = 0,
 ):
     """_walk over every root of every anchor (cand, common, weight), plus the
-    empty clique of each anchor.  With workers, the roots left after the
+    empty clique of each anchor.  With workers, the anchors left after the
     serial prefix run in one pool of at most as many processes as CPUs:
-    worker i of w takes the roots [i::w] of each anchor left, where w is
-    workers capped at the most roots of any anchor.
+    worker i of w takes the roots [i::w] of each, w being workers capped at
+    the most roots of any anchor, and the histograms are summed by position.
     """
     tasks = [(cand, common, _bits(cand) if depth > 1 else [], w) for cand, common, w in anchors]
     longest = max((len(roots) for _, _, roots, _ in tasks), default=0)
     workers = min(workers, longest)
-    stop = spent + _POOL_PROBE if workers > 1 else None
+    stop = spent + _POOL_PROBE if workers > 1 else inf
     counts, hist, nodes, rest = _walk(adj, depth, tasks, budget, what, spent, stop)
     if rest:
         shares = [[(cand, common, roots[i::workers], w) for cand, common, roots, w in rest] for i in range(workers)]
@@ -479,9 +465,10 @@ def _search(
             parts = [(counts, hist, nodes), *(part[:3] for part in pool.map(task, shares))]
         sums, hists, used = zip(*parts)
         nodes = sum(used)
-        counts, hist = [sum(c) for c in zip(*sums)], [sum(h) for h in zip(*hists)]
+        counts, hist = [sum(c) for c in zip(*sums)], [sum(h) for h in zip_longest(*hists, fillvalue=0)]
     if nodes > budget:  # also when spent alone is over it
         raise BudgetExceeded(f"{what} exceeded {budget} nodes")
+    counts.append(sum(hist))  # every depth-clique is binned once
     for _, common, w in anchors:
         counts[0] += w
         if depth == 0:
@@ -551,6 +538,17 @@ def _pair_anchors(g: Graph, through: int | None = None) -> list[tuple[int, int]]
     return anchors
 
 
+def _anchors(g: Graph, base: list[int], top: int) -> tuple[int, list[tuple[int, int]]]:
+    """(fixed, [(cand, weight)]): anchors at the level of the module docstring
+    for the cliques of top vertices through base, each fixing fixed members."""
+    pairs = _pair_anchors(g, base[0] if base else None) if top > 1 and len(base) < 2 else None
+    if pairs is not None:
+        return 2, pairs
+    if g.orbits is not None and top and not base:
+        return 1, [(g.adj[r], size) for r, size in g.orbits]
+    return len(base), [(_common_neighbors(g, base), 1)]
+
+
 def _through(total: int, per: int) -> int:
     """total / per, where total counts every clique per times: once per
     ordered choice of the members an anchor fixes, outside `containing`."""
@@ -580,14 +578,9 @@ def count_cliques(
     if g.is_T:
         return CliqueCensus(dict.fromkeys(range(min(kmax, 1) + 1), 1), kmax, 0, 1)
     depth = min(kmax, g.n)  # no clique has more than n vertices
-    pairs = _pair_anchors(g) if depth > 2 else None
-    if pairs is not None:
-        fixed, anchors = 2, [(cand, 0, w) for cand, w in pairs]
-    elif g.orbits is not None and depth:
-        fixed, anchors = 1, [(g.adj[r], 0, size) for r, size in g.orbits]
-    else:
-        fixed, anchors = 0, [((1 << g.n) - 1, 0, 1)]
+    fixed, anchors = _anchors(g, [], depth if depth > 2 else min(depth, 1))
     spent = len(anchors) if fixed else 0
+    anchors = [(cand, 0, w) for cand, w in anchors]
     through, _, nodes = _search(g.adj, depth - fixed, anchors, node_budget, workers, "census", spent)
     counts = [1, g.n][:fixed] + [_through(t, perm(k, fixed)) for k, t in enumerate(through, fixed)]
     return CliqueCensus(dict(enumerate(counts)), kmax, nodes, 0)
@@ -661,15 +654,9 @@ def extension_profile(
         raise ValueError("containing set is not a clique")
     if k < len(base):
         raise ValueError("k smaller than the fixed clique")
-    pairs = _pair_anchors(g, base[0] if base else None) if len(base) < 2 and k > 1 else None
-    if pairs is not None:
-        fixed, anchors = 2, [(cand, cand, w) for cand, w in pairs]
-    elif g.orbits is not None and not base and k:
-        fixed, anchors = 1, [(g.adj[r], g.adj[r], size) for r, size in g.orbits]
-    else:
-        common = _common_neighbors(g, base)
-        fixed, anchors = len(base), [(common, common, 1)]
+    fixed, anchors = _anchors(g, base, k)
     spent = len(anchors) if fixed > len(base) else 0
+    anchors = [(cand, cand, w) for cand, w in anchors]
     # a walk deeper than n visits the same cliques and reaches no leaf
     _, hist, _ = _search(g.adj, min(k - fixed, g.n + 1), anchors, node_budget, workers, "profile", spent)
     per = perm(k - len(base), fixed - len(base))

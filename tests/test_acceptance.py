@@ -17,6 +17,7 @@ import time
 from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 
+from ringline import verification
 from ringline.formulas import comm_clique_count_vertex_sets
 from ringline.graphs import Graph, count_cliques
 from ringline.rings import local_graph, matrix_ring_graph, zn_local_decomposition
@@ -182,3 +183,23 @@ def test_runtime_limit_is_enforced_on_red_and_green_criteria(monkeypatch):
         r = run_criterion(number)
         assert r.ok is False
         assert r.detail == "checked; exceeded the 0s runtime limit"
+
+
+def test_a_criterion_that_raises_fails_with_the_error(monkeypatch):
+    def boom():
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setitem(CRITERIA, 97, ("raises", boom))
+    r = run_criterion(97)
+    assert (r.ok, r.detail, r.record) == (False, "raised RuntimeError: engine fault", None)
+    assert r.line().startswith("FAIL criterion 97 (raises) [")
+
+
+def test_criterion_06_reports_a_structural_failure_and_stops(monkeypatch):
+    # the first ring, n = 4, fails its max clique check: nothing is counted
+    monkeypatch.setattr(verification, "max_clique_order", lambda g: -1)
+    r = run_criterion(6)
+    failure = "n=4: max clique search disagrees with min(q_i)+1"
+    assert (r.ok, r.detail) == (False, failure)
+    assert r.record.structural_failure == failure
+    assert r.record.census == {} and not r.record.printed_mismatches

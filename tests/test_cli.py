@@ -477,3 +477,27 @@ def test_drawn_cli_input_exits_0_or_2_with_one_error_line(tmp_path_factory, draw
     assert "Traceback" not in err.getvalue()
     assert len(errors) == (1 if code == 2 else 0), (argv, err.getvalue())
     assert bool(out.getvalue()) == (code == 0)
+
+
+def test_readme_usage_lists_each_parser_option():
+    # the usage block of the README names exactly the options and formats
+    # each subcommand's parser takes
+    import re
+
+    from ringline.cli import _parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    usage: dict[str, str] = {}
+    for line in block.splitlines():
+        if line.startswith("ringline "):
+            command = line.split()[1]
+        usage[command] = usage.get(command, "") + line
+    subparsers = _parser()._subparsers._group_actions[0].choices
+    assert set(usage) == set(subparsers)
+    for command, text in usage.items():
+        actions = [a for a in subparsers[command]._actions if a.option_strings != ["-h", "--help"]]
+        options = {o for a in actions for o in a.option_strings}
+        assert set(re.findall(r"--[a-z-]+", text)) == options, command
+        formats = next(a.choices for a in actions if a.dest == "format")
+        assert set(re.search(r"--format ([a-z|]+)", text).group(1).split("|")) == set(formats), command

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from functools import partial
 from itertools import combinations
 from math import factorial
 from pathlib import Path
@@ -88,6 +89,29 @@ def test_graph_validation():
     assert g.degrees() == [1, 2, 1]
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 0)])
+
+
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        (lambda: Graph(3, [0, 0]), "adjacency row count mismatch"),
+        (lambda: Graph(2, [0b10, 0b101]), "row 1 has bits outside the vertex range"),
+        (lambda: Graph.from_edges(2, [(0, 1)]).index_of("0"), "graph has no labels"),
+        (lambda: blowup(Graph.complete(2), 0), "blow-up factor must be positive"),
+        (lambda: count_cliques(Graph.complete(2), -1), "kmax must be >= 0"),
+        (lambda: verify_isomorphism(Graph.complete(2), Graph.complete(3), [0, 1]), False),
+        (lambda: verify_isomorphism(Graph.T(), Graph.T(), [0]), True),
+        (lambda: verify_isomorphism(Graph.T(), Graph.empty(1), [0]), False),
+    ],
+    ids=["row-count", "row-range", "unlabelled", "blowup-0", "kmax-negative", "iso-sizes", "iso-T-T", "iso-T-vertex"],
+)
+def test_input_checks(call, want):
+    # each check guards input from outside; a string is the ValueError it raises
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            call()
+    else:
+        assert call() is want
 
 
 def first_asymmetric_edge(rows):
@@ -923,3 +947,70 @@ def test_search_crossing_the_probe_hands_over_to_the_pool(monkeypatch):
             count_cliques(g, 3, node_budget=needed - 1, workers=workers)
         assert len(opened) == (0 if workers == 1 else 2)
     assert extension_profile(g, 3, workers=2) == extension_profile(g, 3)
+
+
+def clique_ladder() -> Graph:
+    """K_8, then eight copies of K_4, one orbit each under a shift of every
+    component at once.  No generator fixes a vertex, so the searches take
+    the level-1 anchors: adj[0], 7 wide, whose 4-cliques have 4 common
+    neighbours, then eight anchors 3 wide."""
+    sizes = [8] + [4] * 8
+    rows, shift, offset = [], [], 0
+    for size in sizes:
+        block = ((1 << size) - 1) << offset
+        rows += [block ^ 1 << v for v in range(offset, offset + size)]
+        shift += [offset + (v + 1) % size for v in range(size)]
+        offset += size
+    return Graph(offset, rows, generators=[shift])
+
+
+def test_hand_over_at_every_stop_point(serial_pool, monkeypatch):
+    # wherever the serial prefix stops, the pool's shares finish the walk:
+    # counts, profiles and nodes equal the serial walk's, the budget runs out
+    # at nodes - 1, and shares whose anchors bin into a shorter histogram than
+    # the prefix's are summed with it position by position
+    walk, search, walks, used = graphs._walk, graphs._search, [], []
+
+    def spy_walk(adj, depth, anchors, *args, **kwargs):
+        out = walk(adj, depth, anchors, *args, **kwargs)
+        walks.append(out[1])
+        return out
+
+    def spy_search(adj, depth, *args):
+        out = search(adj, depth, *args)
+        used.append(out[2])
+        return out
+
+    monkeypatch.setattr(graphs, "_walk", spy_walk)
+    monkeypatch.setattr(graphs, "_search", spy_search)
+    gl23 = unit_difference_graph(2, 3)
+    assert [(gl23.adj[r] & gl23.adj[s]).bit_count() for r, s, _ in pair_anchors(gl23)] == [18, 15, 14, 14, 14]
+    cases = {
+        "GL_2(3)": gl23,
+        "P(M_2(3))": matrix_ring_graph(2, 3),
+        "P(Z/30)": zn_projective_line(30),
+        "plain P(Z/30)": plain(zn_projective_line(30)),
+        "ladder": clique_ladder(),
+    }
+    # graph -> whether the prefix, on handing shorter histograms to the
+    # pool, had filled bins past them: the bins the padding keeps
+    shorter: dict[str, bool] = {}
+    for name, g in cases.items():
+        searches = [partial(count_cliques, g, k) for k in (4, 5)]
+        searches += [partial(extension_profile, g, 4, containing=base) for base in ([], [g.n - 1])]
+        for run in searches:
+            want = run(workers=1)
+            nodes = used[-1]
+            for probe in (0, 1, 2, 5, 17, 100, 1000):
+                monkeypatch.setattr(graphs, "_POOL_PROBE", probe)
+                for workers in (2, 3):
+                    walks.clear()
+                    assert run(workers=workers) == want and used[-1] == nodes
+                    prefix, *shares = walks
+                    if shares and len(shares[0]) < len(prefix):
+                        shorter[name] = shorter.get(name, False) or any(prefix[len(shares[0]) :])
+                    with pytest.raises(BudgetExceeded):
+                        run(workers=workers, node_budget=nodes - 1)
+    # GL_2(3) hands over after its widest pair, and the ladder after its
+    # first anchor, whose cliques fill bins that no later anchor has
+    assert shorter == {"GL_2(3)": False, "ladder": True}
