@@ -66,14 +66,14 @@ one node per anchor, and every level one per clique visited.  In
 _anchors, the census with kmax >= 3 and the profile without `containing`
 with k >= 2 take level 2 when every orbit has a suborbit table, else
 level 1; with kmax <= 2 one popcount per representative settles the
-census (GL_2(5): 13 us, 44 us at pairs).  A profile through one vertex c
+census (GL_2(5): 8-13 us, 15 us at pairs).  A profile through one vertex c
 takes the pairs (r, s) of the orbit of c, which an automorphism maps c
 to, weighted by the suborbit size, and divides by k - 1; through more
 vertices, or with no table, level 0.  find_clique and max_clique_order
 stay at level 1, each r the path [r] with candidates adj[r], one best
 shared by all: on a vertex-transitive graph the first branches find a
 largest clique and the colour bound cuts the rest, while pairs colour
-one neighbourhood per suborbit (GL_2(5): 0.6 ms, 2.5 ms at pairs).
+one neighbourhood per suborbit (GL_2(5): 0.5 ms, 1.4 ms at pairs).
 Orbit searches split their roots anchor by anchor.
 """
 
@@ -81,7 +81,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import combinations, zip_longest
-from math import inf, perm
+from math import perm
 from typing import Iterable, Iterator, Sequence
 
 from .config import CENSUS_NODE_BUDGET, VERTEX_BOUND, _default_workers
@@ -372,8 +372,8 @@ def _walk(
     anchors: Sequence[tuple[int, int, Sequence[int], int]],
     budget: int,
     what: str,
+    stop: int,
     spent: int = 0,
-    stop: float = inf,
 ):
     """Ordered walk, for each anchor (cand, common, roots, weight), over the
     cliques of 1..depth vertices of cand whose minimum vertex lies in roots.
@@ -453,14 +453,15 @@ def _search(
     tasks = [(cand, common, _bits(cand) if depth > 1 else [], w) for cand, common, w in anchors]
     longest = max((len(roots) for _, _, roots, _ in tasks), default=0)
     workers = min(workers, longest)
-    stop = spent + _POOL_PROBE if workers > 1 else inf
-    counts, hist, nodes, rest = _walk(adj, depth, tasks, budget, what, spent, stop)
+    # serial, never stop: a node past the budget raises, so nodes <= max(spent, budget)
+    stop = spent + _POOL_PROBE if workers > 1 else max(spent, budget)
+    counts, hist, nodes, rest = _walk(adj, depth, tasks, budget, what, stop, spent)
     if rest:
         shares = [[(cand, common, roots[i::workers], w) for cand, common, roots, w in rest] for i in range(workers)]
         # imported here so that a search under the probe never loads the pool
         from concurrent.futures import ProcessPoolExecutor
 
-        task = partial(_walk, adj, depth, budget=budget, what=what)
+        task = partial(_walk, adj, depth, budget=budget, what=what, stop=budget)
         with ProcessPoolExecutor(max_workers=min(workers, _default_workers())) as pool:
             parts = [(counts, hist, nodes), *(part[:3] for part in pool.map(task, shares))]
         sums, hists, used = zip(*parts)

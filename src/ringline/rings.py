@@ -43,9 +43,9 @@ vertex can be searched per suborbit of vertex 0 (see `ringline.graphs`):
   [[I, E_00], [0, S]], S a Singer cycle of GL_m(q), which fix (0 | I) and
   move its q^(m^2) neighbours as one orbit.
 * GL_m(q): X -> X S T, S a Singer cycle and T a transvection, and for
-  m >= 2 the conjugations X -> A^-1 X J A J, A = S, T, which fix the
-  antidiagonal J; its suborbits are the conjugacy classes of GL_m(q)
-  with no eigenvalue 0 or 1 (19 on GL_2(5)).
+  m >= 2 X -> S^-1 X J S J and X -> T^-1 X^-1 J T J, which fix the
+  antidiagonal J; its suborbits are the classes of GL_m(q) with no
+  eigenvalue 0 or 1, merged with their inverses' (12 on GL_2(5)).
 
 `Graph` checks them once, when the graph is built.  Tensor products and
 blow-ups carry none.
@@ -612,12 +612,15 @@ def unit_difference_graph(m: int, q: int | GF, vertex_bound: int = VERTEX_BOUND)
     Its generators act on the points (X | I) below.  With S and T the
     generators of GL_m(q) from _gl_generators (T only for m >= 2), they are
     X -> X B for B = S T, which is (X | I) -> (X | I) diag(B, I), and for
-    m >= 2 X -> A^-1 X J A J for A = S and A = T, which is
-    (X | I) -> (X | I) diag(J A J, A).  Vertex 0 is the antidiagonal matrix
-    J = J^-1, which the last two fix: on Y = X J they are the conjugations
-    Y -> A^-1 Y A, so the orbit of J holds B' J for every B' in the normal
-    closure of B = S T, which is GL_m(q) (its determinant is primitive;
-    the tests check the single orbit on every family they build)."""
+    m >= 2 X -> S^-1 X J S J, which is (X | I) -> (X | I) diag(J S J, S), and
+    X -> T^-1 X^-1 J T J, the block swap (X | I) -> (I | X) ~ (X^-1 | I)
+    followed by the same move for T: (X | I) -> (X | I) [[0, T], [J T J, 0]].
+    Vertex 0 is the antidiagonal matrix J = J^-1, which the last two fix: on
+    Y = X J they are Y -> S^-1 Y S and Y -> (J T)^-1 Y^-1 (J T), so its
+    suborbits are conjugacy classes merged with their inverses' classes.
+    The orbit of J holds B' J for every B' in the normal closure of B = S T,
+    which is GL_m(q) (its determinant is primitive; the tests check the
+    single orbit on every family they build)."""
     if m < 1:
         raise ValueError("m must be >= 1")
     F = gf_of(q)
@@ -634,7 +637,8 @@ def unit_difference_graph(m: int, q: int | GF, vertex_bound: int = VERTEX_BOUND)
     gens = _gl_generators(F, m)
     moves = [_block(reduce(mat_mul, [MatrixGF(F, a) for a in gens]).rows, zero, zero, eye)]
     if m >= 2:
-        moves += [_block(tuple(row[::-1] for row in a[::-1]), zero, zero, a) for a in gens]
+        (s, jsj), (t, jtj) = [(a, tuple(row[::-1] for row in a[::-1])) for a in gens]
+        moves += [_block(jsj, zero, zero, s), _block(zero, t, jtj, zero)]
     generators = _plucker_images(F, m, minors, moves)
     return Graph(len(mats), _pairing_rows(F, m, minors), [matrix_label(mt) for mt in mats], generators=generators)
 

@@ -924,6 +924,17 @@ def test_search_under_the_probe_opens_no_pool(serial_pool):
     assert serial_pool == []
 
 
+def test_anchors_over_the_budget_raise_before_any_pool(serial_pool):
+    # the anchors alone charge more than the budget: the serial walk must not
+    # take that for the pool probe and hand its roots to a pool
+    g = unit_difference_graph(2, 3)
+    assert len(pair_anchors(g)) > 2
+    for workers in (1, 2, 3):
+        with pytest.raises(BudgetExceeded):
+            count_cliques(g, 4, node_budget=2, workers=workers)
+    assert serial_pool == []
+
+
 def test_search_crossing_the_probe_hands_over_to_the_pool(monkeypatch):
     # the serial prefix and the pool's shares add up to the serial walk
     import concurrent.futures
@@ -984,7 +995,7 @@ def test_hand_over_at_every_stop_point(serial_pool, monkeypatch):
     monkeypatch.setattr(graphs, "_walk", spy_walk)
     monkeypatch.setattr(graphs, "_search", spy_search)
     gl23 = unit_difference_graph(2, 3)
-    assert [(gl23.adj[r] & gl23.adj[s]).bit_count() for r, s, _ in pair_anchors(gl23)] == [18, 15, 14, 14, 14]
+    assert [(gl23.adj[r] & gl23.adj[s]).bit_count() for r, s, _ in pair_anchors(gl23)] == [18, 15, 14, 14]
     cases = {
         "GL_2(3)": gl23,
         "P(M_2(3))": matrix_ring_graph(2, 3),

@@ -392,7 +392,10 @@ def test_ring_generators_give_one_orbit(family):
     assert all(g.adj[0] >> s & 1 for s, _ in suborbits)
     sizes = sorted(size for _, size in suborbits)
     if kind == "GL":
-        assert sizes == gl_class_sizes(*args)
+        partition = gl_suborbit_partition(*args)
+        assert suborbit_sets(g) == partition
+        assert suborbits == sorted((min(orbit), len(orbit)) for orbit in partition)
+        assert sizes == GL_SUBORBIT_SIZES[tuple(args)]
     else:
         assert sizes == [g.degree(0)]
 
@@ -415,18 +418,87 @@ def test_matrix_line_moves_vertex_0_by_the_block_swap(monkeypatch):
         assert all(swap[swap[v]] == v for v in range(g.n))
 
 
-def gl_class_sizes(m: int, q: int) -> list[int]:
-    """Sizes of the conjugacy classes of GL_m(q) with no eigenvalue 0 or 1:
-    the suborbits of vertex 0 of the unit-difference graph, whose generators
-    that fix the antidiagonal J conjugate Y = X J by GL_m(q).  In GL_2(q)
-    these are q - 2 scalars (size 1), q - 2 scalars times a Jordan block
-    (q^2 - 1), C(q - 2, 2) split classes (q^2 + q) and (q^2 - q) / 2 elliptic
-    ones (q^2 - q); in GL_3(2), the two classes of order 7, of 24 each."""
-    if m == 3 and q == 2:
-        return [24, 24]
-    assert m == 2
-    sizes = [1] * (q - 2) + [q * q - 1] * (q - 2) + [q * q + q] * comb(q - 2, 2) + [q * q - q] * ((q * q - q) // 2)
-    return sorted(sizes)
+# sorted suborbit sizes of vertex 0 of the GL_m(q) unit-difference graphs
+GL_SUBORBIT_SIZES = {
+    (2, 2): [2],
+    (2, 3): [1, 6, 8, 12],
+    (2, 4): [2, 12, 12, 20, 24, 24, 30],
+    (2, 5): [1, 2, 20, 20, 24, 30, 40, 40, 40, 40, 48, 60],
+    (3, 2): [48],
+}
+
+
+def suborbit_sets(g: Graph) -> set[frozenset[int]]:
+    """The orbits on the neighbours of vertex 0 of the generators fixing it."""
+    fixing = [sigma for sigma in g.generators if sigma[0] == 0]
+    out, seen = set(), set()
+    for v in range(g.n):
+        if g.has_edge(0, v) and v not in seen:
+            orbit, stack = {v}, [v]
+            while stack:
+                u = stack.pop()
+                for sigma in fixing:
+                    if sigma[u] not in orbit:
+                        orbit.add(sigma[u])
+                        stack.append(sigma[u])
+            out.add(frozenset(orbit))
+            seen |= orbit
+    return out
+
+
+def gl_suborbit_partition(m: int, q: int) -> set[frozenset[int]]:
+    """The suborbits of vertex 0 of the unit-difference graph of GL_m(q), found
+    without its generators.  Vertex 0 is the antidiagonal J = J^-1.  Put
+    Y = X J for each X with X - J invertible.  The elements of GL_2(M_m(q))
+    that fix the point (J | I) and the pair of points 0 and infinity of the
+    projective line conjugate the Y, and those that swap 0 and infinity
+    also invert them (Blunck & Havlicek 2000).  So the suborbits are the
+    conjugacy classes of the Y, each merged with the class of the inverses.
+    A class of GL_2(q) is given by its rational canonical form: trace,
+    determinant and whether Y is scalar; a class of GL_3(2) is found by
+    conjugating with every element."""
+    F = gf_of(q)
+    add, mul = F._add, F._mul
+    mats = [mt.rows for mt in enumerate_gl(m, F)]
+    J = mats[0]
+    eye = identity(F, m).rows
+    assert J == tuple(tuple(int(i + j == m - 1) for j in range(m)) for i in range(m))
+
+    def dot(row, col):
+        total = 0
+        for x, y in zip(row, col):
+            total = add[total][mul[x][y]]
+        return total
+
+    def times(a, b):
+        return tuple(tuple(dot(row, col) for col in zip(*b)) for row in a)
+
+    def inverse(a):
+        power = a
+        while times(power, a) != eye:
+            power = times(power, a)
+        return power
+
+    if m == 2:
+        def cls(y):
+            scalar = y[0][1] == y[1][0] == 0 and y[0][0] == y[1][1]
+            return add[y[0][0]][y[1][1]], _det(F, y), scalar
+    else:
+        assert (m, q) == (3, 2)
+        pairs = [(a, inverse(a)) for a in mats]
+
+        def cls(y):
+            return frozenset(times(times(b, y), a) for a, b in pairs)
+
+    classes: dict = {}
+    partner: dict = {}
+    for v, x in enumerate(mats):
+        if _det(F, mat_sub(matrix(F, x), matrix(F, J)).rows):
+            y = times(x, J)
+            key = cls(y)
+            classes.setdefault(key, set()).add(v)
+            partner[key] = cls(inverse(y))
+    return {frozenset(vs | classes[partner[key]]) for key, vs in classes.items()}
 
 
 # ---------------------------------------------------------------------------
