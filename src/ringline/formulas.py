@@ -4,6 +4,11 @@ Everything here is arbitrary-precision: polynomials are IntPoly, values
 are Python ints.  The Gaussian binomials are built from their product
 formula on integer coefficients (polynomials.qbinom), never by rational
 division.
+
+One rule counts the common neighbours of a k-clique of any spec:
+|J| * prod_s C_s(k).  A MatrixRing(m, q) summand has C_s(k) =
+C_{m,k}(q), and a local summand is the m = 1 case, C_{1,k}(q) =
+q + 1 - k, its graph being a blow-up of P(F_q) = K_{q+1}.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from math import comb, factorial, prod
 from typing import Sequence
 
 from .polynomials import IntPoly, matrix_codegree, poly_product, qbinom
-from .rings import Local, MatrixRing, RingSpec
+from .rings import Local, RingSpec
 
 
 def _one_minus_q_to(t: int) -> IntPoly:
@@ -57,7 +62,16 @@ def comm_extension_count(spec: RingSpec, k: int) -> int:
     (k+1)-clique.  Meaningful whenever a k-clique exists."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return spec.radical_order * prod(q + 1 - k for q in _local_qs(spec))
+    _local_qs(spec)
+    return _extension_count(spec, k)
+
+
+def _extension_count(spec: RingSpec, k: int) -> int:
+    """|J| * prod_s C_s(k), the module docstring's rule, for k >= 0."""
+    value = prod(
+        s.q + 1 - k if isinstance(s, Local) else c_extension_poly(s.m, k)(s.q) for s in spec.summands
+    )
+    return radical_scale(value, spec.radical_order)
 
 
 def comm_max_clique(spec: RingSpec) -> int:
@@ -114,40 +128,18 @@ def cap2N_matrix(m: int) -> IntPoly:
     return cap_k_N_from_extensions([c_extension_poly(m, i) for i in range(3)], 2)
 
 
-def _semisimple_parts(spec: RingSpec) -> list[tuple[int, int]]:
-    parts = []
-    for s in spec.summands:
-        if isinstance(s, MatrixRing):
-            parts.append((s.m, s.q))
-        elif s.J_order == 1:
-            parts.append((1, s.q))
-        else:
-            raise ValueError(
-                "spec is not semisimple; reduce by the radical and rescale with radical_scale"
-            )
-    return parts
-
-
-def _product_extensions(spec: RingSpec) -> list[int]:
-    """[points, degree, codegree] of a sum of matrix rings: each is the
-    product of the per-summand values."""
-    values = [1, 1, 1]
-    for m, q in _semisimple_parts(spec):
-        for i in range(3):
-            values[i] *= c_extension_poly(m, i)(q)
-    return values
-
-
 def cap1N_product(spec: RingSpec) -> int:
     """Points minus degree for a sum of matrix rings, radical-scaled."""
-    value = cap_k_N_from_extensions(_product_extensions(spec), 1)
-    return radical_scale(value, spec.radical_multiplier)
+    if any(isinstance(s, Local) and s.J_order > 1 for s in spec.summands):
+        raise ValueError("spec is not semisimple; reduce by the radical and rescale with radical_scale")
+    return cap_k_N_from_extensions([_extension_count(spec, k) for k in range(2)], 1)
 
 
 def cap2N_product(spec: RingSpec) -> int:
     """Inclusion-exclusion over point count, degree and codegree products."""
-    value = cap_k_N_from_extensions(_product_extensions(spec), 2)
-    return radical_scale(value, spec.radical_multiplier)
+    if any(isinstance(s, Local) and s.J_order > 1 for s in spec.summands):
+        raise ValueError("spec is not semisimple; reduce by the radical and rescale with radical_scale")
+    return cap_k_N_from_extensions([_extension_count(spec, k) for k in range(3)], 2)
 
 
 def incexc_Wprime(m: int, k: int, W: Sequence[int], q: int) -> int:

@@ -225,6 +225,8 @@ class Graph:
         for u, v in edges:
             if u == v:
                 raise ValueError("loops are not allowed")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"vertex {v if 0 <= u < n else u} out of range")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(n, rows, labels)
@@ -653,6 +655,8 @@ def extension_profile(
     base = list(containing)
     if not is_clique(g, base):
         raise ValueError("containing set is not a clique")
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if k < len(base):
         raise ValueError("k smaller than the fixed clique")
     fixed, anchors = _anchors(g, base, k)

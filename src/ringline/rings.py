@@ -21,15 +21,13 @@ sum_I +-p_I(U) p_{I^c}(W) over the m-subsets I of the 2m columns, p_I
 being the m x m minor on the columns I.  Each point's minors are taken
 once, those of its first t rows from those of its first t - 1 rows by
 Laplace expansion along row t.  The pairing is linear in the second
-point, so the row of U is the complement of the zero set of
-W -> sum_I +-p_I(U) p_{I^c}(W), and no pair is decided on its own:
-bitsets cells[I][c] of the points W with +-p_{I^c}(W) = c feed a value
-DP over the nonzero p_I(U) but the last, sums'[s + a*c] |= sums[s] &
-cells[I][c], and the last term only gathers the zero set,
-OR_c sums[-a*c] & cells[I][c].  That step costs q whole-row operations,
-not q^2, so for m = 1 a row costs O(q) operations even at large q.  The unit-difference graph is the induced subgraph on
-the points (A | I), since det[A, I; B, I] = det(A - B).  `points_distant`
-and `mat_det` stay as the reference the tests compare the kernel against.
+point, so no pair is decided on its own: `_pairing_rows` finds each row,
+the complement of the zero set of a linear functional, with a value DP
+over whole-row bitsets.
+
+The unit-difference graph is the induced subgraph on the points (A | I),
+since det[A, I; B, I] = det(A - B).  `points_distant` and `mat_det` stay
+as the reference the tests compare the kernel against.
 
 The three constructors above also give their graphs generators of a
 vertex-transitive automorphism group, built from their own index tables
@@ -571,8 +569,7 @@ def _pairing_rows(F: GF, m: int, minors: list[list[int]]) -> list[int]:
       for m = 1 a row costs O(q) operations even at large q.
     """
     subsets = list(combinations(range(2 * m), m))
-    position = {cols: k for k, cols in enumerate(subsets)}
-    complement = [position[tuple(c for c in range(2 * m) if c not in cols)] for cols in subsets]
+    complement = range(len(subsets) - 1, -1, -1)  # reversed lexicographic order, as in f1_graph
     odd = [(sum(cols) + m * (m + 3) // 2) % 2 for cols in subsets]
     add, mul, neg, inv = F._add, F._mul, F._neg, F._inv
     q, n = F.q, len(minors)
@@ -678,12 +675,7 @@ def f1_graph(m: int, vertex_bound: int = VERTEX_BOUND) -> Graph:
     if n > vertex_bound:
         raise BoundExceeded(f"{n} vertices exceed bound {vertex_bound}")
     subsets = list(combinations(range(2 * m), m))
-    index = {s: i for i, s in enumerate(subsets)}
-    full = frozenset(range(2 * m))
-    rows = [0] * n
-    for i, s in enumerate(subsets):
-        comp = tuple(sorted(full - set(s)))
-        j = index[comp]
-        rows[i] |= 1 << j
+    # complementing reverses the lexicographic order of the m-subsets of a 2m-set
+    rows = [1 << (n - 1 - i) for i in range(n)]
     labels = ["".join("1" if x in s else "0" for x in range(2 * m)) for s in subsets]
     return Graph(n, rows, labels)

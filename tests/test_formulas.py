@@ -44,6 +44,7 @@ from ringline.rings import (
     MatrixRing,
     RingSpec,
     matrix_ring_graph,
+    spec_graph,
     zn_local_decomposition,
     zn_projective_line,
 )
@@ -330,3 +331,17 @@ def test_cap_products_and_radical_scaling():
     assert cap1N_product(spec2) == 38 == neighborhood_intersection_count(h, [0])
     e2 = find_clique(h, 2)
     assert cap2N_product(spec2) == neighborhood_intersection_count(h, e2)
+
+
+def test_local_summand_is_the_m1_matrix_summand():
+    # a local summand's graph is a blow-up of P(F_q) = K_{q+1}
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        assert [c_extension_poly(1, k)(q) for k in range(4)] == [q + 1 - k for k in range(4)]
+    # products mixing the two kinds, against their tensor-graph oracles
+    for spec in (
+        RingSpec([MatrixRing(2, 2), Local(3, 1)]),
+        RingSpec([MatrixRing(1, 4), Local(5, 1)], radical_multiplier=2),
+    ):
+        g = spec_graph(spec)
+        assert cap1N_product(spec) == neighborhood_intersection_count(g, [0])
+        assert cap2N_product(spec) == neighborhood_intersection_count(g, find_clique(g, 2))

@@ -99,11 +99,17 @@ def test_graph_validation():
         (lambda: Graph.from_edges(2, [(0, 1)]).index_of("0"), "graph has no labels"),
         (lambda: blowup(Graph.complete(2), 0), "blow-up factor must be positive"),
         (lambda: count_cliques(Graph.complete(2), -1), "kmax must be >= 0"),
+        (lambda: Graph.from_edges(3, [(0, 5)]), "vertex 5 out of range"),
+        (lambda: Graph.from_edges(3, [(0, -1)]), "vertex -1 out of range"),
+        (lambda: extension_profile(Graph.complete(2), -1), "k must be >= 0"),
         (lambda: verify_isomorphism(Graph.complete(2), Graph.complete(3), [0, 1]), False),
         (lambda: verify_isomorphism(Graph.T(), Graph.T(), [0]), True),
         (lambda: verify_isomorphism(Graph.T(), Graph.empty(1), [0]), False),
     ],
-    ids=["row-count", "row-range", "unlabelled", "blowup-0", "kmax-negative", "iso-sizes", "iso-T-T", "iso-T-vertex"],
+    ids=[
+        "row-count", "row-range", "unlabelled", "blowup-0", "kmax-negative", "edge-above-n", "edge-negative",
+        "profile-negative", "iso-sizes", "iso-T-T", "iso-T-vertex",
+    ],
 )
 def test_input_checks(call, want):
     # each check guards input from outside; a string is the ValueError it raises
