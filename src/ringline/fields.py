@@ -251,14 +251,8 @@ def monic_polys(F: GF, degree: int):
     Candidate order: the vector of non-leading coefficients read as a
     base-q integer, ascending (constant term least significant).
     """
-    q = F.q
-    for n in range(q**degree):
-        coeffs = []
-        m = n
-        for _ in range(degree):
-            coeffs.append(m % q)
-            m //= q
-        yield tuple(coeffs) + (1,)
+    for n in range(F.q**degree):
+        yield (*_digits(n, F.q, degree), 1)
 
 
 def fp_is_irreducible(F: GF, poly: FieldPoly) -> bool:

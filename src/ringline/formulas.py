@@ -5,10 +5,10 @@ are Python ints.  The Gaussian binomials are built from their product
 formula on integer coefficients (polynomials.qbinom), never by rational
 division.
 
-One rule counts the common neighbours of a k-clique of any spec:
-|J| * prod_s C_s(k).  A MatrixRing(m, q) summand has C_s(k) =
-C_{m,k}(q), and a local summand is the m = 1 case, C_{1,k}(q) =
-q + 1 - k, its graph being a blow-up of P(F_q) = K_{q+1}.
+Each summand is read as (m, q, |J|), the rule of `ringline.rings.Local`.
+So one rule counts the common neighbours of a k-clique of any spec:
+|J| * prod_s C_{m_s,k}(q_s), where C_{1,k}(q) = q + 1 - k counts on
+P(F_q) = K_{q+1} and an m = 0 summand contributes 1.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from math import comb, factorial, prod
 from typing import Sequence
 
 from .polynomials import IntPoly, matrix_codegree, poly_product, qbinom
-from .rings import Local, RingSpec
+from .rings import RingSpec
 
 
 def _one_minus_q_to(t: int) -> IntPoly:
@@ -32,7 +32,7 @@ def _one_minus_q_to(t: int) -> IntPoly:
 def _local_qs(spec: RingSpec) -> list[int]:
     if not spec.is_commutative():
         raise ValueError("spec has matrix-ring summands; commutative formulas do not apply")
-    return [s.q for s in spec.summands if isinstance(s, Local)]
+    return [s.q for s in spec.summands if s.m >= 1]
 
 
 def comm_clique_count(spec: RingSpec, k: int) -> int:
@@ -67,10 +67,8 @@ def comm_extension_count(spec: RingSpec, k: int) -> int:
 
 
 def _extension_count(spec: RingSpec, k: int) -> int:
-    """|J| * prod_s C_s(k), the module docstring's rule, for k >= 0."""
-    value = prod(
-        s.q + 1 - k if isinstance(s, Local) else c_extension_poly(s.m, k)(s.q) for s in spec.summands
-    )
+    """|J| * prod_s C_{m_s,k}(q_s), the module docstring's rule, for k >= 0."""
+    value = prod(s.q + 1 - k if s.m == 1 else c_extension_poly(s.m, k)(s.q) for s in spec.summands if s.m)
     return radical_scale(value, spec.radical_order)
 
 
@@ -81,13 +79,8 @@ def comm_max_clique(spec: RingSpec) -> int:
 
 
 def general_max_clique(spec: RingSpec) -> int:
-    """min over summands of q^m + 1 (local summands count as m = 1)."""
-    tops = []
-    for s in spec.summands:
-        if isinstance(s, Local):
-            tops.append(s.q + 1)
-        elif s.m >= 1:
-            tops.append(s.q**s.m + 1)
+    """min over the summands with m >= 1 of q^m + 1."""
+    tops = [s.q**s.m + 1 for s in spec.summands if s.m >= 1]
     if not tops:
         raise ValueError("trivial ring: a clique of every order exists")
     return min(tops)
@@ -117,6 +110,8 @@ def matrix_point_count(m: int) -> IntPoly:
 
 def matrix_degree(m: int) -> IntPoly:
     """q^(m^2): neighbours of a point (the ring order)."""
+    if m < 0:
+        raise ValueError("negative dimension")
     return IntPoly.monomial(m * m)
 
 
@@ -130,16 +125,18 @@ def cap2N_matrix(m: int) -> IntPoly:
 
 def cap1N_product(spec: RingSpec) -> int:
     """Points minus degree for a sum of matrix rings, radical-scaled."""
-    if any(isinstance(s, Local) and s.J_order > 1 for s in spec.summands):
-        raise ValueError("spec is not semisimple; reduce by the radical and rescale with radical_scale")
-    return cap_k_N_from_extensions([_extension_count(spec, k) for k in range(2)], 1)
+    return _cap_product(spec, 1)
 
 
 def cap2N_product(spec: RingSpec) -> int:
     """Inclusion-exclusion over point count, degree and codegree products."""
-    if any(isinstance(s, Local) and s.J_order > 1 for s in spec.summands):
+    return _cap_product(spec, 2)
+
+
+def _cap_product(spec: RingSpec, n: int) -> int:
+    if any(s.J_order > 1 for s in spec.summands):
         raise ValueError("spec is not semisimple; reduce by the radical and rescale with radical_scale")
-    return cap_k_N_from_extensions([_extension_count(spec, k) for k in range(3)], 2)
+    return cap_k_N_from_extensions([_extension_count(spec, k) for k in range(n + 1)], n)
 
 
 def incexc_Wprime(m: int, k: int, W: Sequence[int], q: int) -> int:
@@ -171,6 +168,8 @@ def c_extension_poly(m: int, k: int) -> IntPoly:
     counts, so no single polynomial exists; use extension_profile.
     The k=3 sum is cross-checked against its nested product form.
     """
+    if m < 0:
+        raise ValueError("negative dimension")
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > 3:

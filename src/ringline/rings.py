@@ -91,9 +91,12 @@ from .polynomials import qbinom
 
 
 class Local(Record):
-    """A finite local ring given by |R| and |J| (graph depends only on these)."""
+    """A finite local ring given by |R| and |J|, the summand (m, q, |J|) =
+    (1, |R|/|J|, |J|).  A summand's graph is that of its quotient by the
+    radical, P(M_m(q)), blown up by |J|, so it depends on m, q and |J| alone."""
 
     __slots__ = ("R_order", "J_order")
+    m = 1
 
     def __post_init__(self) -> None:
         R, J = self.R_order, self.J_order
@@ -116,9 +119,11 @@ class Local(Record):
 
 
 class MatrixRing(Record):
-    """The ring of m x m matrices over GF(q); m = 0 is the trivial ring."""
+    """The ring of m x m matrices over GF(q), the summand (m, q, 1) of the rule
+    in `Local`.  m = 1 is the field F_q, and m = 0 the trivial ring, whose graph is T."""
 
     __slots__ = ("m", "q")
+    J_order = 1
 
     def __post_init__(self) -> None:
         if self.m < 0:
@@ -136,9 +141,7 @@ class RingSpec(Record):
         super().__init__(tuple(summands), int(radical_multiplier))
         if self.radical_multiplier < 1:
             raise ValueError("radical multiplier must be >= 1")
-        if self.radical_multiplier > 1 and any(
-            isinstance(s, Local) and s.J_order > 1 for s in self.summands
-        ):
+        if self.radical_multiplier > 1 and any(s.J_order > 1 for s in self.summands):
             warnings.warn(
                 "spec mixes a global radical multiplier with local radicals; "
                 "only one is normally needed",
@@ -147,15 +150,12 @@ class RingSpec(Record):
 
     @property
     def radical_order(self) -> int:
-        """|J| of the whole ring: local radicals times the global multiplier."""
-        out = self.radical_multiplier
-        for s in self.summands:
-            if isinstance(s, Local):
-                out *= s.J_order
-        return out
+        """|J| of the whole ring: the summands' radicals times the global multiplier."""
+        return self.radical_multiplier * prod(s.J_order for s in self.summands)
 
     def is_commutative(self) -> bool:
-        return all(isinstance(s, Local) for s in self.summands)
+        """True iff every quotient M_m(q) is a field or trivial (m <= 1)."""
+        return all(s.m <= 1 for s in self.summands)
 
 
 def parse_ring_spec(data: dict | str | Path) -> RingSpec:

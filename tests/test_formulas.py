@@ -162,6 +162,28 @@ def test_comm_formulas_reject_matrix_specs():
         comm_max_clique(spec)
 
 
+def test_comm_formulas_accept_field_and_trivial_summands():
+    # M_1(q) is the field F_q and M_0(q) the trivial ring: commutative,
+    # with the counts of the graph spec_graph builds for them
+    for spec in (
+        RingSpec([MatrixRing(1, 5)]),
+        RingSpec([MatrixRing(1, 5), Local(4, 2)]),
+        RingSpec([MatrixRing(0, 3), Local(5, 1)]),
+        RingSpec([MatrixRing(1, 4), MatrixRing(1, 3)], radical_multiplier=2),
+        RingSpec([MatrixRing(1, 2), Local(9, 3)]),
+    ):
+        assert spec.is_commutative()
+        assert not RingSpec([*spec.summands, MatrixRing(2, 2)]).is_commutative()
+        g = spec_graph(spec)
+        top = comm_max_clique(spec)
+        assert top == max_clique_order(g)
+        census = count_cliques(g, top + 1).as_list()
+        assert census == [comm_clique_count_vertex_sets(spec, k) for k in range(top + 2)]
+        for k in range(top + 1):
+            assert extension_profile(g, k) == {comm_extension_count(spec, k): census[k]}
+            assert cap_n_N_comm(spec, k) == neighborhood_intersection_count(g, find_clique(g, k))
+
+
 def test_max_clique_formulas():
     assert comm_max_clique(zn_local_decomposition(6)) == 3
     assert general_max_clique(RingSpec([MatrixRing(2, 2)])) == 5
@@ -258,6 +280,11 @@ def test_c_extension_poly_paper_values():
     assert c_extension_poly(4, 2) == matrix_codegree(4)
     with pytest.raises(ValueError):
         c_extension_poly(2, 4)
+    for k in range(4):
+        with pytest.raises(ValueError, match="negative dimension"):
+            c_extension_poly(-1, k)
+    with pytest.raises(ValueError, match="negative dimension"):
+        matrix_degree(-2)
 
 
 def test_c_extension_poly_forms_agree_up_to_m6():
