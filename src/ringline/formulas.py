@@ -52,9 +52,8 @@ def comm_clique_count(spec: RingSpec, k: int) -> int:
 def comm_clique_count_vertex_sets(spec: RingSpec, k: int) -> int:
     """Exact number of k-vertex cliques of the distant graph:
     |J|^k * (k!)^(s-1) * prod_i C(q_i+1, k) for s local summands."""
-    qs = _local_qs(spec)
-    scale = factorial(k) ** max(0, len(qs) - 1)
-    return scale * comm_clique_count(spec, k)
+    count = comm_clique_count(spec, k)  # checks k and the spec before factorial(k)
+    return factorial(k) ** max(0, len(_local_qs(spec)) - 1) * count
 
 
 def comm_extension_count(spec: RingSpec, k: int) -> int:
@@ -105,6 +104,8 @@ def cap_n_N_comm(spec: RingSpec, n: int) -> int:
 
 def matrix_point_count(m: int) -> IntPoly:
     """[2m, m]_q: number of points of the m x m matrix-ring line."""
+    if m < 0:
+        raise ValueError("negative dimension")
     return qbinom(2 * m, m)
 
 

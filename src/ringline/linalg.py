@@ -151,22 +151,20 @@ def rref(m: MatrixGF) -> MatrixGF:
 
 def gl_order(m: int, q: int) -> int:
     """|GL_m(q)| as an exact integer: matrix_codegree(m) at q."""
-    if m < 0:
-        raise ValueError("negative dimension")
     return matrix_codegree(m)(q)
 
 
 def enumerate_gl(m: int, q: int | GF) -> list[MatrixGF]:
     """All invertible m x m matrices, lexicographic on the entry vector."""
     F = gf_of(q)
+    return [MatrixGF(F, rows) for rows in _gl_rows(m, F)]
+
+
+def _gl_rows(m: int, F: GF) -> list[tuple[tuple[int, ...], ...]]:
+    """The rows of enumerate_gl, not wrapped in MatrixGF."""
     if F.q ** (m * m) > GL_ENUMERATION_BOUND:
         raise BoundExceeded(f"{F.q}^{m*m} candidate matrices exceed bound {GL_ENUMERATION_BOUND}")
-    out = []
-    for entries in product(range(F.q), repeat=m * m):
-        rows = tuple(entries[i * m : (i + 1) * m] for i in range(m))
-        if _det(F, rows):
-            out.append(MatrixGF(F, rows))
-    return out
+    return [rows for rows in product(product(range(F.q), repeat=m), repeat=m) if _det(F, rows)]
 
 
 def companion_matrix(field: GF | int, poly: FieldPoly) -> MatrixGF:
@@ -222,4 +220,4 @@ def matrix_label(m: MatrixGF) -> str:
 
 def _rows_label(q: int, rows) -> str:
     """matrix_label of the matrix over GF(q) with these rows."""
-    return ("," if q > 10 else "").join(str(e) for r in rows for e in r)
+    return ("," if q > 10 else "").join([str(e) for r in rows for e in r])

@@ -188,4 +188,6 @@ def qbinom(n: int, k: int) -> IntPoly:
 def matrix_codegree(m: int) -> IntPoly:
     """prod_{k<m} (q^m - q^k): |GL_m(q)|, which is also the number of common
     neighbours of an edge of the matrix-ring line."""
+    if m < 0:
+        raise ValueError("negative dimension")
     return poly_product(IntPoly.monomial(m) - IntPoly.monomial(k) for k in range(m))

@@ -20,10 +20,13 @@ along the first m rows writes that determinant as
 sum_I +-p_I(U) p_{I^c}(W) over the m-subsets I of the 2m columns, p_I
 being the m x m minor on the columns I.  Each point's minors are taken
 once, those of its first t rows from those of its first t - 1 rows by
-Laplace expansion along row t.  The pairing is linear in the second
-point, so no pair is decided on its own: `_pairing_rows` finds each row,
-the complement of the zero set of a linear functional, with a value DP
-over whole-row bitsets.
+Laplace expansion along row t, one minor for all points at a time.  The
+pairing is linear in the second point, so no pair is decided on its
+own: `_pairing_rows` finds each row, the complement of the zero set of a
+linear functional, as q ANDs of whole-row bitsets: the level sets of its
+two halves, each distinct half run once through a value DP and kept in
+a memo local to the call (a half is h = C(2m, m) / 2 minors, so there
+are at most min(n, q^h) of each kind, of q bitsets of up to n bits).
 
 The unit-difference graph is the induced subgraph on the points (A | I),
 since det[A, I; B, I] = det(A - B).  `points_distant` and `mat_det` stay
@@ -72,8 +75,8 @@ from .graphs import Graph, blowup, tensor_product
 from .linalg import (
     MatrixGF,
     _echelon,
+    _gl_rows,
     companion_matrix,
-    enumerate_gl,
     gl_order,
     identity,
     mat_det,
@@ -404,12 +407,17 @@ def _rref_bases(m: int, q: int) -> list[tuple[tuple[int, ...], ...]]:
     pivot set, every choice of the entries right of a row's pivot off the pivots."""
     out = []
     for pivots in combinations(range(2 * m), m):
-        free_cells = [(i, j) for i in range(m) for j in range(2 * m) if j > pivots[i] and j not in pivots]
-        for values in product(range(q), repeat=len(free_cells)):
-            rows = [[int(j == piv) for j in range(2 * m)] for piv in pivots]
-            for (i, j), v in zip(free_cells, values):
-                rows[i][j] = v
-            out.append(tuple(map(tuple, rows)))
+        choices = []  # the rows are chosen independently of each other
+        for piv in pivots:
+            free = [j for j in range(piv + 1, 2 * m) if j not in pivots]
+            row = [int(j == piv) for j in range(2 * m)]
+            options = []
+            for values in product(range(q), repeat=len(free)):
+                for j, v in zip(free, values):
+                    row[j] = v
+                options.append(tuple(row))
+            choices.append(options)
+        out.extend(product(*choices))
     out.sort()
     return out
 
@@ -451,27 +459,24 @@ def _minor_plan(m: int) -> list[list[list[tuple[int, int, int]]]]:
     return levels
 
 
-def _plucker(F: GF, m: int, bases) -> list[list[int]]:
+def _plucker(F: GF, m: int, bases) -> list[tuple[int, ...]]:
     """The m x m minors of each m x 2m basis, on the m-subsets of the columns
     in combinations order: the minors of the first t rows come from those
-    of the first t - 1 rows by Laplace expansion along row t."""
+    of the first t - 1 rows by Laplace expansion along row t.  Each minor
+    is taken for all bases at once, as a column of values over the bases."""
     add, mul, neg = F._add, F._mul, F._neg
-    levels = _minor_plan(m)
-    out = []
-    for rows in bases:
-        minors = list(rows[0])
-        for row, level in zip(rows[1:], levels):
-            scaled = [mul[x] for x in row]
-            nxt = []
-            for terms in level:
-                acc = 0
-                for k, c, odd in terms:
-                    x = scaled[c][minors[k]]
-                    acc = add[acc][neg[x] if odd else x]
-                nxt.append(acc)
-            minors = nxt
-        out.append(minors)
-    return out
+    by_row = [list(zip(*row)) for row in zip(*bases)]  # by_row[t][c][i]: entry (t, c) of basis i
+    minors = by_row[0]
+    for row, level in zip(by_row[1:], _minor_plan(m)):
+        signed = (row, [[neg[x] for x in column] for column in row])
+        nxt = []
+        for (k, c, odd), *rest in level:
+            acc = [mul[x][y] for x, y in zip(signed[odd][c], minors[k])]
+            for k, c, odd in rest:
+                acc = [add[a][mul[x][y]] for a, x, y in zip(acc, signed[odd][c], minors[k])]
+            nxt.append(acc)
+        minors = nxt
+    return list(zip(*minors))
 
 
 def _singer(F: GF, n: int) -> tuple[tuple[int, ...], ...]:
@@ -515,7 +520,7 @@ def _line_generators(F: GF, m: int) -> list[tuple[tuple[int, ...], ...]]:
     return [_block(zero, eye, eye, zero), _block(s, zero, zero, eye), _block(eye, unit, zero, s)]
 
 
-def _plucker_images(F: GF, m: int, minors: list[list[int]], gs) -> list[list[int]]:
+def _plucker_images(F: GF, m: int, minors: list[tuple[int, ...]], gs) -> list[list[int]]:
     """The vertex permutations U -> U g of the bases with the given minors,
     for each g in gs, elements of GL_2m(q).
 
@@ -528,11 +533,15 @@ def _plucker_images(F: GF, m: int, minors: list[list[int]], gs) -> list[list[int
     subsets = list(combinations(range(2 * m), m))
     by_subset = list(zip(*minors))  # by_subset[K][v] = p_K(U_v)
 
-    def projective(p) -> tuple[int, ...]:
-        scale = mul[inv[next(filter(None, p))]]
-        return tuple([scale[x] for x in p])
+    def projective(columns):
+        """The points with these columns of minors, each scaled to a first nonzero minor of 1."""
+        first = columns[0]
+        for column in columns[1:]:
+            first = [f or x for f, x in zip(first, column)]
+        scales = [mul[inv[f]] for f in first]
+        return zip(*[[s[x] for s, x in zip(scales, column)] for column in columns])
 
-    vertex = {projective(p): v for v, p in enumerate(minors)}
+    vertex = dict(zip(projective(by_subset), range(len(minors))))
     out = []
     for g in gs:
         compound = _plucker(F, m, [[g[i] for i in rows] for rows in subsets])  # compound[K][J]
@@ -544,11 +553,11 @@ def _plucker_images(F: GF, m: int, minors: list[list[int]], gs) -> list[list[int
             for values, times in rest:
                 column = [add[a][times[x]] for a, x in zip(column, values)]
             image.append(column)
-        out.append([vertex[projective(p)] for p in zip(*image)])
+        out.append(list(map(vertex.__getitem__, projective(image))))
     return out
 
 
-def _pairing_rows(F: GF, m: int, minors: list[list[int]]) -> list[int]:
+def _pairing_rows(F: GF, m: int, minors: list[tuple[int, ...]]) -> list[int]:
     """Adjacency rows of the m x 2m bases U_i with the given minors (see
     _plucker): i ~ j iff det[U_i; U_j] != 0.
 
@@ -558,37 +567,48 @@ def _pairing_rows(F: GF, m: int, minors: list[list[int]]) -> list[int]:
     minor on the complementary columns, signed by
     (-1)^(sum(k) + m(m+3)/2) (0-based column indices).  So row i is the
     complement of the zero set of the linear functional
-    W -> sum_k p_k(U_i) * r_k(W), and it is found with whole-row bitsets:
+    W -> sum_k p_k(U_i) * r_k(W), and it is found with whole-row bitsets,
+    meeting in the middle (Horowitz & Sahni 1974):
 
     * cells[k][c] holds the points j with r_k(U_j) = c;
-    * a value DP over the nonzero p_k(U_i) but the last,
-      sums'[s + a*c] |= sums[s] & cells[k][c], gives sums[s], the points
-      on which the partial sum is s;
-    * the last term (k, a) only gathers the zero set,
-      OR_c sums[-a*c] & cells[k][c]: q whole-row operations, not q^2, so
-      for m = 1 a row costs O(q) operations even at large q.
+    * the functional splits into a low half, the terms k < h for
+      h = C(2m, m) // 2, and a high half, the terms k >= h;
+    * the level sets of a half, sums[s] = the points on which it is s,
+      come from a value DP over its nonzero terms,
+      sums'[s + a*c] |= sums[s] & cells[k][c] (a half with no nonzero
+      term is s = 0 everywhere);
+    * the zero set is OR_s low[s] & high[-s]: q whole-row ANDs per row.
+
+    Each distinct half goes through the DP once, and its level sets stay
+    in a memo local to the call.  A high half is kept negated (its DP runs
+    on the terms -a), so that the join is OR_s low[s] & high[s].  A half
+    is a tuple of h field elements, so there are at most min(n, q^h)
+    distinct halves of each kind, and points share them: P(M_2(9)) has
+    7,462 points but 92 low and 729 high halves, GL_3(3) 11,232 points
+    but 1,248 and 624.  The q bitsets of an entry have
+    popcounts adding up to n, but a Python int is as long as its highest
+    bit, so an entry takes up to q * n / 8 bytes.  On those two graphs
+    the memo and the DP took 7-9 MB beside 7.0 and 15.8 MB of rows.
     """
     subsets = list(combinations(range(2 * m), m))
     complement = range(len(subsets) - 1, -1, -1)  # reversed lexicographic order, as in f1_graph
     odd = [(sum(cols) + m * (m + 3) // 2) % 2 for cols in subsets]
     add, mul, neg, inv = F._add, F._mul, F._neg, F._inv
-    q, n = F.q, len(minors)
+    q, n, h = F.q, len(minors), len(subsets) // 2
     everyone = (1 << n) - 1
     cells = [[0] * q for _ in subsets]
-    terms = []
     for j, point in enumerate(minors):
         bit = 1 << j
         for cell, c, sign in zip(cells, complement, odd):
             x = point[c]
             cell[neg[x] if sign else x] |= bit
-        terms.append([(k, x) for k, x in enumerate(point) if x])
-    out = []
-    for *rest, (k, a) in terms:
-        if rest:
-            (k0, a0), *rest = rest
-            sums = [cells[k0][x] for x in mul[inv[a0]]]  # sums[a0*c] = cells[k0][c]
-        else:
-            sums = [everyone] + [0] * (q - 1)
+
+    def level_sets(half, start, sign):
+        terms = [(k, sign[a]) for k, a in enumerate(half, start) if a]
+        if not terms:
+            return [everyone] + [0] * (q - 1)
+        (k0, a0), *rest = terms
+        sums = [cells[k0][x] for x in mul[inv[a0]]]  # sums[a0*c] = cells[k0][c]
         for kt, at in rest:
             live = [(add[s], z) for s, z in enumerate(sums) if z]
             sums = [0] * q
@@ -598,8 +618,17 @@ def _pairing_rows(F: GF, m: int, minors: list[list[int]]) -> list[int]:
                         hit = z & cell
                         if hit:
                             sums[shift[ac]] |= hit
-        zero = reduce(or_, map(and_, (sums[neg[x]] for x in mul[a]), cells[k]), 0)
-        out.append(everyone ^ zero)
+        return sums
+
+    lows, highs = {}, {}
+    out = []
+    for point in minors:
+        low, high = point[:h], point[h:]
+        if low not in lows:
+            lows[low] = level_sets(low, 0, range(q))
+        if high not in highs:
+            highs[high] = level_sets(high, h, neg)
+        out.append(everyone ^ reduce(or_, map(and_, lows[low], highs[high]), 0))
     return out
 
 
@@ -626,18 +655,19 @@ def unit_difference_graph(m: int, q: int | GF, vertex_bound: int = VERTEX_BOUND)
     order = gl_order(m, F.q)
     if order > vertex_bound:
         raise BoundExceeded(f"GL_{m}({F.q}) has {order} elements, bound {vertex_bound}")
-    mats = enumerate_gl(m, F)
+    mats = _gl_rows(m, F)
     # det[A, I; B, I] = det(A - B): the points (A | I) of P(M_m(q))
     eye = identity(F, m).rows
     zero = tuple((0,) * m for _ in eye)
-    minors = _plucker(F, m, [tuple(r + e for r, e in zip(mt.rows, eye)) for mt in mats])
+    minors = _plucker(F, m, [tuple(r + e for r, e in zip(rows, eye)) for rows in mats])
     gens = _gl_generators(F, m)
     moves = [_block(reduce(mat_mul, [MatrixGF(F, a) for a in gens]).rows, zero, zero, eye)]
     if m >= 2:
         (s, jsj), (t, jtj) = [(a, tuple(row[::-1] for row in a[::-1])) for a in gens]
         moves += [_block(jsj, zero, zero, s), _block(zero, t, jtj, zero)]
     generators = _plucker_images(F, m, minors, moves)
-    return Graph(len(mats), _pairing_rows(F, m, minors), [matrix_label(mt) for mt in mats], generators=generators)
+    labels = [_rows_label(F.q, rows) for rows in mats]
+    return Graph(len(mats), _pairing_rows(F, m, minors), labels, generators=generators)
 
 
 def spread_clique(m: int, q: int | GF) -> list[SubspacePoint]:

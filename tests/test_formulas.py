@@ -9,6 +9,7 @@ from math import comb
 import pytest
 
 from ringline.fields import gf_build
+from ringline.linalg import gl_order
 from ringline.formulas import (
     c_extension_poly,
     cap1N_matrix,
@@ -283,8 +284,17 @@ def test_c_extension_poly_paper_values():
     for k in range(4):
         with pytest.raises(ValueError, match="negative dimension"):
             c_extension_poly(-1, k)
-    with pytest.raises(ValueError, match="negative dimension"):
-        matrix_degree(-2)
+    for negative in (matrix_degree, matrix_codegree, matrix_point_count, lambda m: gl_order(m, 3)):
+        for m in (-1, -2, -3):
+            with pytest.raises(ValueError, match="negative dimension"):
+                negative(m)
+
+
+def test_negative_clique_size_is_refused_before_the_factorial():
+    spec = RingSpec([Local(4, 2), Local(5, 1)])
+    for count in (comm_clique_count, comm_clique_count_vertex_sets):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            count(spec, -1)
 
 
 def test_c_extension_poly_forms_agree_up_to_m6():

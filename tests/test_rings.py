@@ -6,7 +6,7 @@ from itertools import combinations
 from math import comb, gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from ringline.errors import BoundExceeded
@@ -362,7 +362,7 @@ def test_minors_from_smaller_minors_equal_determinants(m, q):
     bases = [[[rng.randrange(q) for _ in range(2 * m)] for _ in range(m)] for _ in range(40)]
     subsets = list(combinations(range(2 * m), m))
     for rows, minors in zip(bases, _plucker(F, m, bases)):
-        assert minors == [_det(F, [[row[c] for c in cols] for row in rows]) for cols in subsets]
+        assert minors == tuple(_det(F, [[row[c] for c in cols] for row in rows]) for cols in subsets)
 
 
 # every family is vertex-transitive, and its generators show it; the ones
@@ -526,7 +526,8 @@ def test_matrix_ring_graph_equals_determinant_path(m, q):
     assert got.adj == want.adj and got.labels == want.labels
 
 
-@pytest.mark.parametrize("m, q", [(1, 64), (1, 128), (2, 3), (2, 4), (3, 2)])
+# (2, 5) is the GL_2(5) graph of the search-ring benchmark
+@pytest.mark.parametrize("m, q", [(1, 64), (1, 128), (2, 3), (2, 4), (2, 5), (3, 2)])
 def test_unit_difference_graph_equals_determinant_path(m, q):
     mats = enumerate_gl(m, q)
     want = graph_from_predicate(
@@ -572,3 +573,55 @@ def test_pairing_of_unit_points_is_the_difference_determinant(data, ring):
     eye = identity(F, m)
     got = pairing_distant(F, m, mat_hstack(a, eye), mat_hstack(b, eye))
     assert got == (mat_det(mat_sub(a, b)) != 0)
+
+
+MEMO_RINGS = [(1, q) for q in (2, 3, 4, 5, 7, 8, 9, 64)] + [(2, q) for q in (2, 3, 4, 5, 7, 8, 9)] + [(3, 2), (3, 3)]
+
+
+def drawn_rows(data, pool, adjacent):
+    """3-12 picks with repeats from pool, with every row of _pairing_rows on
+    their bases checked against the predicate adjacent."""
+    picks = data.draw(st.lists(st.sampled_from(pool), min_size=3, max_size=12))
+    return picks, [[adjacent(u, w) for w in picks] for u in picks]
+
+
+def row_bits(row, n):
+    return [bool(row >> j & 1) for j in range(n)]
+
+
+# _pairing_rows keeps the level sets of each distinct half of a row's
+# functional (the minors on the m-subsets with and without column 0) in a
+# memo: repeated points share both halves, a zero column 0 zeroes the low
+# half, and a point that holds e_0 zeroes the high half
+@seed(2101)
+@settings(max_examples=120, deadline=None, database=None)
+@given(data=st.data(), ring=st.sampled_from(MEMO_RINGS))
+def test_pairing_rows_with_shared_and_zero_halves(data, ring):
+    m, q = ring
+    F = gf_of(q)
+    pool = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        a, b = data.draw(square(m, q)), data.draw(square(m, q))
+        rows = [list(x + y) for x, y in zip(a.rows, b.rows)]
+        shape = data.draw(st.sampled_from(["any", "zero-low", "zero-high"]))
+        if shape == "zero-low":
+            for r in rows:
+                r[0] = 0
+        elif shape == "zero-high":
+            rows[0] = [int(j == 0) for j in range(2 * m)]
+        basis = matrix(F, rows)
+        if mat_rank(basis) == m:
+            pool.append(SubspacePoint(rref(basis)))
+    assume(pool)
+    picks, want = drawn_rows(data, pool, points_distant)
+    got = _pairing_rows(F, m, _plucker(F, m, [p.basis.rows for p in picks]))
+    assert [row_bits(row, len(picks)) for row in got] == want
+
+    # the points (A | I) of the unit-difference graph; A need not be invertible
+    eye = identity(F, m)
+    mats = [data.draw(square(m, q)) for _ in range(data.draw(st.integers(1, 5)))]
+    if data.draw(st.booleans()):
+        mats.append(zeros(F, m, m))  # zero column 0: a zero low half
+    picks, want = drawn_rows(data, mats, lambda a, b: mat_det(mat_sub(a, b)) != 0)
+    got = _pairing_rows(F, m, _plucker(F, m, [mat_hstack(a, eye).rows for a in picks]))
+    assert [row_bits(row, len(picks)) for row in got] == want
