@@ -71,9 +71,9 @@ takes the pairs (r, s) of the orbit of c, which an automorphism maps c
 to, weighted by the suborbit size, and divides by k - 1; through more
 vertices, or with no table, level 0.  find_clique and max_clique_order
 stay at level 1, each r the path [r] with candidates adj[r], one best
-shared by all: on a vertex-transitive graph the first branches find a
-largest clique and the colour bound cuts the rest, while pairs colour
-one neighbourhood per suborbit (GL_2(5): 0.5 ms, 1.4 ms at pairs).
+shared by all: on a vertex-transitive graph a greedy dive from r finds
+a largest clique and the colour bound cuts the rest, while pairs colour
+one neighbourhood per suborbit (GL_2(5) before the dive: 0.5 ms, 1.4 ms).
 Orbit searches split their roots anchor by anchor.
 """
 
@@ -684,19 +684,29 @@ def _branch_and_bound(
     per call.  With first, the first clique found that beats floor is
     returned: best is raised past n, which prunes every open branch.
     With orbits, only cliques through the least vertex r of an orbit are
-    searched: each r in turn is the path [r] with candidates adj[r].
+    searched: each r in turn is the path [r] with candidates adj[r];
+    without, the one representative is the empty path with every vertex.
+
+    First each representative dives: it adds its lowest candidate until
+    none is left, one node per vertex.  The largest dive is the first
+    witness and, above floor, best (with first, the answer).  A budget
+    error names the largest clique found and the representatives done.
     """
     n = len(adj)
     path = [0] * n  # path[:size] is the clique being grown
-    best = floor
     witness: list[int] = []
-    nodes = 0
+    nodes = done = 0
+    reps = [([], (1 << n) - 1)] if orbits is None else [([r], adj[r]) for r, _ in orbits]
+
+    def exceeded() -> BudgetExceeded:
+        found = f"largest clique found: {len(witness)}, representatives searched: {done} of {len(reps)}"
+        return BudgetExceeded(f"{what} exceeded {budget} nodes; {found}")
 
     def expand(size: int, cand: int) -> None:
         nonlocal best, witness, nodes
         nodes += 1
         if nodes > budget:
-            raise BudgetExceeded(f"{what} exceeded {budget} nodes")
+            raise exceeded()
         if not cand:
             if size > best:
                 witness = path[:size]
@@ -721,15 +731,25 @@ def _branch_and_bound(
             expand(size + 1, cand & adj[v])
             cand &= ~(1 << v)
 
-    if orbits is None:
-        expand(0, (1 << n) - 1)
+    for rep, cand in reps:
+        clique = rep[:]
+        while cand:
+            clique.append(_lowest(cand))
+            cand &= adj[clique[-1]]
+        witness = max(witness, clique, key=len)
+        nodes += len(clique)
+        if nodes > budget:
+            raise exceeded()
+    best = max(floor, len(witness))
+    if first and best > floor:
         return witness
-    for r, _ in orbits:
+    for rep, cand in reps:
         if best > n:
             break
-        path[0] = r
-        expand(1, adj[r])
-    return witness
+        path[: len(rep)] = rep
+        expand(len(rep), cand)
+        done += 1
+    return witness if len(witness) > floor else []
 
 
 def find_clique(g: Graph, k: int) -> list[int] | None:
@@ -737,7 +757,8 @@ def find_clique(g: Graph, k: int) -> list[int] | None:
 
     Which k-clique is returned is unspecified.  The search is charged
     against the default node budget, CENSUS_NODE_BUDGET.  With generators,
-    it is anchored at one representative per vertex orbit.
+    it is anchored at one representative per vertex orbit.  Greedy dives
+    come first, one node per vertex; see _branch_and_bound.
     """
     if g.is_T:
         raise ValueError("find_clique on T is undefined")
@@ -754,6 +775,7 @@ def max_clique_order(g: Graph, node_budget: int = CENSUS_NODE_BUDGET) -> int:
 
     With generators, every clique maps into one through an orbit
     representative, so the search is anchored at the representatives.
+    A greedy dive from each one, one node per vertex, sets the first bound.
     """
     if g.is_T:
         raise ValueError("T has a clique of every order")

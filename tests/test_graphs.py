@@ -485,6 +485,59 @@ def test_branch_and_bound_budget():
     assert len(_branch_and_bound(adj, 0, 31, "probe")) == 30
 
 
+def two_orbit_graph() -> Graph:
+    """A 5-cycle beside a K_4, each turned by its own shift: orbits of 0 and 5."""
+    rows = [(1 << (v + 1) % 5) | (1 << (v - 1) % 5) for v in range(5)]
+    rows += [sum(1 << u for u in range(5, 9) if u != v) for v in range(5, 9)]
+    shift = [(v + 1) % 5 for v in range(5)] + [5 + (v - 4) % 4 for v in range(5, 9)]
+    return Graph(9, rows, generators=[shift])
+
+
+def test_budget_error_says_how_far_the_search_got():
+    # dives from 0 (2 vertices) and 5 (4), then one node per representative
+    g = two_orbit_graph()
+    assert g.orbits == [(0, 5), (5, 4)] and max_clique_order(g, node_budget=8) == 4
+    with pytest.raises(BudgetExceeded) as err:
+        max_clique_order(g, node_budget=7)
+    assert str(err.value) == (
+        "max-clique search exceeded 7 nodes; largest clique found: 4, representatives searched: 1 of 2"
+    )
+    # without generators: the dive from 0 stops at the edge 0-1
+    h = Graph.from_edges(5, [(0, 1), (2, 3), (3, 4), (2, 4)])
+    with pytest.raises(BudgetExceeded) as err:
+        max_clique_order(h, node_budget=3)
+    assert str(err.value) == (
+        "max-clique search exceeded 3 nodes; largest clique found: 2, representatives searched: 0 of 1"
+    )
+    with pytest.raises(BudgetExceeded) as err:
+        _branch_and_bound(Graph.complete(30).adj, 0, 29, "probe")
+    assert str(err.value) == "probe exceeded 29 nodes; largest clique found: 30, representatives searched: 0 of 1"
+
+
+def test_search_goes_on_past_a_greedy_dive_that_is_not_maximum():
+    # the dive from 0 takes the edge 0-1; the triangle 2-3-4 is the answer
+    g = Graph.from_edges(5, [(0, 1), (2, 3), (3, 4), (2, 4)])
+    assert max_clique_order(g) == 3
+    assert sorted(find_clique(g, 3)) == [2, 3, 4]
+    assert find_clique(g, 4) is None
+    assert sorted(_branch_and_bound(g.adj, 0, 10**6, "probe")) == [2, 3, 4]
+    assert _branch_and_bound(g.adj, 3, 10**6, "probe", first=True) == []
+
+
+def test_greedy_dive_settles_the_large_ring_graphs_in_a_few_nodes(monkeypatch):
+    # the dive from vertex 0 finds a largest clique, and the colour bound of
+    # adj[0] refutes a larger one at once: omega + 1 nodes in all
+    gl27, line7 = unit_difference_graph(2, 7), matrix_ring_graph(2, 7)
+    assert max_clique_order(gl27, node_budget=49) == 48
+    assert max_clique_order(line7, node_budget=51) == 50
+    monkeypatch.setattr(graphs, "CENSUS_NODE_BUDGET", 49)
+    witness = find_clique(gl27, 48)
+    assert len(witness) == 48 and is_clique(gl27, witness)
+    assert find_clique(gl27, 49) is None
+    with pytest.raises(BudgetExceeded, match="exceeded 48 nodes; largest clique found: 48, representatives searched: 0 of 1"):
+        max_clique_order(gl27, node_budget=48)
+
+
 def test_import_loads_no_process_pool():
     src = Path(__file__).resolve().parent.parent / "src"
     code = "import sys, ringline; print('concurrent.futures.process' in sys.modules)"
@@ -645,6 +698,26 @@ def test_orbit_search_equals_plain_walk_property(g, kmax, k, c):
     assert find_clique(g, omega + 1) is None
     witness = find_clique(g, omega)
     assert witness is not None and len(witness) == omega and is_clique(g, witness)
+
+
+@st.composite
+def edge_graphs(draw):
+    n = draw(st.integers(0, 12))
+    pairs = list(combinations(range(n), 2))
+    return Graph.from_edges(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=st.one_of(graphs_with_generators(), edge_graphs()))
+def test_branch_and_bound_against_the_census(g):
+    # the census walk, not a second branch and bound, is the oracle for omega
+    counts = count_cliques(plain(g), g.n).counts
+    omega = max(k for k, c in counts.items() if c)
+    assert max_clique_order(g) == omega
+    for k in range(omega + 1):
+        witness = find_clique(g, k)
+        assert witness is not None and len(witness) == k and is_clique(g, witness)
+    assert find_clique(g, omega + 1) is None
 
 
 def test_orbit_node_charge():
