@@ -21,16 +21,23 @@ class Record:
 
     __slots__ = ()
     _defaults: dict = {}
+    _setters: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # each field's slot descriptor setter, found once per class
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __init__(self, *args, **kwargs) -> None:
-        cls, names = type(self), self.__slots__
-        if kwargs or len(args) != len(names):
+        cls = type(self)
+        if kwargs or len(args) != len(cls._setters):
+            names = self.__slots__
             values = {**cls._defaults, **dict(zip(names, args)), **kwargs}
             if len(args) > len(names) or values.keys() != set(names) or kwargs.keys() & set(names[: len(args)]):
                 raise TypeError(f"{cls.__name__} takes the fields {', '.join(names)}, each once")
             args = [values[name] for name in names]
-        for name, value in zip(names, args):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(cls._setters, args):
+            setter(self, value)
         cls.__post_init__(self)
 
     def __post_init__(self) -> None:

@@ -146,6 +146,13 @@ def test_budget_flag_and_env(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     # explicit flag wins over the environment
     assert main(argv + ["--budget", "1000000"]) == 0
+    # the census error says how far the walk got, on one line
+    capsys.readouterr()
+    argv = ["census", "--spec", spec_file(tmp_path, M23), "--kmax", "5", "--budget", "1000"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: census exceeded 1000 nodes; largest clique found: 5, anchors finished: 0 of 1\n"
+    )
 
 
 def test_verify_passing_suites(capsys):

@@ -5,6 +5,7 @@ subsets, which is feasible at these sizes and shares no code with the
 backtracking engine.
 """
 
+import json
 import os
 import random
 import subprocess
@@ -249,6 +250,110 @@ def test_census_against_subset_oracle(eager_pool):
     assert count_cliques(g, 5, workers=3).as_list() == brute_counts(g, 5)
     assert extension_profile(g, 3, workers=3) == brute_profile(g, 3)
     assert extension_profile(g, 4, containing=edge, workers=3) == brute_profile(g, 4, edge)
+
+
+def naive_bits(bits: int) -> list[int]:
+    return [u for u in range(bits.bit_length()) if bits >> u & 1]
+
+
+@st.composite
+def bitsets(draw):
+    """Ints of up to 20,000 bits, from one set bit to every bit set."""
+    width = draw(st.integers(1, 20_000))
+    # 1 / 8 is where _bits changes method; draw on both sides of it
+    density = draw(st.sampled_from([0.0, 0.001, 0.05, 0.12, 0.125, 0.13, 0.5, 0.9, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    bits = 1 << (width - 1)
+    for u in rng.sample(range(width), int(density * width)):
+        bits |= 1 << u
+    return bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.one_of(bitsets(), st.integers(0, 20_000).map(lambda e: 1 << e), st.integers(0, 2**64)))
+@example(bits=0)
+@example(bits=(1 << 20_000) - 1)
+@example(bits=1 << 23 | 1 << 9 | 1)  # 3 of 24 set, the string read
+@example(bits=1 << 24 | 1 << 9 | 1)  # 3 of 25 set, the lowest-bit loop
+def test_bits_reads_every_density_like_the_naive_loop(bits):
+    assert _bits(bits) == naive_bits(bits)
+
+
+def set_profile(g: Graph, k: int, through: int) -> dict[int, int]:
+    """extension_profile(g, k, containing=[through]) for k <= 3 by Python
+    set intersections of neighbourhoods."""
+    nbrs = [{u for u in range(g.n) if g.has_edge(v, u)} for v in range(g.n)]
+    hist: dict[int, int] = {}
+    cliques = [()] if k == 1 else [(u,) for u in nbrs[through]]
+    if k == 3:
+        cliques = [(u, v) for (u,) in cliques for v in nbrs[through] & nbrs[u] if u < v]
+    for clique in cliques:
+        ext = len(nbrs[through].intersection(*(nbrs[u] for u in clique)))
+        hist[ext] = hist.get(ext, 0) + 1
+    return dict(sorted(hist.items()))
+
+
+def test_dense_leaves_against_brute_force():
+    # the subset oracle's graphs have at most 14 vertices, so no leaf there
+    # has more than 16 candidates; these leaves do, and are dense
+    g = random_graph(40, 0.85, 2017)
+    wide = g.adj[0] & g.adj[1]
+    assert wide.bit_count() > 16 and wide.bit_count() * graphs._DENSE >= wide.bit_length()
+    edge = next(g.edges())
+    for k in range(4):
+        assert extension_profile(g, k) == brute_profile(g, k)
+        if k:
+            assert extension_profile(g, k, containing=[5]) == brute_profile(g, k, [5])
+        if k >= 2:
+            assert extension_profile(g, k, containing=edge) == brute_profile(g, k, edge)
+    assert count_cliques(g, 4).as_list() == brute_counts(g, 4)
+    # GL_2(4) through a vertex: pairs adj[0] & adj[s] of 83-88 of 180 bits
+    gl = unit_difference_graph(2, 4)
+    for c in (0, 7, gl.n - 1):
+        for k in (1, 2, 3):
+            assert extension_profile(gl, k, containing=[c]) == set_profile(gl, k, c)
+
+
+def test_set_bits_are_read_off_the_string_only_when_dense(monkeypatch):
+    # the string read costs O(bit length) however few bits are set, so the
+    # sparse sets, and the sparse or narrow leaves, keep the lowest-bit loop
+    dense, sparse = random_graph(40, 0.85, 2017), random_graph(300, 0.05, 2017)
+    read = []
+
+    def spy(value, spec):
+        read.append(value)
+        return format(value, spec)
+
+    monkeypatch.setattr(graphs, "format", spy, raising=False)
+    assert _bits(1 << 10_000) == [10_000] and _bits(1 << 24 | 1 << 9 | 1) == [0, 9, 24] and not read
+    assert _bits((1 << 100) - 1) == list(range(100)) and _bits(1 << 23 | 1 << 9 | 1) == [0, 9, 23] and len(read) == 2
+    for g, k, wants_leaf in ((dense, 3, True), (sparse, 2, False), (Graph.complete(16), 3, False)):
+        read.clear()
+        extension_profile(g, k)
+        # one read lists the roots of the one anchor, every vertex
+        assert read[0] == (1 << g.n) - 1 and (len(read) > 1) == wants_leaf
+
+
+EXPECTED = json.loads((Path(__file__).resolve().parent.parent / "bench" / "expected.json").read_text())
+
+
+def frozen_profile(key: str) -> dict[int, int]:
+    return {int(c): count for c, count in EXPECTED[key].items()}
+
+
+def test_benchmark_profiles_equal_their_frozen_answers():
+    # the longest search-ring job, and its triangle profile, in Tier-1 too
+    gl25 = unit_difference_graph(2, 5)
+    for c in (0, 7, 479):
+        assert extension_profile(gl25, 3, containing=[c]) == frozen_profile("GL_2(5) profile k=3 through a vertex")
+    m23 = matrix_ring_graph(2, 3)
+    # (0 | I), (I | 0), (I | I), and (I | B) for B = 0, I and [[0, 1], [2, 0]],
+    # whose differences have unit determinants mod 3
+    for labels in (["00100001", "10000100", "10100101"], ["10000100", "10100101", "10010120"]):
+        triangle = [m23.index_of(label) for label in labels]
+        assert is_clique(m23, triangle)
+        want = frozen_profile("P(M_2(3)) profile k=4 through a triangle")
+        assert extension_profile(m23, 4, containing=triangle) == want
 
 
 def test_census_monotone_support_and_fixed_values():
@@ -512,6 +617,40 @@ def test_budget_error_says_how_far_the_search_got():
     with pytest.raises(BudgetExceeded) as err:
         _branch_and_bound(Graph.complete(30).adj, 0, 29, "probe")
     assert str(err.value) == "probe exceeded 29 nodes; largest clique found: 30, representatives searched: 0 of 1"
+
+
+def test_census_and_profile_budget_errors_say_how_far_they_got(eager_pool, serial_pool):
+    # P(M_2(3)) is one distant-pair anchor; the walk has reached 3-cliques
+    # of it, 5-cliques with the pair, when the budget runs out
+    with pytest.raises(BudgetExceeded) as err:
+        count_cliques(matrix_ring_graph(2, 3), 5, node_budget=1000)
+    assert str(err.value) == "census exceeded 1000 nodes; largest clique found: 5, anchors finished: 0 of 1"
+    # two level-1 anchors, adj[0] of the 5-cycle (done at 4 nodes) and adj[5]
+    # of the K_4, whose 4-clique is counted at node 7
+    g = two_orbit_graph()
+    assert count_cliques(g, 4).nodes == 11 and g.suborbits == [None, None]
+    want = {
+        (count_cliques, 4, 4): "census exceeded 4 nodes; largest clique found: 2, anchors finished: 1 of 2",
+        (count_cliques, 4, 7): "census exceeded 7 nodes; largest clique found: 4, anchors finished: 1 of 2",
+        (extension_profile, 3, 7): "profile exceeded 7 nodes; largest clique found: 3, anchors finished: 1 of 2",
+        # the two anchors alone are over the budget
+        (count_cliques, 4, 1): "census exceeded 1 nodes; largest clique found: 1, anchors finished: 0 of 2",
+    }
+    for (search, k, budget), message in want.items():
+        with pytest.raises(BudgetExceeded) as err:
+            search(g, k, node_budget=budget)
+        assert str(err.value) == message
+        # a pool's share names its own progress, in the same words
+        with pytest.raises(BudgetExceeded, match=rf"{message.split(';')[0]}; largest clique found: \d+, anchors finished: \d+ of \d+$"):
+            search(g, k, node_budget=budget, workers=3)
+    # without generators: one anchor, the members of `containing` fixed
+    k12 = Graph.complete(12)
+    with pytest.raises(BudgetExceeded) as err:
+        extension_profile(k12, 5, containing=[3, 4], node_budget=10)
+    assert str(err.value) == "profile exceeded 10 nodes; largest clique found: 5, anchors finished: 0 of 1"
+    with pytest.raises(BudgetExceeded) as err:
+        count_cliques(k12, 6, node_budget=10)
+    assert str(err.value) == "census exceeded 10 nodes; largest clique found: 5, anchors finished: 0 of 1"
 
 
 def test_search_goes_on_past_a_greedy_dive_that_is_not_maximum():
