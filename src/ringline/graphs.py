@@ -31,7 +31,8 @@ the first: its candidates are charged and counted by a popcount, and
 binned by extension count only when there are common neighbours to bin
 by.  Exceeding the budget raises; there are no silent partial answers.
 The error names the largest clique counted, the members each anchor
-fixes included, and the anchors finished of all (see Levels).
+fixes included, the anchors finished of all and, when the anchor that
+ran out lists its roots, the roots finished of them.
 
 Set bits are read in one of two ways.  The lowest-bit loop costs three
 big-int operations per set bit (isolate, clear, bit_length); the string
@@ -39,13 +40,8 @@ read, _read (format(bits, "b") reversed, translated to bytes 0 and 1 and
 picked by itertools.compress), runs in C at a cost that follows the bit
 length.  _bits, which lists the anchors' roots and the orbit tables'
 neighbours, reads by string when at least one bit in _DENSE = 8 is set,
-and so does the leaf's binning loop when it has more than 16 candidates.
-On a 2-vCPU host (Python 3.11.7) the read took 9-14 us at 480 bits and
-240-350 us at 10,000 whatever the count; the loop took 0.3 and 1.8 us
-for one set bit, 13 us for 60 of 480 and 430 us for 312 of 10,000.  The
-two cross near one bit in 6 at 64 bits, 10 at 480 and 14 at 2,000, so a
-sparse set never pays for its length; a GL_2(5) leaf, 274-280 of 480
-bits, bins in about half the time.
+and so does the leaf's binning loop when it has more than 16 candidates,
+so a sparse set never pays for its length.
 
 A search with workers walks its roots serially, in order, until it has
 charged more than _POOL_PROBE nodes, about what starting a pool costs a
@@ -67,30 +63,28 @@ are automorphisms (the ring constructors do).  The constructor checks
 each once, in the symmetry pass and on its strings, and stores two levels
 of orbit tables: the vertex orbits, with each vertex's orbit, and for the
 least vertex r of each orbit the suborbits, the orbits on adj[r] of the
-generators that fix r.  The searches read only these tables, with no
-check per call.
+generators that fix r.  Only _anchors reads these tables, with no check
+per call.
 
-Levels.  A search anchors its walk at one of three levels.  Level 0 walks
-all n roots, for a graph without generators (from_edges, a tensor
-product, a blow-up), and is the oracle the others are tested against.
-Level 1 walks adj[r] for the least vertex r of each orbit, weighted by
-the orbit size, and divides by k, the members of a k-clique.  Level 2
-walks adj[r] & adj[s] to depth k - 2 for each s the least vertex of a
-suborbit of r, weighted by the orbit size times the suborbit size, and
-divides by k(k - 1), the ordered pairs of members.  Levels 1 and 2 charge
-one node per anchor, and every level one per clique visited.  In
-_anchors, the census with kmax >= 3 and the profile without `containing`
-with k >= 2 take level 2 when every orbit has a suborbit table, else
-level 1; with kmax <= 2 one popcount per representative settles the
-census (GL_2(5): 8-13 us, 15 us at pairs).  A profile through one vertex c
-takes the pairs (r, s) of the orbit of c, which an automorphism maps c
-to, weighted by the suborbit size, and divides by k - 1; through more
-vertices, or with no table, level 0.  find_clique and max_clique_order
-stay at level 1, each r the path [r] with candidates adj[r], one best
-shared by all: on a vertex-transitive graph a greedy dive from r finds
-a largest clique and the colour bound cuts the rest, while pairs colour
-one neighbourhood per suborbit (GL_2(5) before the dive: 0.5 ms, 1.4 ms).
-Orbit searches split their roots anchor by anchor.
+Anchors.  Every search walks from anchors (members, cand, weight): an
+anchor fixes the clique members, walks cand, their common neighbours,
+and stands for the weight cliques that the automorphisms map it to.
+Floor 0 fixes the clique through which a profile runs (a census: the
+empty clique), weight 1, and is the oracle the others are tested
+against.  Floor 1 fixes r, the least vertex of each orbit, weighted by
+the orbit size.  Floor 2 fixes r and s, the least vertex of each suborbit
+of r, weighted by the orbit size times the suborbit size; through one
+vertex c it takes only the orbit of c, which an automorphism maps to r,
+weighted by the suborbit size alone.  An anchor that fixes j members
+beyond the b the search runs through is charged one node, and meets each
+k-clique once per ordered choice of j of its other k - b members, so the
+walk's sums are divided by perm(k - b, j).  A census to kmax >= 3 and a
+profile at k >= 2 through at most one vertex take floor 2 when each orbit
+they start from has a suborbit table; else a census to kmax >= 1, a
+profile at k >= 1 through no vertex, find_clique and max_clique_order
+take floor 1; anything else, and every graph without generators
+(from_edges, a tensor product, a blow-up), floor 0.  Orbit searches split
+their roots anchor by anchor.
 """
 
 from __future__ import annotations
@@ -187,9 +181,9 @@ class Graph:
 
     generators is a tuple of vertex permutations (sigma[v] is the image of
     v) that the constructor claims are automorphisms; each is checked here,
-    once, and one that is not raises ValueError.  The searches read only
-    orbits, orbit_of and suborbits, the tables of _orbits.  Equality and
-    hashing ignore all four.
+    once, and one that is not raises ValueError.  The searches read
+    orbits, orbit_of and suborbits, the tables of _orbits, through _anchors
+    alone.  Equality and hashing ignore all four.
     """
 
     __slots__ = ("n", "adj", "is_T", "labels", "generators", "orbits", "orbit_of", "suborbits")
@@ -390,18 +384,25 @@ class CliqueCensus(Record):
     """
 
     __slots__ = ("counts", "kmax", "nodes", "fill")
-    _defaults = {"nodes": 0, "fill": 0}
 
     def as_list(self) -> list[int]:
         return [self.counts.get(k, self.fill) for k in range(self.kmax + 1)]
 
 
-def _exceeded(what: str, budget: int, fixed: int, counts: list, hist: list, done: int, total: int) -> BudgetExceeded:
-    """The budget error of a census or profile: the largest clique counted,
-    the fixed members of its anchor included, and the anchors finished."""
+def _exceeded(what: str, budget: int, found: int, progress: str) -> BudgetExceeded:
+    """The budget error of every search: the largest clique found, then how far it got."""
+    return BudgetExceeded(f"{what} exceeded {budget} nodes; largest clique found: {found}, {progress}")
+
+
+def _walk_exceeded(what: str, budget: int, fixed: int, counts: list, hist: list, tasks: list, done: int, walked: int = 0):
+    """_exceeded for a census or profile: the largest clique counted, the
+    fixed members of its anchor included, the anchors finished of tasks and,
+    when the one that ran out lists roots, the roots finished of them."""
     reached = len(counts) if any(hist) else max((d for d, c in enumerate(counts) if c), default=0)
-    found = f"largest clique found: {fixed + reached}, anchors finished: {done} of {total}"
-    return BudgetExceeded(f"{what} exceeded {budget} nodes; {found}")
+    progress = f"anchors finished: {done} of {len(tasks)}"
+    if done < len(tasks) and tasks[done][2]:
+        progress += f", roots finished: {walked} of {len(tasks[done][2])}"
+    return _exceeded(what, budget, fixed + reached, progress)
 
 
 def _walk(
@@ -425,7 +426,8 @@ def _walk(
     per clique visited, unweighted.  The walk ends before the first root it
     meets with nodes > stop, and rest lists the anchors not finished: that
     one with the roots not walked, then the later ones; else rest is empty.
-    A node past budget raises _exceeded, each anchor fixing fixed members.
+    Nodes past budget, spent alone included, raise _walk_exceeded, each
+    anchor fixing fixed members.
     """
     counts = [0] * depth
     hist = [0] * (max((common.bit_count() for _, common, _, _ in anchors), default=0) + 1)
@@ -463,13 +465,16 @@ def _walk(
             if sub:
                 rec(sub, common & adj[v], size + 1)
 
+    i = j = 0
     try:
+        if nodes > budget:  # the anchors alone are over it
+            raise BudgetExceeded
         for i, (cand, common, roots, weight) in enumerate(anchors):
             if depth == 1:
                 rec(cand, common, 0)
-            for r in roots:
+            for j, r in enumerate(roots):
                 if nodes > stop:
-                    return counts, hist, nodes, [(cand, common, roots[roots.index(r) :], weight), *anchors[i + 1 :]]
+                    return counts, hist, nodes, [(cand, common, roots[j:], weight), *anchors[i + 1 :]]
                 nodes += 1
                 if nodes > budget:
                     raise BudgetExceeded
@@ -478,31 +483,41 @@ def _walk(
                 if sub:
                     rec(sub, common & adj[r], 1)
     except BudgetExceeded:
-        raise _exceeded(what, budget, fixed, counts, hist, i, len(anchors)) from None
+        raise _walk_exceeded(what, budget, fixed, counts, hist, anchors, i, j) from None
     return counts, hist, nodes, []
 
 
 def _search(
     adj: Sequence[int],
-    depth: int,
-    anchors: Sequence[tuple[int, int, int]],
+    top: int,
+    anchors: Sequence[tuple[Sequence[int], int, int]],
     budget: int,
     workers: int,
     what: str,
-    spent: int = 0,
-    fixed: int = 0,
+    base: int = 0,
+    binned: bool = False,
 ):
-    """_walk over every root of every anchor (cand, common, weight), plus the
-    empty clique of each anchor.  With workers, the anchors left after the
-    serial prefix run in one pool of at most as many processes as CPUs:
-    worker i of w takes the roots [i::w] of each, w being workers capped at
-    the most roots of any anchor, and the histograms are summed by position.
-    A share that runs out of budget names its own anchors finished; shares
-    that each keep within it but not together name every anchor finished.
+    """(counts, hist, nodes, fixed) of the cliques of at most top vertices
+    through the anchors (members, cand, weight) of a search through base
+    vertices.  Each anchor fixes `fixed` members and walks every root of
+    cand.  One that fixes members beyond base is charged one node, and meets
+    each k-clique once per ordered choice of them, so every sum is divided
+    by perm(k - base, fixed - base).  counts[d] is the number of cliques of
+    fixed + d vertices, and hist maps each c that occurs, ascending, to the
+    number of top-cliques with c common neighbours in cand when binned, else
+    all of them to 0.
+
+    With workers, the anchors left after the serial prefix run in one pool
+    of at most as many processes as CPUs: worker i of w takes the roots
+    [i::w] of each, w being workers capped at the most roots of any anchor,
+    and the histograms are summed by position.  A share that runs out of
+    budget names its own progress; shares that each keep within it but not
+    together name every anchor finished.
     """
-    tasks = [(cand, common, _bits(cand) if depth > 1 else [], w) for cand, common, w in anchors]
-    if spent > budget:  # the anchors alone are over it
-        raise _exceeded(what, budget, fixed, [], [], 0, len(tasks))
+    fixed = len(anchors[0][0])
+    depth = top - fixed
+    spent = len(anchors) if fixed > base else 0
+    tasks = [(cand, cand if binned else 0, _bits(cand) if depth > 1 else [], w) for _, cand, w in anchors]
     longest = max((len(roots) for _, _, roots, _ in tasks), default=0)
     workers = min(workers, longest)
     # serial, never stop: a node past the budget raises, so nodes <= budget
@@ -520,13 +535,15 @@ def _search(
         nodes = sum(used)
         counts, hist = [sum(c) for c in zip(*sums)], [sum(h) for h in zip_longest(*hists, fillvalue=0)]
         if nodes > budget:
-            raise _exceeded(what, budget, fixed, counts, hist, len(tasks), len(tasks))
+            raise _walk_exceeded(what, budget, fixed, counts, hist, tasks, len(tasks))
     counts.append(sum(hist))  # every depth-clique is binned once
-    for _, common, w in anchors:
+    for _, common, _, w in tasks:
         counts[0] += w
         if depth == 0:
             hist[common.bit_count()] += w
-    return counts, hist, nodes
+    counts = [_through(t, perm(k - base, fixed - base)) for k, t in enumerate(counts, fixed)]
+    per = perm(top - base, fixed - base)
+    return counts, {c: _through(h, per) for c, h in enumerate(hist) if h}, nodes, fixed
 
 
 def _orbit_table(vertices: Iterable[int], generators: Sequence[Sequence[int]]):
@@ -574,32 +591,19 @@ def _orbits(adj: Sequence[int], generators: Sequence[Sequence[int]]):
     return orbits, [index[v] for v in range(len(adj))], suborbits
 
 
-def _pair_anchors(g: Graph, through: int | None = None) -> list[tuple[int, int]] | None:
-    """(adj[r] & adj[s], weight) for r the least vertex of every orbit, or of
-    the orbit of vertex `through` only, and s the least vertex of each
-    suborbit of r; the weight is the suborbit size, times the orbit size
-    without `through`.  None when one of those orbits has no suborbit table."""
-    if g.orbits is None:
-        return None
-    reps = [(g.orbit_of[through], 1)] if through is not None else [(i, size) for i, (_, size) in enumerate(g.orbits)]
-    anchors = []
-    for i, weight in reps:
-        if g.suborbits[i] is None:
-            return None
-        r = g.orbits[i][0]
-        anchors += [(g.adj[r] & g.adj[s], weight * size) for s, size in g.suborbits[i]]
-    return anchors
-
-
-def _anchors(g: Graph, base: list[int], top: int) -> tuple[int, list[tuple[int, int]]]:
-    """(fixed, [(cand, weight)]): anchors at the level of the module docstring
-    for the cliques of top vertices through base, each fixing fixed members."""
-    pairs = _pair_anchors(g, base[0] if base else None) if top > 1 and len(base) < 2 else None
-    if pairs is not None:
-        return 2, pairs
-    if g.orbits is not None and top and not base:
-        return 1, [(g.adj[r], size) for r, size in g.orbits]
-    return len(base), [(_common_neighbors(g, base), 1)]
+def _anchors(g: Graph, base: list[int], top: int) -> list[tuple[list[int], int, int]]:
+    """[(members, cand, weight)]: the anchors, by the rule of the module
+    docstring, of the cliques of top vertices through the clique base.  An
+    anchor fixes the clique members, base or the image of base that it
+    stands for included, and walks cand, the common neighbours of members."""
+    if g.orbits and len(base) < min(top, 2):
+        reps = [(g.orbits[g.orbit_of[base[0]]][0], 1)] if base else g.orbits
+        tables = top > 1 and [g.suborbits[g.orbit_of[r]] for r, _ in reps]
+        if tables and all(tables):
+            return [([r, s], g.adj[r] & g.adj[s], w * size) for (r, w), table in zip(reps, tables) for s, size in table]
+        if not base:
+            return [([r], g.adj[r], w) for r, w in reps]
+    return [(base, _common_neighbors(g, base), 1)]
 
 
 def _through(total: int, per: int) -> int:
@@ -622,21 +626,18 @@ def count_cliques(
     For T there is one clique of every size.  The count is independent
     of the worker split: each worker owns the cliques whose minimum
     vertex falls in its share of the roots, and the totals are summed.
-    With generators, the walk is anchored at a level of the module
-    docstring: N_k sums the counts of every anchor, weighted, over k or
-    over k(k - 1).
+    With generators, the walk starts from the floor-1 or floor-2 anchors
+    of the module docstring: N_k sums the counts of every anchor,
+    weighted, over k or over k(k - 1).
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     if g.is_T:
         return CliqueCensus(dict.fromkeys(range(min(kmax, 1) + 1), 1), kmax, 0, 1)
     depth = min(kmax, g.n)  # no clique has more than n vertices
-    fixed, anchors = _anchors(g, [], depth if depth > 2 else min(depth, 1))
-    spent = len(anchors) if fixed else 0
-    anchors = [(cand, 0, w) for cand, w in anchors]
-    through, _, nodes = _search(g.adj, depth - fixed, anchors, node_budget, workers, "census", spent, fixed)
-    counts = [1, g.n][:fixed] + [_through(t, perm(k, fixed)) for k, t in enumerate(through, fixed)]
-    return CliqueCensus(dict(enumerate(counts)), kmax, nodes, 0)
+    anchors = _anchors(g, [], depth if depth > 2 else min(depth, 1))
+    counts, _, nodes, fixed = _search(g.adj, depth, anchors, node_budget, workers, "census")
+    return CliqueCensus(dict(enumerate([1, g.n][:fixed] + counts)), kmax, nodes, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -697,8 +698,8 @@ def extension_profile(
 
     With `containing`, only k-cliques through that clique are profiled.
     The histogram keys are sorted, so the output is canonical.  With
-    generators and at most one vertex in `containing`, the walk is
-    anchored at a level of the module docstring.
+    generators and at most one vertex in `containing`, the walk starts
+    from the orbit anchors of the module docstring.
     """
     if g.is_T:
         raise ValueError("extension profile of T is undefined")
@@ -709,13 +710,9 @@ def extension_profile(
         raise ValueError("k must be >= 0")
     if k < len(base):
         raise ValueError("k smaller than the fixed clique")
-    fixed, anchors = _anchors(g, base, k)
-    spent = len(anchors) if fixed > len(base) else 0
-    anchors = [(cand, cand, w) for cand, w in anchors]
+    anchors = _anchors(g, base, k)
     # a walk deeper than n visits the same cliques and reaches no leaf
-    _, hist, _ = _search(g.adj, min(k - fixed, g.n + 1), anchors, node_budget, workers, "profile", spent, fixed)
-    per = perm(k - len(base), fixed - len(base))
-    return {c: h for c, h in enumerate(_through(t, per) for t in hist) if h}
+    return _search(g.adj, min(k, g.n + 1), anchors, node_budget, workers, "profile", len(base), True)[1]
 
 
 def _branch_and_bound(
@@ -724,7 +721,7 @@ def _branch_and_bound(
     budget: int,
     what: str,
     first: bool = False,
-    orbits: Sequence[tuple[int, int]] | None = None,
+    anchors: Sequence[tuple[Sequence[int], int, int]] | None = None,
 ) -> list[int]:
     """Largest clique with more than floor vertices, or [] if there is none.
 
@@ -733,24 +730,24 @@ def _branch_and_bound(
     count cannot beat the best so far is cut.  One budget node is charged
     per call.  With first, the first clique found that beats floor is
     returned: best is raised past n, which prunes every open branch.
-    With orbits, only cliques through the least vertex r of an orbit are
-    searched: each r in turn is the path [r] with candidates adj[r];
-    without, the one representative is the empty path with every vertex.
+    Only cliques through the members of an anchor (members, cand, weight)
+    are searched, each anchor in turn the path members with candidates
+    cand; the default is one anchor, the empty path with every vertex.
 
-    First each representative dives: it adds its lowest candidate until
-    none is left, one node per vertex.  The largest dive is the first
-    witness and, above floor, best (with first, the answer).  A budget
-    error names the largest clique found and the representatives done.
+    First each anchor dives: it adds its lowest candidate until none is
+    left, one node per vertex.  The largest dive is the first witness and,
+    above floor, best (with first, the answer).  A budget error names the
+    largest clique found and the anchors, as representatives, searched.
     """
     n = len(adj)
     path = [0] * n  # path[:size] is the clique being grown
     witness: list[int] = []
     nodes = done = 0
-    reps = [([], (1 << n) - 1)] if orbits is None else [([r], adj[r]) for r, _ in orbits]
+    if anchors is None:
+        anchors = [([], (1 << n) - 1, 1)]
 
     def exceeded() -> BudgetExceeded:
-        found = f"largest clique found: {len(witness)}, representatives searched: {done} of {len(reps)}"
-        return BudgetExceeded(f"{what} exceeded {budget} nodes; {found}")
+        return _exceeded(what, budget, len(witness), f"representatives searched: {done} of {len(anchors)}")
 
     def expand(size: int, cand: int) -> None:
         nonlocal best, witness, nodes
@@ -781,8 +778,8 @@ def _branch_and_bound(
             expand(size + 1, cand & adj[v])
             cand &= ~(1 << v)
 
-    for rep, cand in reps:
-        clique = rep[:]
+    for members, cand, _ in anchors:
+        clique = list(members)
         while cand:
             clique.append(_lowest(cand))
             cand &= adj[clique[-1]]
@@ -793,11 +790,11 @@ def _branch_and_bound(
     best = max(floor, len(witness))
     if first and best > floor:
         return witness
-    for rep, cand in reps:
+    for members, cand, _ in anchors:
         if best > n:
             break
-        path[: len(rep)] = rep
-        expand(len(rep), cand)
+        path[: len(members)] = members
+        expand(len(members), cand)
         done += 1
     return witness if len(witness) > floor else []
 
@@ -806,17 +803,16 @@ def find_clique(g: Graph, k: int) -> list[int] | None:
     """Some k-clique, or None if there is none.
 
     Which k-clique is returned is unspecified.  The search is charged
-    against the default node budget, CENSUS_NODE_BUDGET.  With generators,
-    it is anchored at one representative per vertex orbit.  Greedy dives
-    come first, one node per vertex; see _branch_and_bound.
+    against the default node budget, CENSUS_NODE_BUDGET.  It starts from
+    the floor-1 anchors of the module docstring, one representative per
+    vertex orbit.  Greedy dives come first, one node per vertex; see
+    _branch_and_bound.
     """
     if g.is_T:
         raise ValueError("find_clique on T is undefined")
     if k < 0:
         raise ValueError("k must be >= 0")
-    witness = _branch_and_bound(
-        g.adj, k - 1, CENSUS_NODE_BUDGET, "clique search", first=True, orbits=g.orbits
-    )
+    witness = _branch_and_bound(g.adj, k - 1, CENSUS_NODE_BUDGET, "clique search", first=True, anchors=_anchors(g, [], 1))
     return witness[:k] if len(witness) >= k else None
 
 
@@ -824,12 +820,12 @@ def max_clique_order(g: Graph, node_budget: int = CENSUS_NODE_BUDGET) -> int:
     """Exact maximum clique size, by branch and bound with greedy coloring.
 
     With generators, every clique maps into one through an orbit
-    representative, so the search is anchored at the representatives.
+    representative, so the search starts from the floor-1 anchors.
     A greedy dive from each one, one node per vertex, sets the first bound.
     """
     if g.is_T:
         raise ValueError("T has a clique of every order")
-    return len(_branch_and_bound(g.adj, 0, node_budget, "max-clique search", orbits=g.orbits))
+    return len(_branch_and_bound(g.adj, 0, node_budget, "max-clique search", anchors=_anchors(g, [], 1)))
 
 
 def verify_isomorphism(a: Graph, b: Graph, mapping: Sequence[int]) -> bool:

@@ -151,7 +151,7 @@ def test_budget_flag_and_env(tmp_path, capsys, monkeypatch):
     argv = ["census", "--spec", spec_file(tmp_path, M23), "--kmax", "5", "--budget", "1000"]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        "error: census exceeded 1000 nodes; largest clique found: 5, anchors finished: 0 of 1\n"
+        "error: census exceeded 1000 nodes; largest clique found: 5, anchors finished: 0 of 1, roots finished: 4 of 48\n"
     )
 
 

@@ -1,13 +1,18 @@
 """Closed-form counts against the brute-force graph oracles."""
 
+import contextlib
 import inspect
 import sys
+import warnings
 from functools import lru_cache
 from itertools import product as iproduct
-from math import comb
+from math import comb, prod
 
 import pytest
+from hypothesis import assume, example, given, seed, settings
+from hypothesis import strategies as st
 
+from ringline.errors import BoundExceeded, BudgetExceeded
 from ringline.fields import gf_build
 from ringline.linalg import gl_order
 from ringline.formulas import (
@@ -35,6 +40,7 @@ from ringline.graphs import (
     count_cliques,
     extension_profile,
     find_clique,
+    is_clique,
     max_clique_order,
     neighborhood_intersection_count,
     tensor_product,
@@ -382,3 +388,84 @@ def test_local_summand_is_the_m1_matrix_summand():
         g = spec_graph(spec)
         assert cap1N_product(spec) == neighborhood_intersection_count(g, [0])
         assert cap2N_product(spec) == neighborhood_intersection_count(g, find_clique(g, 2))
+
+
+# The summand pool of the drawn-spec test: local rings, the matrix rings
+# M_m(q) for m <= 3 (m = 0 is the trivial ring, whose graph is T), and a
+# radical multiplier of 1-3.  Specs over SPEC_BOUND vertices are not built,
+# and each count is checked up to the largest k whose census keeps within
+# SPEC_BUDGET nodes, so that the test stays near two seconds.
+SPEC_POOL = (
+    [Local(q, 1) for q in (2, 3, 4, 5, 7, 8, 9)]
+    + [Local(4, 2), Local(8, 4), Local(9, 3), Local(16, 4), Local(27, 9)]
+    + [MatrixRing(m, q) for m in range(4) for q in (2, 3, 4, 5, 7, 9)]
+)
+SPEC_BOUND = 1400
+SPEC_BUDGET = 20_000
+
+
+def census_within_budget(g, kmax: int) -> list[int]:
+    """The census to the largest k <= kmax whose walk keeps within SPEC_BUDGET."""
+    counts = [1]
+    for k in range(1, kmax + 1):
+        try:
+            counts = count_cliques(g, k, node_budget=SPEC_BUDGET).as_list()
+        except BudgetExceeded:
+            break
+    return counts
+
+
+@seed(2401)
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    summands=st.lists(st.sampled_from(SPEC_POOL), min_size=1, max_size=3),
+    multiplier=st.integers(1, 3),
+)
+@example(summands=[MatrixRing(3, 2)], multiplier=1)
+@example(summands=[MatrixRing(2, 3)], multiplier=2)
+@example(summands=[MatrixRing(2, 2), Local(9, 3)], multiplier=1)
+@example(summands=[Local(4, 2), Local(3, 1), MatrixRing(0, 2)], multiplier=3)
+def test_closed_forms_against_the_graph_of_drawn_specs(summands, multiplier):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a global multiplier beside local radicals
+        spec = RingSpec(summands, radical_multiplier=multiplier)
+    fields = [s for s in spec.summands if s.m]
+    assume(fields or multiplier == 1)  # T has no blow-up
+    try:
+        g = spec_graph(spec, vertex_bound=SPEC_BOUND)
+    except BoundExceeded:
+        assume(False)
+    if not fields:
+        # the trivial ring: T, a clique of every order
+        assert g.is_T
+        with pytest.raises(ValueError, match="^trivial ring: a clique of every order exists$"):
+            general_max_clique(spec)
+        return
+    omega = general_max_clique(spec)
+    # blow-ups carry no generators, and the plain branch and bound can run
+    # past the budget on them (blowup(P(M_2(3)), 2) takes about a second);
+    # then the witness and the census are the oracles for omega
+    with contextlib.suppress(BudgetExceeded):
+        assert max_clique_order(g, node_budget=SPEC_BUDGET) == omega
+    witness = find_clique(g, omega)
+    assert len(witness) == omega and is_clique(g, witness)
+    counts = census_within_budget(g, omega + 1)
+    if len(counts) == omega + 2:
+        assert counts[omega] > 0 == counts[omega + 1]
+    # the common neighbours of a k-clique: |J| * prod_s C_{m_s,k}(q_s)
+    for k in range(min(len(counts), 4, omega + 1)):
+        extension = spec.radical_order * prod(c_extension_poly(s.m, k)(s.q) for s in fields)
+        assert extension_profile(g, k, node_budget=SPEC_BUDGET) == {extension: counts[k]}
+    if all(s.J_order == 1 for s in spec.summands):
+        assert cap1N_product(spec) == neighborhood_intersection_count(g, find_clique(g, 1))
+        if omega >= 2:
+            assert cap2N_product(spec) == neighborhood_intersection_count(g, find_clique(g, 2))
+    if spec.is_commutative():
+        assert comm_max_clique(spec) == omega
+        assert counts == [comm_clique_count_vertex_sets(spec, k) for k in range(len(counts))]
+        if len(fields) == 1:
+            assert counts == [comm_clique_count(spec, k) for k in range(len(counts))]
+        for k in range(min(len(counts), omega + 1)):
+            assert extension_profile(g, k, node_budget=SPEC_BUDGET) == {comm_extension_count(spec, k): counts[k]}
+            clique = find_clique(g, k)
+            assert cap_n_N_comm(spec, k) == neighborhood_intersection_count(g, clique)

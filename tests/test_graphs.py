@@ -620,37 +620,66 @@ def test_budget_error_says_how_far_the_search_got():
 
 
 def test_census_and_profile_budget_errors_say_how_far_they_got(eager_pool, serial_pool):
-    # P(M_2(3)) is one distant-pair anchor; the walk has reached 3-cliques
-    # of it, 5-cliques with the pair, when the budget runs out
-    with pytest.raises(BudgetExceeded) as err:
-        count_cliques(matrix_ring_graph(2, 3), 5, node_budget=1000)
-    assert str(err.value) == "census exceeded 1000 nodes; largest clique found: 5, anchors finished: 0 of 1"
+    # P(M_2(3)) is one distant-pair anchor with 48 roots; the walk has
+    # reached 3-cliques of it, 5-cliques with the pair, when the budget runs
+    # out, and at k = 6 a larger budget has walked more of its roots
+    m23 = matrix_ring_graph(2, 3)
+    want = {
+        (count_cliques, 5, 1000): "census exceeded 1000 nodes; largest clique found: 5, anchors finished: 0 of 1, "
+        "roots finished: 4 of 48",
+        (count_cliques, 6, 1000): "census exceeded 1000 nodes; largest clique found: 6, anchors finished: 0 of 1, "
+        "roots finished: 1 of 48",
+        (count_cliques, 6, 5000): "census exceeded 5000 nodes; largest clique found: 6, anchors finished: 0 of 1, "
+        "roots finished: 7 of 48",
+        (extension_profile, 6, 1000): "profile exceeded 1000 nodes; largest clique found: 6, anchors finished: 0 of 1, "
+        "roots finished: 1 of 48",
+        (extension_profile, 6, 5000): "profile exceeded 5000 nodes; largest clique found: 6, anchors finished: 0 of 1, "
+        "roots finished: 7 of 48",
+    }
+    for (search, k, budget), message in want.items():
+        with pytest.raises(BudgetExceeded) as err:
+            search(m23, k, node_budget=budget)
+        assert str(err.value) == message
     # two level-1 anchors, adj[0] of the 5-cycle (done at 4 nodes) and adj[5]
     # of the K_4, whose 4-clique is counted at node 7
     g = two_orbit_graph()
     assert count_cliques(g, 4).nodes == 11 and g.suborbits == [None, None]
     want = {
-        (count_cliques, 4, 4): "census exceeded 4 nodes; largest clique found: 2, anchors finished: 1 of 2",
-        (count_cliques, 4, 7): "census exceeded 7 nodes; largest clique found: 4, anchors finished: 1 of 2",
-        (extension_profile, 3, 7): "profile exceeded 7 nodes; largest clique found: 3, anchors finished: 1 of 2",
+        (count_cliques, 4, 4): "census exceeded 4 nodes; largest clique found: 2, anchors finished: 1 of 2, "
+        "roots finished: 0 of 3",
+        (count_cliques, 4, 7): "census exceeded 7 nodes; largest clique found: 4, anchors finished: 1 of 2, "
+        "roots finished: 0 of 3",
+        (extension_profile, 3, 7): "profile exceeded 7 nodes; largest clique found: 3, anchors finished: 1 of 2, "
+        "roots finished: 1 of 3",
         # the two anchors alone are over the budget
-        (count_cliques, 4, 1): "census exceeded 1 nodes; largest clique found: 1, anchors finished: 0 of 2",
+        (count_cliques, 4, 1): "census exceeded 1 nodes; largest clique found: 1, anchors finished: 0 of 2, "
+        "roots finished: 0 of 2",
     }
     for (search, k, budget), message in want.items():
         with pytest.raises(BudgetExceeded) as err:
             search(g, k, node_budget=budget)
         assert str(err.value) == message
-        # a pool's share names its own progress, in the same words
-        with pytest.raises(BudgetExceeded, match=rf"{message.split(';')[0]}; largest clique found: \d+, anchors finished: \d+ of \d+$"):
+        # a pool's share names its own progress, its own roots included, in the
+        # same words; shares that keep within the budget only apart finish
+        # every anchor, and have no roots left to name
+        progress = r"anchors finished: \d+ of \d+(, roots finished: \d+ of \d+)?"
+        with pytest.raises(BudgetExceeded, match=rf"{message.split(';')[0]}; largest clique found: \d+, {progress}$"):
             search(g, k, node_budget=budget, workers=3)
+    # the K_4's anchor, split three ways: its first share has one root
+    with pytest.raises(BudgetExceeded, match="anchors finished: 1 of 2, roots finished: 0 of 1$"):
+        count_cliques(g, 4, node_budget=4, workers=3)
     # without generators: one anchor, the members of `containing` fixed
     k12 = Graph.complete(12)
     with pytest.raises(BudgetExceeded) as err:
         extension_profile(k12, 5, containing=[3, 4], node_budget=10)
-    assert str(err.value) == "profile exceeded 10 nodes; largest clique found: 5, anchors finished: 0 of 1"
+    assert str(err.value) == (
+        "profile exceeded 10 nodes; largest clique found: 5, anchors finished: 0 of 1, roots finished: 0 of 10"
+    )
     with pytest.raises(BudgetExceeded) as err:
         count_cliques(k12, 6, node_budget=10)
-    assert str(err.value) == "census exceeded 10 nodes; largest clique found: 5, anchors finished: 0 of 1"
+    assert str(err.value) == (
+        "census exceeded 10 nodes; largest clique found: 5, anchors finished: 0 of 1, roots finished: 0 of 12"
+    )
 
 
 def test_search_goes_on_past_a_greedy_dive_that_is_not_maximum():
@@ -916,11 +945,66 @@ def test_pair_anchors_equal_the_level_one_walk(case, monkeypatch):
     profiles = [extension_profile(g, k, node_budget=big) for k in (2, 3, 4)]
     if tables:
         assert census.nodes >= len(pair_anchors(g))
-    monkeypatch.setattr(graphs, "_pair_anchors", lambda g, through=None: None)
+    monkeypatch.setattr(g, "suborbits", [None] * len(g.orbits))
     level_one = count_cliques(g, 5, node_budget=big)
     assert census.counts == level_one.counts
     assert profiles == [extension_profile(g, k, node_budget=big) for k in (2, 3, 4)]
     assert (census.nodes < level_one.nodes) == tables
+
+
+def assert_anchor_rule(g: Graph) -> None:
+    """The anchors of _anchors against the tables: floor 1 stands for every
+    vertex, floor 2 for every ordered edge and, through a vertex c, for
+    every edge at c; the clique searches start from floor 1, or from the
+    one floor-0 anchor of a graph without generators."""
+    level_one = [([r], g.adj[r], size) for r, size in g.orbits] if g.generators else [([], (1 << g.n) - 1, 1)]
+    assert graphs._anchors(g, [], 1) == level_one
+    if g.generators:
+        assert sum(w for _, _, w in level_one) == g.n
+    tables = bool(g.generators) and all(table is not None for table in g.suborbits)
+    pairs = graphs._anchors(g, [], 2)
+    if tables:
+        orbits = zip(g.orbits, g.suborbits)
+        assert pairs == [([r, s], g.adj[r] & g.adj[s], size * part) for (r, size), table in orbits for s, part in table]
+        assert all(g.has_edge(r, s) for (r, s), _, _ in pairs)
+        assert sum(w for _, _, w in pairs) == 2 * g.edge_count()
+    else:
+        assert pairs == level_one
+    for c in {0, g.n // 2, g.n - 1}:
+        through = graphs._anchors(g, [c], 2)
+        if g.generators and g.suborbits[g.orbit_of[c]] is not None:
+            r = g.orbits[g.orbit_of[c]][0]
+            assert all(members[0] == r and cand == g.adj[r] & g.adj[members[1]] for members, cand, _ in through)
+            assert sum(w for _, _, w in through) == g.degree(c)
+        else:
+            assert through == [([c], g.adj[c], 1)]
+    seen, search = [], graphs._branch_and_bound
+
+    def spy(*args, anchors, **kwargs):
+        seen.append(anchors)
+        return search(*args, anchors=anchors, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_branch_and_bound", spy)
+        find_clique(g, max_clique_order(g))
+    assert seen == [level_one, level_one]
+
+
+@pytest.mark.parametrize("case", ORBIT_GRAPHS, ids=lambda c: "-".join(map(str, c[:-1])))
+def test_anchor_rule_on_the_ring_graphs(case):
+    kind, *args, _ = case
+    g = BUILD[kind](*args)
+    assert_anchor_rule(g)
+    assert_anchor_rule(plain(g))
+    if (kind, *args) == ("M", 2, 3):
+        assert sum(w for _, _, w in graphs._anchors(g, [], 2)) == 130 * 81 == 2 * 5265
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=graphs_with_generators())
+def test_anchor_rule_on_drawn_graphs(g):
+    assert_anchor_rule(g)
+    assert_anchor_rule(plain(g))
 
 
 def test_pair_node_charge(eager_pool, serial_pool):
