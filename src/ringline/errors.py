@@ -14,13 +14,12 @@ class FixtureMismatch(RuntimeError):
 
 
 class Record:
-    """An immutable record: its fields are the names in __slots__, given by
-    position or keyword, missing ones from _defaults, then validated by the
-    __post_init__ of its class.  Records of one type with equal fields are
-    equal, and hash as their fields; setting an attribute raises."""
+    """An immutable record: its fields are the names in __slots__, each given
+    by position or keyword, then validated by the __post_init__ of its class.
+    Records of one type with equal fields are equal, and hash as their
+    fields; setting an attribute raises."""
 
     __slots__ = ()
-    _defaults: dict = {}
     _setters: tuple = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -32,7 +31,7 @@ class Record:
         cls = type(self)
         if kwargs or len(args) != len(cls._setters):
             names = self.__slots__
-            values = {**cls._defaults, **dict(zip(names, args)), **kwargs}
+            values = dict(zip(names, args), **kwargs)
             if len(args) > len(names) or values.keys() != set(names) or kwargs.keys() & set(names[: len(args)]):
                 raise TypeError(f"{cls.__name__} takes the fields {', '.join(names)}, each once")
             args = [values[name] for name in names]

@@ -120,9 +120,6 @@ class GF:
             raise ZeroDivisionError("inverse of 0")
         return self._inv[a]
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GF) and (self.p, self.r) == (other.p, other.r)
 
@@ -236,13 +233,6 @@ def fp_divmod(F: GF, a: FieldPoly, b: FieldPoly) -> tuple[FieldPoly, FieldPoly]:
         for k, bc in enumerate(b):
             rem[deg + k] = F.sub(rem[deg + k], F.mul(factor, bc))
     return fp_trim(quo), fp_trim(rem)
-
-
-def fp_eval(F: GF, a: FieldPoly, x: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
 
 
 def monic_polys(F: GF, degree: int):

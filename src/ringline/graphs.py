@@ -50,7 +50,9 @@ anchors not finished go to one pool, with the roots not yet walked:
 worker i of w walks the cliques whose minimum vertex is root i, i + w,
 ... of them.  Each clique is walked by the one process that owns its
 minimum vertex, so counts, nodes and budget outcomes do not depend on w
-or on where the prefix stopped.
+or on where the prefix stopped.  Each share may charge what the prefix
+left of the budget and returns, run out or not; only the parent raises,
+and a pooled run that runs out names how far its prefix got.
 
 Clique existence (find_clique) and the maximum clique (max_clique_order)
 share a second core, one colour-bounded branch and bound.  There are two
@@ -394,26 +396,13 @@ def _exceeded(what: str, budget: int, found: int, progress: str) -> BudgetExceed
     return BudgetExceeded(f"{what} exceeded {budget} nodes; largest clique found: {found}, {progress}")
 
 
-def _walk_exceeded(what: str, budget: int, fixed: int, counts: list, hist: list, tasks: list, done: int, walked: int = 0):
-    """_exceeded for a census or profile: the largest clique counted, the
-    fixed members of its anchor included, the anchors finished of tasks and,
-    when the one that ran out lists roots, the roots finished of them."""
-    reached = len(counts) if any(hist) else max((d for d, c in enumerate(counts) if c), default=0)
-    progress = f"anchors finished: {done} of {len(tasks)}"
-    if done < len(tasks) and tasks[done][2]:
-        progress += f", roots finished: {walked} of {len(tasks[done][2])}"
-    return _exceeded(what, budget, fixed + reached, progress)
-
-
 def _walk(
     adj: Sequence[int],
     depth: int,
     anchors: Sequence[tuple[int, int, Sequence[int], int]],
     budget: int,
-    what: str,
     stop: int,
     spent: int = 0,
-    fixed: int = 0,
 ):
     """Ordered walk, for each anchor (cand, common, roots, weight), over the
     cliques of 1..depth vertices of cand whose minimum vertex lies in roots.
@@ -424,10 +413,10 @@ def _walk(
     weighted number of d-cliques, hist[c] that of depth-cliques with c
     vertices of common adjacent to all of them, and nodes = spent plus one
     per clique visited, unweighted.  The walk ends before the first root it
-    meets with nodes > stop, and rest lists the anchors not finished: that
-    one with the roots not walked, then the later ones; else rest is empty.
-    Nodes past budget, spent alone included, raise _walk_exceeded, each
-    anchor fixing fixed members.
+    meets with nodes > stop, or at the node that takes nodes past budget
+    (spent alone included), and rest lists the anchors not finished: the one
+    it was in, with the roots not walked to the end, then the later ones;
+    else rest is empty.
     """
     counts = [0] * depth
     hist = [0] * (max((common.bit_count() for _, common, _, _ in anchors), default=0) + 1)
@@ -474,7 +463,7 @@ def _walk(
                 rec(cand, common, 0)
             for j, r in enumerate(roots):
                 if nodes > stop:
-                    return counts, hist, nodes, [(cand, common, roots[j:], weight), *anchors[i + 1 :]]
+                    raise BudgetExceeded
                 nodes += 1
                 if nodes > budget:
                     raise BudgetExceeded
@@ -482,8 +471,9 @@ def _walk(
                 sub = cand & adj[r] & (-1 << (r + 1))
                 if sub:
                     rec(sub, common & adj[r], 1)
-    except BudgetExceeded:
-        raise _walk_exceeded(what, budget, fixed, counts, hist, anchors, i, j) from None
+    except BudgetExceeded:  # the walk's one stop, at the probe or the budget
+        cand, common, roots, weight = anchors[i]
+        return counts, hist, nodes, [(cand, common, roots[j:], weight), *anchors[i + 1 :]]
     return counts, hist, nodes, []
 
 
@@ -510,9 +500,10 @@ def _search(
     With workers, the anchors left after the serial prefix run in one pool
     of at most as many processes as CPUs: worker i of w takes the roots
     [i::w] of each, w being workers capped at the most roots of any anchor,
-    and the histograms are summed by position.  A share that runs out of
-    budget names its own progress; shares that each keep within it but not
-    together name every anchor finished.
+    each share may charge the nodes the prefix left of the budget, and the
+    histograms are summed by position.  Past the budget this raises the one
+    error, which names how far the serial walk got: where it stopped, or
+    where it handed over to the pool.
     """
     fixed = len(anchors[0][0])
     depth = top - fixed
@@ -520,22 +511,30 @@ def _search(
     tasks = [(cand, cand if binned else 0, _bits(cand) if depth > 1 else [], w) for _, cand, w in anchors]
     longest = max((len(roots) for _, _, roots, _ in tasks), default=0)
     workers = min(workers, longest)
-    # serial, never stop: a node past the budget raises, so nodes <= budget
+    # serial, never stop short of the budget
     stop = spent + _POOL_PROBE if workers > 1 else budget
-    counts, hist, nodes, rest = _walk(adj, depth, tasks, budget, what, stop, spent, fixed)
-    if rest:
+    counts, hist, nodes, rest = _walk(adj, depth, tasks, budget, stop, spent)
+    if rest and nodes <= budget:
         shares = [[(cand, common, roots[i::workers], w) for cand, common, roots, w in rest] for i in range(workers)]
         # imported here so that a search under the probe never loads the pool
         from concurrent.futures import ProcessPoolExecutor
 
-        task = partial(_walk, adj, depth, budget=budget, what=what, stop=budget, fixed=fixed)
+        left = budget - nodes
+        task = partial(_walk, adj, depth, budget=left, stop=left)
         with ProcessPoolExecutor(max_workers=min(workers, _default_workers())) as pool:
             parts = [(counts, hist, nodes), *(part[:3] for part in pool.map(task, shares))]
         sums, hists, used = zip(*parts)
         nodes = sum(used)
         counts, hist = [sum(c) for c in zip(*sums)], [sum(h) for h in zip_longest(*hists, fillvalue=0)]
-        if nodes > budget:
-            raise _walk_exceeded(what, budget, fixed, counts, hist, tasks, len(tasks))
+    if nodes > budget:
+        # the largest clique counted, the fixed members included, then how
+        # far the serial walk got, read off its rest
+        reached = len(counts) if any(hist) else max((d for d, c in enumerate(counts) if c), default=0)
+        done = len(tasks) - len(rest)
+        progress = f"anchors finished: {done} of {len(tasks)}"
+        if rest[0][2]:
+            progress += f", roots finished: {len(tasks[done][2]) - len(rest[0][2])} of {len(tasks[done][2])}"
+        raise _exceeded(what, budget, fixed + reached, progress)
     counts.append(sum(hist))  # every depth-clique is binned once
     for _, common, _, w in tasks:
         counts[0] += w

@@ -106,18 +106,6 @@ class IntPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "IntPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = IntPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __call__(self, q: int) -> int:
         """Evaluate at an integer point, exactly (Horner)."""
         acc = 0

@@ -95,7 +95,6 @@ class ProductFormulaRecord(Record):
 
 class CriterionResult(Record):
     __slots__ = ("number", "name", "ok", "detail", "elapsed", "record")
-    _defaults = {"record": None}
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -431,16 +430,16 @@ def run_criterion(number: int) -> CriterionResult:
     name, func = CRITERIA[number]
     start = time.perf_counter()
     try:
-        ok, detail, *record = func()
+        ok, detail, record = (*func(), None)[:3]
     except Exception as exc:  # surface engine errors as failures, not crashes
         elapsed = time.perf_counter() - start
-        return CriterionResult(number, name, False, f"raised {type(exc).__name__}: {exc}", elapsed)
+        return CriterionResult(number, name, False, f"raised {type(exc).__name__}: {exc}", elapsed, None)
     elapsed = time.perf_counter() - start
     limit = TIME_LIMITS.get(number)
     if limit is not None and elapsed > limit:
         ok = False
         detail += f"; exceeded the {limit:.0f}s runtime limit"
-    return CriterionResult(number, name, ok, detail, elapsed, *record)
+    return CriterionResult(number, name, ok, detail, elapsed, record)
 
 
 def run_suite(suite: str) -> list[CriterionResult]:

@@ -12,7 +12,6 @@ from ringline.fields import (
     find_irreducible,
     find_primitive,
     fp_divmod,
-    fp_eval,
     fp_is_irreducible,
     fp_is_primitive,
     fp_mul,
@@ -173,7 +172,7 @@ def test_find_irreducible_examples():
     assert find_irreducible(2, 2) == (1, 1, 1)  # x^2+x+1
     irr = find_irreducible(2, 3)
     F3 = gf_build(3)
-    assert all(fp_eval(F3, irr, x) != 0 for x in range(3))
+    assert all(fp_divmod(F3, irr, (F3.neg(x), 1))[1] for x in range(3))  # no root
 
 
 def test_irreducibles_have_no_low_degree_factors():
@@ -220,7 +219,7 @@ def stepped_is_primitive(F, poly) -> bool:
         return False
     # times x, then minus t * poly for t the top coefficient over the lead
     lead, one = F.inv(poly[-1]), [1] + [0] * (degree - 1)
-    minus = [[F.neg(F.mul(F.mul(top, lead), c)) for c in poly[:-1]] for top in F.elements()]
+    minus = [[F.neg(F.mul(F.mul(top, lead), c)) for c in poly[:-1]] for top in range(F.q)]
     power, order, add = one, F.q**degree - 1, F._add
     for i in range(1, order + 1):
         power = [add[c][d] for c, d in zip([0] + power, minus[power[-1]])]

@@ -8,6 +8,7 @@ backtracking engine.
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -659,14 +660,13 @@ def test_census_and_profile_budget_errors_say_how_far_they_got(eager_pool, seria
         with pytest.raises(BudgetExceeded) as err:
             search(g, k, node_budget=budget)
         assert str(err.value) == message
-        # a pool's share names its own progress, its own roots included, in the
-        # same words; shares that keep within the budget only apart finish
-        # every anchor, and have no roots left to name
+        # a pooled run names, in the same words, where its serial prefix
+        # handed over to the pool
         progress = r"anchors finished: \d+ of \d+(, roots finished: \d+ of \d+)?"
         with pytest.raises(BudgetExceeded, match=rf"{message.split(';')[0]}; largest clique found: \d+, {progress}$"):
             search(g, k, node_budget=budget, workers=3)
-    # the K_4's anchor, split three ways: its first share has one root
-    with pytest.raises(BudgetExceeded, match="anchors finished: 1 of 2, roots finished: 0 of 1$"):
+    # the eager prefix hands over after the 5-cycle's first root
+    with pytest.raises(BudgetExceeded, match="anchors finished: 0 of 2, roots finished: 1 of 2$"):
         count_cliques(g, 4, node_budget=4, workers=3)
     # without generators: one anchor, the members of `containing` fixed
     k12 = Graph.complete(12)
@@ -680,6 +680,64 @@ def test_census_and_profile_budget_errors_say_how_far_they_got(eager_pool, seria
     assert str(err.value) == (
         "census exceeded 10 nodes; largest clique found: 5, anchors finished: 0 of 1, roots finished: 0 of 12"
     )
+
+
+def budget_cases() -> list:
+    """(graph, search, k, budget, roots) of searches that run out: P(M_2(3))
+    at k = 6, one anchor, and two_orbit_graph(), two anchors; roots lists the
+    number of roots of each anchor."""
+    m23, g = matrix_ring_graph(2, 3), two_orbit_graph()
+    cases = [(m23, search, 6, budget, [48]) for search in (count_cliques, extension_profile) for budget in (1000, 5000)]
+    cases += [(g, count_cliques, 4, budget, [2, 3]) for budget in (1, 4, 7)]
+    return cases + [(g, extension_profile, 3, 7, [2, 3])]
+
+
+def test_pooled_budget_errors_do_not_depend_on_the_workers(eager_pool):
+    # the shares return to the parent, which raises the one error: 2 and 3
+    # workers name the same progress, out of the search's own anchors and the
+    # roots of the one named, as the serial run does
+    progress = re.compile(r"anchors finished: (\d+) of (\d+), roots finished: \d+ of (\d+)$")
+    for g, search, k, budget, roots in budget_cases():
+        messages = []
+        for workers in (1, 2, 3):
+            with pytest.raises(BudgetExceeded) as err:
+                search(g, k, node_budget=budget, workers=workers)
+            messages.append(str(err.value))
+        serial, two, three = messages
+        assert two == three
+        for message in (serial, two):
+            done, anchors, of = map(int, progress.search(message).groups())
+            assert anchors == len(roots) and of == roots[done]
+
+
+def test_pool_shares_charge_what_the_prefix_left(eager_pool, serial_pool, monkeypatch):
+    # the prefix walks with the whole budget, every share with what the
+    # prefix left of it, and no walk raises, whether the budget holds or not
+    walk, calls, returned = graphs._walk, [], []
+
+    def spy_walk(adj, depth, anchors, budget, stop, spent=0):
+        calls.append(budget)
+        out = walk(adj, depth, anchors, budget, stop, spent)
+        returned.append(out[2])
+        return out
+
+    monkeypatch.setattr(graphs, "_walk", spy_walk)
+    cases = [case[:4] for case in budget_cases()]
+    cases += [(g, search, k, search(g, k).nodes if search is count_cliques else 10**6) for g, search, k, _ in cases]
+    for g, search, k, budget in cases:
+        for workers in (2, 3):
+            calls.clear()
+            returned.clear()
+            serial_pool.clear()
+            try:
+                search(g, k, node_budget=budget, workers=workers)
+            except BudgetExceeded:
+                pass
+            assert len(returned) == len(calls) and calls[0] == budget
+            if serial_pool:
+                assert len(calls) > 1 and calls[1:] == [budget - returned[0]] * (len(calls) - 1)
+            else:  # the prefix ran out before the hand-over
+                assert calls == [budget] and returned[0] > budget
 
 
 def test_search_goes_on_past_a_greedy_dive_that_is_not_maximum():
