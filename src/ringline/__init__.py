@@ -33,7 +33,7 @@ _EXPORTS = {
     ),
     "identities": "capN_divisibility_check lacunary_identity_check lacunary_sum",
     "linalg": (
-        "MatrixGF char_poly companion_matrix enumerate_gl gl_order identity mat_det mat_mul mat_rank mat_sub"
+        "MatrixGF companion_matrix enumerate_gl gl_order identity mat_det mat_mul mat_rank mat_sub"
         " matrix matrix_label rref"
     ),
     "partitions": (

@@ -194,19 +194,6 @@ def fp_trim(cs: list[int]) -> FieldPoly:
     return tuple(cs)
 
 
-def fp_add(F: GF, a: FieldPoly, b: FieldPoly) -> FieldPoly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = F.add(out[i], c)
-    return fp_trim(out)
-
-
-def fp_neg(F: GF, a: FieldPoly) -> FieldPoly:
-    return tuple(F.neg(c) for c in a)
-
-
 def fp_mul(F: GF, a: FieldPoly, b: FieldPoly) -> FieldPoly:
     if not a or not b:
         return ()

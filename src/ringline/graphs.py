@@ -3,7 +3,9 @@
 Vertices are 0..n-1; row v is a Python int whose bit u is set when
 u ~ v.  Graphs are immutable after construction and safe to share
 across workers.  T, the single vertex with a loop, is the identity of
-the tensor product and is rejected by every other combinator.
+the tensor product and is rejected by every other combinator.  It is
+the one graph whose row holds its loop: the constructor reads T off the
+row (1,), so Graph(1, [1]) is T, and every other loop raises.
 
 The tensor product and the blow-up are row arithmetic on one spread
 rule: spread(row, w) moves bit u of row to bit u * w.  A number below
@@ -195,7 +197,6 @@ class Graph:
         n: int,
         adj: Sequence[int],
         labels: Sequence[str] | None = None,
-        is_T: bool = False,
         generators: Iterable[Sequence[int]] = (),
     ):
         adj = tuple(adj)
@@ -205,10 +206,8 @@ class Graph:
         for i, sigma in enumerate(generators):
             if sorted(sigma) != list(range(n)):
                 raise ValueError(f"generator {i} is not an automorphism")
-        if is_T:
-            if n != 1 or adj != (1,):
-                raise ValueError("T is the single vertex with one loop")
-        else:
+        is_T = adj == (1,)
+        if not is_T:
             mask = (1 << n) - 1
             for v, row in enumerate(adj):
                 if row & ~mask:
@@ -239,7 +238,7 @@ class Graph:
 
     @classmethod
     def T(cls) -> "Graph":
-        return cls(1, (1,), labels=("T",), is_T=True)
+        return cls(1, (1,), labels=("T",))
 
     @classmethod
     def from_edges(
@@ -296,10 +295,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (self.n, self.adj, self.is_T) == (other.n, other.adj, other.is_T)
+        return (self.n, self.adj) == (other.n, other.adj)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.adj, self.is_T))
+        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         if self.is_T:
@@ -834,12 +833,10 @@ def verify_isomorphism(a: Graph, b: Graph, mapping: Sequence[int]) -> bool:
     transpose of the rows a.adj[mapping^-1[w]]: both say that u ~ w in a
     iff mapping[u] ~ mapping[w] in b.
     """
-    if a.n != b.n or a.is_T != b.is_T:
+    if a.n != b.n:
         return False
     if sorted(mapping) != list(range(a.n)):
         raise ValueError("mapping is not a bijection on the vertex sets")
-    if a.is_T:
-        return True
     inverse = sorted(range(a.n), key=mapping.__getitem__)
     return _check_transpose(b.adj, a.adj, [(mapping, inverse)])[0] is None
 

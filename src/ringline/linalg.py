@@ -10,7 +10,7 @@ from itertools import product
 
 from .config import GL_ENUMERATION_BOUND
 from .errors import BoundExceeded, Record
-from .fields import GF, FieldPoly, fp_add, fp_mul, fp_neg, fp_trim, gf_of
+from .fields import GF, FieldPoly, gf_of
 from .polynomials import matrix_codegree
 
 
@@ -181,36 +181,6 @@ def companion_matrix(field: GF | int, poly: FieldPoly) -> MatrixGF:
     for j in range(m):
         rows[m - 1][j] = F.neg(poly[j])
     return MatrixGF(F, tuple(tuple(r) for r in rows))
-
-
-def char_poly(m: MatrixGF) -> FieldPoly:
-    """Characteristic polynomial det(xI - A), monic, by Laplace expansion."""
-    if m.nrows != m.ncols:
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    F = m.field
-    n = m.nrows
-    entries = [
-        [((F.neg(m.rows[i][j]), 1) if i == j else fp_trim([F.neg(m.rows[i][j])])) for j in range(n)]
-        for i in range(n)
-    ]
-
-    def det(rows_idx: list[int], cols_idx: list[int]) -> FieldPoly:
-        if not rows_idx:
-            return (1,)
-        i = rows_idx[0]
-        acc: FieldPoly = ()
-        for pos, j in enumerate(cols_idx):
-            e = entries[i][j]
-            if not e:
-                continue
-            minor = det(rows_idx[1:], cols_idx[:pos] + cols_idx[pos + 1 :])
-            term = fp_mul(F, e, minor)
-            if pos % 2:
-                term = fp_neg(F, term)
-            acc = fp_add(F, acc, term)
-        return acc
-
-    return det(list(range(n)), list(range(n)))
 
 
 def matrix_label(m: MatrixGF) -> str:

@@ -105,13 +105,11 @@ class Local(Record):
         R, J = self.R_order, self.J_order
         if R < 2 or J < 1 or R % J:
             raise ValueError(f"invalid local ring cardinalities ({R}, {J})")
-        p, a = factor_prime_power(R)
+        _, a = factor_prime_power(R)
         if J == 1:
             return
-        pj, b = factor_prime_power(J)
-        if pj != p:
-            raise ValueError(f"|R|={R} and |J|={J} are powers of different primes")
-        r = a - b
+        # J divides R = p^a, so J = p^b
+        r = a - factor_prime_power(J)[1]
         if r < 1 or a % r:
             raise ValueError(f"no local ring has |R|={R}, |J|={J}")
 

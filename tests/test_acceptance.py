@@ -17,6 +17,8 @@ import time
 from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 
+import pytest
+
 from ringline import verification
 from ringline.formulas import comm_clique_count_vertex_sets
 from ringline.graphs import Graph, count_cliques
@@ -193,6 +195,11 @@ def test_a_criterion_that_raises_fails_with_the_error(monkeypatch):
     r = run_criterion(97)
     assert (r.ok, r.detail, r.record) == (False, "raised RuntimeError: engine fault", None)
     assert r.line().startswith("FAIL criterion 97 (raises) [")
+
+
+def test_an_unknown_suite_is_refused():
+    with pytest.raises(ValueError, match=r"^unknown suite 'nope'; expected one of \["):
+        verification.run_suite("nope")
 
 
 def test_criterion_06_reports_a_structural_failure_and_stops(monkeypatch):

@@ -118,6 +118,20 @@ def test_gf_build_rejects_bad_input():
         gf_build(2, 10)  # 1024 > FIELD_SIZE_BOUND
 
 
+@pytest.mark.parametrize(
+    "call, error, want",
+    [
+        (lambda: gf_of(3).inv(0), ZeroDivisionError, "inverse of 0"),
+        (lambda: fp_divmod(gf_of(3), (1,), ()), ZeroDivisionError, "polynomial division by zero"),
+        (lambda: find_irreducible(0, 2), ValueError, "degree must be >= 1"),
+    ],
+    ids=["inverse-of-0", "divide-by-zero-poly", "irreducible-degree-0"],
+)
+def test_input_checks(call, error, want):
+    with pytest.raises(error, match=f"^{want}$"):
+        call()
+
+
 def test_extension_moduli_are_the_first_irreducibles():
     assert gf_build(2, 2).modulus == (1, 1, 1)
     assert gf_build(3, 2).modulus == (1, 0, 1)

@@ -303,6 +303,20 @@ def test_negative_clique_size_is_refused_before_the_factorial():
             count(spec, -1)
 
 
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        (lambda: comm_extension_count(RingSpec([Local(5, 1)]), -1), "k must be >= 0"),
+        (lambda: cap_n_N_comm(RingSpec([Local(5, 1)]), -1), "n must be >= 0"),
+        (lambda: c_extension_poly(2, -1), "k must be >= 0"),
+    ],
+    ids=["extension-count-k", "capnN-n", "extension-poly-k"],
+)
+def test_negative_sizes_are_refused(call, want):
+    with pytest.raises(ValueError, match=f"^{want}$"):
+        call()
+
+
 def test_c_extension_poly_forms_agree_up_to_m6():
     # the sum and nested forms are asserted equal inside; just drive them
     for m in range(7):

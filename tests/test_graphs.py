@@ -85,8 +85,7 @@ def test_graph_validation():
         Graph(2, [2, 0])  # asymmetric
     with pytest.raises(ValueError):
         Graph(2, [0, 0], labels=["a"])
-    with pytest.raises(ValueError):
-        Graph(2, [0, 0], is_T=True)
+    assert Graph(1, [1]) == Graph.T() and Graph(1, [1]).is_T  # T is read off its row
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     assert g.degrees() == [1, 2, 1]
     with pytest.raises(ValueError):
@@ -762,6 +761,38 @@ def test_greedy_dive_settles_the_large_ring_graphs_in_a_few_nodes(monkeypatch):
     assert find_clique(gl27, 49) is None
     with pytest.raises(BudgetExceeded, match="exceeded 48 nodes; largest clique found: 48, representatives searched: 0 of 1"):
         max_clique_order(gl27, node_budget=48)
+
+
+def test_find_clique_expands_no_representative_past_its_witness(monkeypatch):
+    # a K_4 on 4..7, each vertex v of it with a private pendant v - 4, below
+    # every vertex of the K_4; with the identity every vertex is its own
+    # representative.  Every dive stops at 2 vertices (16 nodes), each
+    # pendant's search at its root (4), and the search from 4 finds the
+    # 4-clique in 4 nodes: the budget has no node to spare for 5, 6 and 7
+    edges = [(i, i + 4) for i in range(4)] + list(combinations(range(4, 8), 2))
+    g = Graph(8, Graph.from_edges(8, edges).adj, generators=[range(8)])
+    monkeypatch.setattr(graphs, "CENSUS_NODE_BUDGET", 24)
+    assert sorted(find_clique(g, 4)) == [4, 5, 6, 7]
+    monkeypatch.setattr(graphs, "CENSUS_NODE_BUDGET", 23)
+    with pytest.raises(BudgetExceeded) as err:
+        find_clique(g, 4)
+    assert str(err.value) == (
+        "clique search exceeded 23 nodes; largest clique found: 2, representatives searched: 4 of 8"
+    )
+
+
+def test_orbit_sums_that_are_not_multiples_are_refused(monkeypatch):
+    assert graphs._through(8, 2) == 4
+    with pytest.raises(AssertionError, match="^orbit sum 7 is not a multiple of 2$"):
+        graphs._through(7, 2)
+    # P(M_2(2)) is one distant-pair anchor of weight 35 * 16; with one less,
+    # it counts an odd number of ordered edges
+    g = matrix_ring_graph(2, 2)
+    ((members, cand, weight),) = graphs._anchors(g, [], 3)
+    assert len(members) == 2 and weight == 560
+    monkeypatch.setattr(graphs, "_anchors", lambda *args: [(members, cand, weight - 1)])
+    with pytest.raises(AssertionError, match="^orbit sum 559 is not a multiple of 2$"):
+        count_cliques(g, 3)
 
 
 def test_import_loads_no_process_pool():

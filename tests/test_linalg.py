@@ -6,15 +6,16 @@ from ringline.errors import BoundExceeded
 from ringline.fields import find_irreducible, gf_build, gf_of
 from ringline.linalg import (
     MatrixGF,
-    char_poly,
     companion_matrix,
     enumerate_gl,
     gl_order,
     identity,
     mat_det,
+    mat_hstack,
     mat_mul,
     mat_rank,
     mat_sub,
+    mat_vstack,
     matrix,
     matrix_label,
     rref,
@@ -67,10 +68,21 @@ def test_det_matches_rank_for_larger_sizes():
         assert (mat_det(m) != 0) == (mat_rank(m) == 3)
 
 
-def _det_by_char_poly(m: MatrixGF) -> int:
-    # char_poly(A)[0] = det(-A) = (-1)^n det(A), by Laplace expansion: no elimination
-    c0 = char_poly(m)[0]
-    return m.field.neg(c0) if m.nrows % 2 else c0
+def _det_by_cofactors(m: MatrixGF) -> int:
+    # Laplace expansion along the first row: no elimination
+    F = m.field
+
+    def det(rows) -> int:
+        if not rows:
+            return 1
+        acc = 0
+        for j, e in enumerate(rows[0]):
+            if e:
+                term = F.mul(e, det([r[:j] + r[j + 1 :] for r in rows[1:]]))
+                acc = F.sub(acc, term) if j % 2 else F.add(acc, term)
+        return acc
+
+    return det(m.rows)
 
 
 def test_det_matches_laplace_oracle_exhaustive_3x3_gf2():
@@ -79,7 +91,7 @@ def test_det_matches_laplace_oracle_exhaustive_3x3_gf2():
     F = gf_build(2)
     for entries in product(range(2), repeat=9):
         m = MatrixGF(F, (entries[0:3], entries[3:6], entries[6:9]))
-        assert mat_det(m) == _det_by_char_poly(m)
+        assert mat_det(m) == _det_by_cofactors(m)
 
 
 def test_det_matches_laplace_oracle_random_up_to_5x5():
@@ -98,7 +110,7 @@ def test_det_matches_laplace_oracle_random_up_to_5x5():
                 )
                 m = MatrixGF(F, rows)
                 det = mat_det(m)
-                assert det == _det_by_char_poly(m), m
+                assert det == _det_by_cofactors(m), m
                 assert (det != 0) == (mat_rank(m) == n)
                 singular += det == 0
     assert singular > 50  # both verdicts are exercised
@@ -130,11 +142,34 @@ def test_companion_matrix_examples():
         companion_matrix(3, (1, 2))  # not monic
 
 
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        (lambda: mat_mul(matrix(2, [[1, 0]]), matrix(2, [[1, 0]])), "shape mismatch"),
+        (lambda: mat_vstack(matrix(2, [[1, 0]]), matrix(2, [[1]])), "column mismatch"),
+        (lambda: mat_hstack(matrix(2, [[1, 0]]), matrix(2, [[1], [0]])), "row mismatch"),
+        (lambda: companion_matrix(2, (1,)), "degree must be >= 1"),
+    ],
+    ids=["mul-shape", "vstack-columns", "hstack-rows", "companion-degree-0"],
+)
+def test_input_checks(call, want):
+    with pytest.raises(ValueError, match=f"^{want}$"):
+        call()
+
+
 def test_companion_char_poly_roundtrip():
+    # e_0 C^i = e_i for i < n and e_0 C^n = -(c_0, ..., c_{n-1}): e_0 is a cyclic
+    # vector annihilated by poly, so poly is the characteristic polynomial of C
     for q in (2, 3, 5):
+        F = gf_of(q)
         for deg in (1, 2, 3):
             poly = find_irreducible(deg, q)
-            assert char_poly(companion_matrix(q, poly)) == poly
+            c = companion_matrix(q, poly)
+            v = matrix(q, [[1] + [0] * (deg - 1)])
+            for i in range(deg):
+                assert v.rows == (tuple(int(j == i) for j in range(deg)),)
+                v = mat_mul(v, c)
+            assert v.rows == (tuple(F.neg(x) for x in poly[:-1]),)
 
 
 def test_companion_of_irreducible_has_no_eigenvalues():

@@ -151,6 +151,19 @@ def test_distcoeff_check_ranges():
         distcoeff_poly(3, 4)
 
 
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        (lambda: enumerate_D2(-1, 0), "h and k must be >= 0"),
+        (lambda: distcoeff_check(2, 0, -1), "h must be >= 0"),
+    ],
+    ids=["D2-negative-h", "distcoeff-negative-h"],
+)
+def test_input_checks(call, want):
+    with pytest.raises(ValueError, match=f"^{want}$"):
+        call()
+
+
 def test_distcoeff_poly_value():
     # q^6 (1-q^4)(1-q^3)(1-q^2) has coefficient 1 at q^12
     poly = distcoeff_poly(4, 1)

@@ -66,6 +66,22 @@ def test_local_cardinality_validation():
     assert Local(9, 3).q == 3
 
 
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        (lambda: zn_local_decomposition(1), "n must be >= 2"),
+        (lambda: zn_projective_line(1), "n must be >= 2"),
+        (lambda: SubspacePoint(matrix(2, [[1, 0, 0]])), "basis must be m x 2m"),
+        (lambda: spread_clique(0, 2), "m must be >= 1"),
+        (lambda: f1_graph(0), "m must be >= 1"),
+    ],
+    ids=["zn-decomposition-1", "zn-line-1", "subspace-shape", "spread-m0", "f1-m0"],
+)
+def test_input_checks(call, want):
+    with pytest.raises(ValueError, match=f"^{want}$"):
+        call()
+
+
 def test_matrix_ring_validation():
     MatrixRing(0, 2)
     MatrixRing(2, 9)
