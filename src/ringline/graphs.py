@@ -38,12 +38,12 @@ ran out lists its roots, the roots finished of them.
 
 Set bits are read in one of two ways.  The lowest-bit loop costs three
 big-int operations per set bit (isolate, clear, bit_length); the string
-read, _read (format(bits, "b") reversed, translated to bytes 0 and 1 and
-picked by itertools.compress), runs in C at a cost that follows the bit
-length.  _bits, which lists the anchors' roots and the orbit tables'
+read (format(bits, "b") reversed and translated to bytes 0 and 1, the
+_selectors of itertools.compress) runs in C at a cost that follows the
+bit length.  _bits, which lists the anchors' roots and the orbit tables'
 neighbours, reads by string when at least one bit in _DENSE = 8 is set,
 and so does the leaf's binning loop when it has more than 16 candidates,
-so a sparse set never pays for its length.
+picking their rows out of adj, so a sparse set never pays for its length.
 
 A search with workers walks its roots serially, in order, until it has
 charged more than _POOL_PROBE nodes, about what starting a pool costs a
@@ -71,8 +71,9 @@ generators that fix r.  Only _anchors reads these tables, with no check
 per call.
 
 Anchors.  Every search walks from anchors (members, cand, weight): an
-anchor fixes the clique members, walks cand, their common neighbours,
-and stands for the weight cliques that the automorphisms map it to.
+anchor fixes the clique members, walks cand, their common neighbours
+(or, in the one leaf step below, a part of it), and stands for the
+weight cliques that the automorphisms map it to.
 Floor 0 fixes the clique through which a profile runs (a census: the
 empty clique), weight 1, and is the oracle the others are tested
 against.  Floor 1 fixes r, the least vertex of each orbit, weighted by
@@ -82,19 +83,34 @@ vertex c it takes only the orbit of c, which an automorphism maps to r,
 weighted by the suborbit size alone.  An anchor that fixes j members
 beyond the b the search runs through is charged one node, and meets each
 k-clique once per ordered choice of j of its other k - b members, so the
-walk's sums are divided by perm(k - b, j).  A census to kmax >= 3 and a
-profile at k >= 2 through at most one vertex take floor 2 when each orbit
-they start from has a suborbit table; else a census to kmax >= 1, a
-profile at k >= 1 through no vertex, find_clique and max_clique_order
-take floor 1; anything else, and every graph without generators
-(from_edges, a tensor product, a blow-up), floor 0.  Orbit searches split
-their roots anchor by anchor.
+walk's sums are divided by perm(k - b, j).
+
+When the walk under a pair anchor (r, s) is one leaf step (a census to
+kmax = 3, a profile at k = 3), it would meet each pair of adjacent
+neighbours of r twice, once from either end.  With the suborbits of r
+ordered by size, largest first, ties by table position, the anchor of
+suborbit S walks instead the common neighbours in S at its weight, and
+those in a later suborbit at twice it; it bins against all of them
+either way.  That counts the same, because |S_i| |C_i & S_j| = |S_j|
+|C_j & S_i| for C_i the common neighbours of r and s_i (Sims 1967), and
+the stabiliser of r maps what s_i meets in S_j onto what every vertex of
+S_i meets there.  Each pair is met once, from the larger suborbit, or
+twice inside one: GL_2(5) walks 1,284 leaves, not 3,306.  The anchor's
+own clique is still counted and charged once, and a single suborbit, as
+on every P(M_m(q)) and P(Z/n), walks all of its common neighbours.
+
+A census to kmax >= 3 and a profile at k >= 2 through at most one vertex
+take floor 2 when each orbit they start from has a suborbit table; else a
+census to kmax >= 1, a profile at k >= 1 through no vertex, find_clique
+and max_clique_order take floor 1; anything else, and every graph without
+generators (from_edges, a tensor product, a blow-up), floor 0.  Orbit
+searches split their roots anchor by anchor.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations, compress, count, zip_longest
+from itertools import combinations, compress, count, repeat, zip_longest
 from math import perm
 from typing import Iterable, Iterator, Sequence
 
@@ -120,15 +136,16 @@ def _lowest(bits: int) -> int:
     return (bits & -bits).bit_length() - 1
 
 
-def _read(bits: int) -> Iterator[int]:
-    """The set bits of bits, ascending, read off its binary string in C."""
-    return compress(count(), format(bits, "b")[::-1].encode().translate(_ONES))
+def _selectors(bits: int) -> bytes:
+    """Byte i is 1 if bit i of bits is set, else 0: the selectors with which
+    itertools.compress picks what the set bits index, in C."""
+    return format(bits, "b")[::-1].encode().translate(_ONES)
 
 
 def _bits(bits: int) -> list[int]:
     """The set bits of bits, ascending."""
     if bits.bit_count() * _DENSE >= bits.bit_length():
-        return list(_read(bits))
+        return list(compress(count(), _selectors(bits)))
     out = []
     while bits:
         out.append(_lowest(bits))
@@ -186,11 +203,11 @@ class Graph:
     generators is a tuple of vertex permutations (sigma[v] is the image of
     v) that the constructor claims are automorphisms; each is checked here,
     once, and one that is not raises ValueError.  The searches read
-    orbits, orbit_of and suborbits, the tables of _orbits, through _anchors
-    alone.  Equality and hashing ignore all four.
+    orbits, orbit_of, suborbits and suborbit_masks, the tables of _orbits,
+    through _anchors alone.  Equality and hashing ignore all five.
     """
 
-    __slots__ = ("n", "adj", "is_T", "labels", "generators", "orbits", "orbit_of", "suborbits")
+    __slots__ = ("n", "adj", "is_T", "labels", "generators", "orbits", "orbit_of", "suborbits", "suborbit_masks")
 
     def __init__(
         self,
@@ -234,7 +251,7 @@ class Graph:
         self.is_T = is_T
         self.labels = labels
         self.generators = generators
-        self.orbits, self.orbit_of, self.suborbits = _orbits(adj, generators)
+        self.orbits, self.orbit_of, self.suborbits, self.suborbit_masks = _orbits(adj, generators)
 
     @classmethod
     def T(cls) -> "Graph":
@@ -398,15 +415,16 @@ def _exceeded(what: str, budget: int, found: int, progress: str) -> BudgetExceed
 def _walk(
     adj: Sequence[int],
     depth: int,
-    anchors: Sequence[tuple[int, int, Sequence[int], int]],
+    anchors: Sequence[tuple[int, int, Sequence[int], int, int]],
     budget: int,
     stop: int,
     spent: int = 0,
 ):
-    """Ordered walk, for each anchor (cand, common, roots, weight), over the
-    cliques of 1..depth vertices of cand whose minimum vertex lies in roots.
-    At depth 1 the roots are ignored: every vertex of cand is a 1-clique,
-    and they are settled in one leaf step.
+    """Ordered walk, for each anchor (cand, common, roots, weight, twice),
+    over the cliques of 1..depth vertices of cand whose minimum vertex lies
+    in roots.  At depth 1 the roots are ignored: every vertex of cand is a
+    1-clique, and so is every vertex of twice, at double weight; each set
+    is settled in one leaf step.  twice is 0 at any other depth.
 
     Returns (counts, hist, nodes, rest): counts[d] for d < depth is the
     weighted number of d-cliques, hist[c] that of depth-cliques with c
@@ -418,7 +436,7 @@ def _walk(
     else rest is empty.
     """
     counts = [0] * depth
-    hist = [0] * (max((common.bit_count() for _, common, _, _ in anchors), default=0) + 1)
+    hist = [0] * (max((common.bit_count() for _, common, _, _, _ in anchors), default=0) + 1)
     nodes = spent
 
     def rec(cand: int, common: int, size: int) -> None:
@@ -433,8 +451,8 @@ def _walk(
                 hist[0] += weight * width
                 return
             if width > 16 and width * _DENSE >= cand.bit_length():
-                for v in _read(cand):
-                    hist[(common & adj[v]).bit_count()] += weight
+                for row in compress(adj, _selectors(cand)):
+                    hist[(common & row).bit_count()] += weight
                 return
             while cand:
                 lsb = cand & -cand
@@ -457,9 +475,12 @@ def _walk(
     try:
         if nodes > budget:  # the anchors alone are over it
             raise BudgetExceeded
-        for i, (cand, common, roots, weight) in enumerate(anchors):
+        for i, (cand, common, roots, weight, twice) in enumerate(anchors):
             if depth == 1:
                 rec(cand, common, 0)
+                if twice:
+                    weight *= 2  # each pair met once here stands for both orders
+                    rec(twice, common, 0)
             for j, r in enumerate(roots):
                 if nodes > stop:
                     raise BudgetExceeded
@@ -471,15 +492,15 @@ def _walk(
                 if sub:
                     rec(sub, common & adj[r], 1)
     except BudgetExceeded:  # the walk's one stop, at the probe or the budget
-        cand, common, roots, weight = anchors[i]
-        return counts, hist, nodes, [(cand, common, roots[j:], weight), *anchors[i + 1 :]]
+        cand, common, roots, weight, twice = anchors[i]
+        return counts, hist, nodes, [(cand, common, roots[j:], weight, twice), *anchors[i + 1 :]]
     return counts, hist, nodes, []
 
 
 def _search(
     adj: Sequence[int],
     top: int,
-    anchors: Sequence[tuple[Sequence[int], int, int]],
+    anchors: Sequence[tuple[Sequence[int], int, int, int, int]],
     budget: int,
     workers: int,
     what: str,
@@ -487,14 +508,15 @@ def _search(
     binned: bool = False,
 ):
     """(counts, hist, nodes, fixed) of the cliques of at most top vertices
-    through the anchors (members, cand, weight) of a search through base
-    vertices.  Each anchor fixes `fixed` members and walks every root of
-    cand.  One that fixes members beyond base is charged one node, and meets
-    each k-clique once per ordered choice of them, so every sum is divided
-    by perm(k - base, fixed - base).  counts[d] is the number of cliques of
-    fixed + d vertices, and hist maps each c that occurs, ascending, to the
-    number of top-cliques with c common neighbours in cand when binned, else
-    all of them to 0.
+    through the anchors (members, cand, weight, once, twice) of a search
+    through base vertices.  Each anchor fixes `fixed` members, counts its
+    own clique at weight and walks every root of once, and of twice at
+    double weight.  One that fixes members beyond base is charged one node,
+    and meets each k-clique once per ordered choice of them, so every sum is
+    divided by perm(k - base, fixed - base).  counts[d] is the number of
+    cliques of fixed + d vertices, and hist maps each c that occurs,
+    ascending, to the number of top-cliques with c common neighbours in cand
+    when binned, else all of them to 0.
 
     With workers, the anchors left after the serial prefix run in one pool
     of at most as many processes as CPUs: worker i of w takes the roots
@@ -507,14 +529,19 @@ def _search(
     fixed = len(anchors[0][0])
     depth = top - fixed
     spent = len(anchors) if fixed > base else 0
-    tasks = [(cand, cand if binned else 0, _bits(cand) if depth > 1 else [], w) for _, cand, w in anchors]
-    longest = max((len(roots) for _, _, roots, _ in tasks), default=0)
+    tasks = [
+        (once, cand if binned else 0, _bits(once) if depth > 1 else [], w, twice) for _, cand, w, once, twice in anchors
+    ]
+    longest = max((len(roots) for _, _, roots, _, _ in tasks), default=0)
     workers = min(workers, longest)
     # serial, never stop short of the budget
     stop = spent + _POOL_PROBE if workers > 1 else budget
     counts, hist, nodes, rest = _walk(adj, depth, tasks, budget, stop, spent)
     if rest and nodes <= budget:
-        shares = [[(cand, common, roots[i::workers], w) for cand, common, roots, w in rest] for i in range(workers)]
+        shares = [
+            [(cand, common, roots[i::workers], w, twice) for cand, common, roots, w, twice in rest]
+            for i in range(workers)
+        ]
         # imported here so that a search under the probe never loads the pool
         from concurrent.futures import ProcessPoolExecutor
 
@@ -535,7 +562,7 @@ def _search(
             progress += f", roots finished: {len(tasks[done][2]) - len(rest[0][2])} of {len(tasks[done][2])}"
         raise _exceeded(what, budget, fixed + reached, progress)
     counts.append(sum(hist))  # every depth-clique is binned once
-    for _, common, _, w in tasks:
+    for _, common, _, w, _ in tasks:
         counts[0] += w
         if depth == 0:
             hist[common.bit_count()] += w
@@ -568,40 +595,84 @@ def _orbit_table(vertices: Iterable[int], generators: Sequence[Sequence[int]]):
 
 
 def _orbits(adj: Sequence[int], generators: Sequence[Sequence[int]]):
-    """(orbits, orbit_of, suborbits), the tables that Graph.__init__ stores
-    once it has checked the generators, all None without generators.
+    """(orbits, orbit_of, suborbits, suborbit_masks), the tables that
+    Graph.__init__ stores once it has checked the generators, all None
+    without generators.
 
     orbits lists (least vertex, size) of every orbit of the group generated
     by the generators, in vertex order, and orbit_of[v] is the position of
     the orbit of v in it.  suborbits[i] lists, the same way, the orbits on
     adj[r], r the least vertex of orbit i, of the subgroup generated by the
     generators that fix r; it is None when they merge no two neighbours.
+    suborbit_masks[i] is None unless suborbits[i] has two or more entries;
+    then it lists, per suborbit in table order, (own, later): the suborbit
+    as a bitmask, and the union of the suborbits after it when they are
+    ordered by size, largest first, ties by table position.
     """
     if not generators:
-        return None, None, None
+        return None, None, None, None
     index, orbits = _orbit_table(range(len(adj)), generators)
-    suborbits = []
+    suborbits, masks = [], []
     for r, _ in orbits:
         fixing = [sigma for sigma in generators if sigma[r] == r]
         neighbours = _bits(adj[r])
-        table = _orbit_table(neighbours, fixing)[1] if fixing else None
-        suborbits.append(table if table is not None and len(table) < len(neighbours) else None)
-    return orbits, [index[v] for v in range(len(adj))], suborbits
+        place, table = _orbit_table(neighbours, fixing) if fixing else ({}, None)
+        if table is not None and len(table) == len(neighbours):
+            table = None
+        suborbits.append(table)
+        masks.append(_suborbit_masks(place, table) if table and len(table) > 1 else None)
+    return orbits, [index[v] for v in range(len(adj))], suborbits, masks
 
 
-def _anchors(g: Graph, base: list[int], top: int) -> list[tuple[list[int], int, int]]:
-    """[(members, cand, weight)]: the anchors, by the rule of the module
-    docstring, of the cliques of top vertices through the clique base.  An
-    anchor fixes the clique members, base or the image of base that it
-    stands for included, and walks cand, the common neighbours of members."""
+def _suborbit_masks(place: dict[int, int], table: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """(own, later) per entry of table, as _orbits describes, where place[v]
+    is the position in table of the suborbit of v."""
+    own = [0] * len(table)
+    for v, i in place.items():
+        own[i] |= 1 << v
+    order = sorted(range(len(table)), key=lambda i: -table[i][1])  # largest first, ties by position
+    out: list = [None] * len(table)
+    later = 0
+    for i in reversed(order):
+        out[i] = own[i], later
+        later |= own[i]
+    return out
+
+
+def _anchors(g: Graph, base: list[int], top: int) -> list[tuple[list[int], int, int, int, int]]:
+    """[(members, cand, weight, once, twice)]: the anchors, by the rule of
+    the module docstring, of the cliques of top vertices through the clique
+    base.  An anchor fixes the clique members, base or the image of base
+    that it stands for included; cand, the common neighbours of members, is
+    what its cliques are binned against.  It walks once at its weight and
+    twice at double it: cand and nothing, but for a pair anchor (r, s) at
+    top = 3 the part of cand in the suborbit of s and the part in the
+    suborbits after it, largest first."""
     if g.orbits and len(base) < min(top, 2):
         reps = [(g.orbits[g.orbit_of[base[0]]][0], 1)] if base else g.orbits
         tables = top > 1 and [g.suborbits[g.orbit_of[r]] for r, _ in reps]
         if tables and all(tables):
-            return [([r, s], g.adj[r] & g.adj[s], w * size) for (r, w), table in zip(reps, tables) for s, size in table]
+            anchors = []
+            for (r, w), table in zip(reps, tables):
+                # a leaf step meets each neighbour pair of r once, from the larger suborbit
+                masks = (top == 3 and g.suborbit_masks[g.orbit_of[r]]) or repeat((-1, 0))
+                for (s, size), (own, later) in zip(table, masks):
+                    cand = g.adj[r] & g.adj[s]
+                    anchors.append(([r, s], cand, w * size, cand & own, cand & later))
+            return anchors
         if not base:
-            return [([r], g.adj[r], w) for r, w in reps]
-    return [(base, _common_neighbors(g, base), 1)]
+            return [([r], g.adj[r], w, g.adj[r], 0) for r, w in reps]
+    cand = _common_neighbors(g, base)
+    return [(base, cand, 1, cand, 0)]
+
+
+def _check_limits(node_budget: int, workers: int = 1) -> None:
+    """Refuse a negative budget or fewer than one worker; a budget of 0 is
+    valid and buys the searches that charge nothing."""
+    if node_budget < 0:
+        raise ValueError("node_budget must be >= 0")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
 
 
 def _through(total: int, per: int) -> int:
@@ -630,6 +701,7 @@ def count_cliques(
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
+    _check_limits(node_budget, workers)
     if g.is_T:
         return CliqueCensus(dict.fromkeys(range(min(kmax, 1) + 1), 1), kmax, 0, 1)
     depth = min(kmax, g.n)  # no clique has more than n vertices
@@ -701,6 +773,7 @@ def extension_profile(
     """
     if g.is_T:
         raise ValueError("extension profile of T is undefined")
+    _check_limits(node_budget, workers)
     base = list(containing)
     if not is_clique(g, base):
         raise ValueError("containing set is not a clique")
@@ -719,7 +792,7 @@ def _branch_and_bound(
     budget: int,
     what: str,
     first: bool = False,
-    anchors: Sequence[tuple[Sequence[int], int, int]] | None = None,
+    anchors: Sequence[tuple[Sequence[int], int, int, int, int]] | None = None,
 ) -> list[int]:
     """Largest clique with more than floor vertices, or [] if there is none.
 
@@ -728,8 +801,8 @@ def _branch_and_bound(
     count cannot beat the best so far is cut.  One budget node is charged
     per call.  With first, the first clique found that beats floor is
     returned: best is raised past n, which prunes every open branch.
-    Only cliques through the members of an anchor (members, cand, weight)
-    are searched, each anchor in turn the path members with candidates
+    Only cliques through the members of an anchor (members, cand, ...) are
+    searched, each anchor in turn the path members with candidates
     cand; the default is one anchor, the empty path with every vertex.
 
     First each anchor dives: it adds its lowest candidate until none is
@@ -776,7 +849,7 @@ def _branch_and_bound(
             expand(size + 1, cand & adj[v])
             cand &= ~(1 << v)
 
-    for members, cand, _ in anchors:
+    for members, cand, *_ in anchors:
         clique = list(members)
         while cand:
             clique.append(_lowest(cand))
@@ -788,7 +861,7 @@ def _branch_and_bound(
     best = max(floor, len(witness))
     if first and best > floor:
         return witness
-    for members, cand, _ in anchors:
+    for members, cand, *_ in anchors:
         if best > n:
             break
         path[: len(members)] = members
@@ -823,6 +896,7 @@ def max_clique_order(g: Graph, node_budget: int = CENSUS_NODE_BUDGET) -> int:
     """
     if g.is_T:
         raise ValueError("T has a clique of every order")
+    _check_limits(node_budget)
     return len(_branch_and_bound(g.adj, 0, node_budget, "max-clique search", anchors=_anchors(g, [], 1)))
 
 

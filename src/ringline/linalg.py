@@ -54,13 +54,22 @@ def zeros(field: GF | int, nrows: int, ncols: int) -> MatrixGF:
     return MatrixGF(F, tuple((0,) * ncols for _ in range(nrows)))
 
 
+def _field_of(a: MatrixGF, b: MatrixGF) -> GF:
+    """The one field of two operands; operands over two fields raise."""
+    if a.field != b.field:
+        raise ValueError(f"field mismatch: GF({a.field.q}) and GF({b.field.q})")
+    return a.field
+
+
 def mat_sub(a: MatrixGF, b: MatrixGF) -> MatrixGF:
-    F = a.field
+    F = _field_of(a, b)
+    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
+        raise ValueError("shape mismatch")
     return MatrixGF(F, tuple(tuple(map(F.sub, ra, rb)) for ra, rb in zip(a.rows, b.rows)))
 
 
 def mat_mul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
-    F = a.field
+    F = _field_of(a, b)
     if a.ncols != b.nrows:
         raise ValueError("shape mismatch")
     bt = tuple(zip(*b.rows)) if b.rows else ()
@@ -78,15 +87,17 @@ def mat_mul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
 
 
 def mat_vstack(a: MatrixGF, b: MatrixGF) -> MatrixGF:
+    F = _field_of(a, b)
     if a.ncols != b.ncols:
         raise ValueError("column mismatch")
-    return MatrixGF(a.field, a.rows + b.rows)
+    return MatrixGF(F, a.rows + b.rows)
 
 
 def mat_hstack(a: MatrixGF, b: MatrixGF) -> MatrixGF:
+    F = _field_of(a, b)
     if a.nrows != b.nrows:
         raise ValueError("row mismatch")
-    return MatrixGF(a.field, tuple(ra + rb for ra, rb in zip(a.rows, b.rows)))
+    return MatrixGF(F, tuple(ra + rb for ra, rb in zip(a.rows, b.rows)))
 
 
 def _echelon(F: GF, rows, ncols: int) -> tuple[list[list[int]], int, int]:

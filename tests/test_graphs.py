@@ -788,9 +788,9 @@ def test_orbit_sums_that_are_not_multiples_are_refused(monkeypatch):
     # P(M_2(2)) is one distant-pair anchor of weight 35 * 16; with one less,
     # it counts an odd number of ordered edges
     g = matrix_ring_graph(2, 2)
-    ((members, cand, weight),) = graphs._anchors(g, [], 3)
+    ((members, cand, weight, *walk),) = graphs._anchors(g, [], 3)
     assert len(members) == 2 and weight == 560
-    monkeypatch.setattr(graphs, "_anchors", lambda *args: [(members, cand, weight - 1)])
+    monkeypatch.setattr(graphs, "_anchors", lambda *args: [(members, cand, weight - 1, *walk)])
     with pytest.raises(AssertionError, match="^orbit sum 559 is not a multiple of 2$"):
         count_cliques(g, 3)
 
@@ -977,6 +977,23 @@ def test_branch_and_bound_against_the_census(g):
     assert find_clique(g, omega + 1) is None
 
 
+def test_negative_budgets_and_worker_counts_are_refused(serial_pool):
+    # at the API boundary, before any walk: no serial run for workers 0 or
+    # -2, and no BudgetExceeded for a budget below 0
+    g = matrix_ring_graph(2, 2)
+    searches = [partial(count_cliques, g, 3), partial(extension_profile, g, 3), partial(count_cliques, Graph.T(), 2)]
+    for search in searches:
+        for workers in (0, -2):
+            with pytest.raises(ValueError, match="^workers must be >= 1$"):
+                search(workers=workers)
+        with pytest.raises(ValueError, match="^node_budget must be >= 0$"):
+            search(node_budget=-1)
+    with pytest.raises(ValueError, match="^node_budget must be >= 0$"):
+        max_clique_order(g, node_budget=-1)
+    # a budget of 0 stays valid; test_orbit_node_charge pins what it buys
+    assert count_cliques(g, 0, node_budget=0).nodes == 0 and serial_pool == []
+
+
 def test_orbit_node_charge():
     # one node per representative, plus one per clique of its neighbourhood
     for g in (matrix_ring_graph(2, 3), unit_difference_graph(2, 3), zn_projective_line(30)):
@@ -992,10 +1009,35 @@ def test_orbit_node_charge():
         assert extension_profile(g, 1, node_budget=1) == {degree: g.n}
 
 
+def leaf_walks(g: Graph, r: int) -> dict[int, int]:
+    """s -> how many vertices the one leaf step of the pair anchor (r, s)
+    walks at k = 3, s the least vertex of each suborbit of r: the common
+    neighbours of r and s in the suborbit of s or in one after it, the
+    suborbits ordered by size, largest first, ties by least vertex.  The
+    suborbits are found here by closing adj[r] under the generators that
+    fix r, apart from the graph's tables."""
+    fixing = [sigma for sigma in g.generators if sigma[r] == r]
+    parts: list[set[int]] = []
+    for v in _bits(g.adj[r]):
+        if not any(v in part for part in parts):
+            part, stack = {v}, [v]
+            while stack:
+                u = stack.pop()
+                for w in (sigma[u] for sigma in fixing):
+                    if w not in part:
+                        part.add(w)
+                        stack.append(w)
+            parts.append(part)
+    parts.sort(key=len, reverse=True)  # stable: ties stay by least vertex
+    return {min(part): sum(g.has_edge(min(part), v) for v in set().union(*parts[i:])) for i, part in enumerate(parts)}
+
+
 def test_suborbit_node_charge(eager_pool):
     # a profile through one vertex charges one node per suborbit
     # representative s of the orbit representative r, plus one per clique
-    # visited in adj[r] & adj[s]; workers split those roots and agree
+    # visited in adj[r] & adj[s], but at k = 3 one per vertex of the leaf
+    # step, which on GL_2(3) meets each neighbour pair of r once; workers
+    # split those roots and agree
     for g in (matrix_ring_graph(2, 3), unit_difference_graph(2, 3), zn_projective_line(30)):
         c = g.n - 1
         r = g.orbits[g.orbit_of[c]][0]
@@ -1004,7 +1046,10 @@ def test_suborbit_node_charge(eager_pool):
         common = [g.adj[r] & g.adj[s] for s, _ in suborbits]
         edges = [sum((g.adj[v] & cand).bit_count() for v in range(g.n) if cand >> v & 1) // 2 for cand in common]
         vertices = [cand.bit_count() for cand in common]
-        need = {2: len(common), 3: len(common) + sum(vertices), 4: len(common) + sum(vertices) + sum(edges)}
+        leaf = sum(leaf_walks(g, r).values())
+        # one suborbit walks all of adj[r] & adj[s]; GL_2(3)'s four walk 29 of 61
+        assert (leaf, sum(vertices)) == ((29, 61) if len(suborbits) > 1 else (sum(vertices),) * 2)
+        need = {2: len(common), 3: len(common) + leaf, 4: len(common) + sum(vertices) + sum(edges)}
         for k, nodes in need.items():
             want = extension_profile(plain(g), k, containing=[c])
             for workers in (1, 3):
@@ -1045,28 +1090,35 @@ def assert_anchor_rule(g: Graph) -> None:
     """The anchors of _anchors against the tables: floor 1 stands for every
     vertex, floor 2 for every ordered edge and, through a vertex c, for
     every edge at c; the clique searches start from floor 1, or from the
-    one floor-0 anchor of a graph without generators."""
-    level_one = [([r], g.adj[r], size) for r, size in g.orbits] if g.generators else [([], (1 << g.n) - 1, 1)]
+    one floor-0 anchor of a graph without generators.  Every anchor walks
+    all of cand at its weight, except a pair anchor at k = 3: it walks one
+    part of cand at its weight and another, disjoint from it, at double it."""
+    full = (1 << g.n) - 1
+    level_one = [([r], g.adj[r], size, g.adj[r], 0) for r, size in g.orbits] if g.generators else [([], full, 1, full, 0)]
     assert graphs._anchors(g, [], 1) == level_one
     if g.generators:
-        assert sum(w for _, _, w in level_one) == g.n
+        assert sum(w for _, _, w, *_ in level_one) == g.n
     tables = bool(g.generators) and all(table is not None for table in g.suborbits)
     pairs = graphs._anchors(g, [], 2)
     if tables:
         orbits = zip(g.orbits, g.suborbits)
-        assert pairs == [([r, s], g.adj[r] & g.adj[s], size * part) for (r, size), table in orbits for s, part in table]
-        assert all(g.has_edge(r, s) for (r, s), _, _ in pairs)
-        assert sum(w for _, _, w in pairs) == 2 * g.edge_count()
+        common = [(r, s, g.adj[r] & g.adj[s], size * part) for (r, size), table in orbits for s, part in table]
+        assert pairs == [([r, s], cand, w, cand, 0) for r, s, cand, w in common]
+        assert all(g.has_edge(r, s) for (r, s), *_ in pairs)
+        assert sum(w for _, _, w, *_ in pairs) == 2 * g.edge_count()
+        leaf = graphs._anchors(g, [], 3)
+        assert [anchor[:3] for anchor in leaf] == [anchor[:3] for anchor in pairs]
+        assert all(once & twice == 0 and (once | twice) & ~cand == 0 for _, cand, _, once, twice in leaf)
     else:
         assert pairs == level_one
     for c in {0, g.n // 2, g.n - 1}:
         through = graphs._anchors(g, [c], 2)
         if g.generators and g.suborbits[g.orbit_of[c]] is not None:
             r = g.orbits[g.orbit_of[c]][0]
-            assert all(members[0] == r and cand == g.adj[r] & g.adj[members[1]] for members, cand, _ in through)
-            assert sum(w for _, _, w in through) == g.degree(c)
+            assert all(members[0] == r and cand == g.adj[r] & g.adj[members[1]] for members, cand, *_ in through)
+            assert sum(w for _, _, w, *_ in through) == g.degree(c)
         else:
-            assert through == [([c], g.adj[c], 1)]
+            assert through == [([c], g.adj[c], 1, g.adj[c], 0)]
     seen, search = [], graphs._branch_and_bound
 
     def spy(*args, anchors, **kwargs):
@@ -1086,7 +1138,7 @@ def test_anchor_rule_on_the_ring_graphs(case):
     assert_anchor_rule(g)
     assert_anchor_rule(plain(g))
     if (kind, *args) == ("M", 2, 3):
-        assert sum(w for _, _, w in graphs._anchors(g, [], 2)) == 130 * 81 == 2 * 5265
+        assert sum(w for _, _, w, *_ in graphs._anchors(g, [], 2)) == 130 * 81 == 2 * 5265
 
 
 @settings(max_examples=100, deadline=None)
@@ -1100,14 +1152,19 @@ def test_pair_node_charge(eager_pool, serial_pool):
     # a census to kmax and a profile without containing at k >= 3 charge one
     # node per pair (r, s), plus one per clique of adj[r] & adj[s] of at most
     # k - 2 vertices, however many workers split those roots (in shares run
-    # by the serial stand-in for the pool)
+    # by the serial stand-in for the pool); but at k = 3 the one leaf step
+    # of (r, s) walks only the vertices of leaf_walks, which on GL_2(3) is 29
+    # of 61, and on the one suborbit of P(M_2(3)) and P(Z/30) all of them
     for g in (matrix_ring_graph(2, 3), unit_difference_graph(2, 3), zn_projective_line(30)):
         pairs = pair_anchors(g)
         common = [g.adj[r] & g.adj[s] for r, s, _ in pairs]
         cliques = [
             sum(sum(is_clique(g, c) for c in combinations(_bits(cand), j)) for cand in common) for j in (1, 2, 3)
         ]
-        need = {k: len(pairs) + sum(cliques[: k - 2]) for k in (3, 4, 5)}
+        leaf = sum(leaf_walks(g, r)[s] for r, s, _ in pairs)
+        assert (leaf, cliques[0]) == ((29, 61) if len(pairs) > len(g.orbits) else (cliques[0],) * 2)
+        need = {k: len(pairs) + sum(cliques[: k - 2]) for k in (4, 5)}
+        need[3] = len(pairs) + leaf
         for k, nodes in need.items():
             want = count_cliques(g, k).counts, extension_profile(g, k)
             for workers in (1, 3):
@@ -1124,6 +1181,89 @@ def test_pair_node_charge(eager_pool, serial_pool):
             extension_profile(g, 2, node_budget=len(pairs) - 1)
 
 
+def test_leaf_step_meets_each_neighbour_pair_once():
+    # GL_2(5), the slowest search-ring job: 12 pair anchors at the vertex,
+    # whose leaf steps walked 3,306 common neighbours, every neighbour pair
+    # twice; from the larger suborbit only they walk 1,284
+    gl25 = unit_difference_graph(2, 5)
+    want = frozen_profile("GL_2(5) profile k=3 through a vertex")
+    assert sum(leaf_walks(gl25, 0).values()) == 1284
+    assert extension_profile(gl25, 3, containing=[7], node_budget=1296) == want
+    for search in (partial(extension_profile, gl25, 3, containing=[7]), partial(count_cliques, gl25, 3)):
+        with pytest.raises(BudgetExceeded, match="exceeded 1295 nodes; largest clique found: 3, anchors finished: 11 of 12$"):
+            search(node_budget=1295)
+    assert count_cliques(gl25, 3, node_budget=1296).nodes == 1296
+
+
+def serial_pool_class(opened: list) -> type:
+    """A serial stand-in for the process pool, so no process is started;
+    opened gets the max_workers of every pool opened."""
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    return SerialPool
+
+
+def assert_leaf_step_equals_plain_walk(g: Graph) -> None:
+    """A census to kmax = 3 and profiles at k = 3, through no vertex and
+    through the least vertex of each orbit, equal the plain walk's; 1 and 3
+    workers (any pool run serially) agree on the answer and the nodes at a
+    budget of nodes, and on the error at nodes - 1."""
+    import concurrent.futures
+
+    h, big, used = plain(g), 10**8, []
+    search = graphs._search
+
+    def spy(*args):
+        out = search(*args)
+        used.append(out[2])
+        return out
+
+    runs = [(count_cliques, 3, {})] + [(extension_profile, 3, {"containing": base}) for base in [[]] + [[r] for r, _ in g.orbits]]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool_class([]))
+        mp.setattr(graphs, "_search", spy)
+        for run, k, kwargs in runs:
+            want = run(h, k, node_budget=big, **kwargs)
+            got = run(g, k, node_budget=big, **kwargs)
+            nodes = used[-1]
+            if run is count_cliques:
+                want, got = want.counts, got.counts
+            assert got == want
+            errors = []
+            for workers in (1, 3):
+                at = run(g, k, node_budget=nodes, workers=workers, **kwargs)
+                assert (at.counts if run is count_cliques else at) == want and used[-1] == nodes
+                if nodes:
+                    with pytest.raises(BudgetExceeded) as err:
+                        run(g, k, node_budget=nodes - 1, workers=workers, **kwargs)
+                    errors.append(str(err.value))
+            assert len(set(errors)) <= 1
+
+
+@pytest.mark.parametrize("case", ORBIT_GRAPHS, ids=lambda c: "-".join(map(str, c[:-1])))
+def test_leaf_step_equals_plain_walk(case):
+    kind, *args, _ = case
+    assert_leaf_step_equals_plain_walk(BUILD[kind](*args))
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=graphs_with_generators())
+def test_leaf_step_equals_plain_walk_property(g):
+    assert_leaf_step_equals_plain_walk(g)
+
+
 def test_drawn_graphs_reach_the_pairs_and_the_level_one_fallback():
     # test_orbit_search_equals_plain_walk_property draws graphs of both kinds
     def tables(g: Graph) -> bool:
@@ -1132,6 +1272,9 @@ def test_drawn_graphs_reach_the_pairs_and_the_level_one_fallback():
     settings_ = settings(database=None, max_examples=500, phases=[Phase.generate])
     assert tables(find(graphs_with_generators(), tables, settings=settings_))
     assert not tables(find(graphs_with_generators(), lambda g: not tables(g), settings=settings_))
+    # and, for test_leaf_step_equals_plain_walk_property, suborbits that split the leaf step
+    split = find(graphs_with_generators(), lambda g: tables(g) and all(g.suborbit_masks), settings=settings_)
+    assert min(len(table) for table in split.suborbits) >= 2
 
 
 def test_generator_that_is_no_automorphism_raises():
@@ -1272,26 +1415,12 @@ def test_combinators_carry_no_generators():
 
 @pytest.fixture
 def serial_pool(monkeypatch):
-    """A serial stand-in for the process pool, so no process is started; the
-    list it returns gets the max_workers of every pool opened."""
+    """serial_pool_class in place of the process pool; the list it returns
+    gets the max_workers of every pool opened."""
     import concurrent.futures
 
-    opened = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            opened.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    opened: list = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool_class(opened))
     return opened
 
 

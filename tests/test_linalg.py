@@ -1,5 +1,7 @@
 """Matrix algebra over GF(q): ranks, echelon forms, GL, companions."""
 
+import re
+
 import pytest
 
 from ringline.errors import BoundExceeded
@@ -155,6 +157,24 @@ def test_companion_matrix_examples():
 def test_input_checks(call, want):
     with pytest.raises(ValueError, match=f"^{want}$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "op, a, b, want",
+    [
+        (mat_sub, matrix(3, [[1, 0], [0, 1]]), matrix(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), "shape mismatch"),
+        (mat_sub, matrix(3, [[1, 2]]), matrix(5, [[1, 2]]), "field mismatch: GF(3) and GF(5)"),
+        (mat_mul, matrix(3, [[1, 2]]), matrix(5, [[1], [4]]), "field mismatch: GF(3) and GF(5)"),
+        (mat_vstack, matrix(3, [[1, 2]]), matrix(5, [[3, 4]]), "field mismatch: GF(3) and GF(5)"),
+        (mat_hstack, matrix(3, [[1]]), matrix(5, [[4]]), "field mismatch: GF(3) and GF(5)"),
+    ],
+    ids=["sub-shape", "sub-field", "mul-field", "vstack-field", "hstack-field"],
+)
+def test_operands_over_two_fields_or_shapes_are_refused(op, a, b, want):
+    # each would otherwise return a truncated matrix, a matrix over the
+    # first field, or raise IndexError on the entries of the larger field
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        op(a, b)
 
 
 def test_companion_char_poly_roundtrip():

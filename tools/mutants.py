@@ -81,7 +81,7 @@ MUTANTS = [
         "census takes floor 2 at kmax 2",
     ),
     (GRAPHS, "min(k, g.n + 1), anchors", "min(k, g.n), anchors", "profile walk stops at n"),
-    (GRAPHS, "roots[i::workers], w)", "roots[i + 1 :: workers], w)", "pool share offset by one root"),
+    (GRAPHS, "roots[i::workers], w, twice)", "roots[i + 1 :: workers], w, twice)", "pool share offset by one root"),
     (GRAPHS, "        left = budget - nodes\n", "        left = budget\n", "pool share gets the whole budget"),
     (
         GRAPHS,
@@ -89,6 +89,13 @@ MUTANTS = [
         "        done = len(tasks) - len(rest) - 1\n",
         "budget error counts one anchor too few",
     ),
+    # the leaf step that meets each neighbour pair once
+    (GRAPHS, "                    weight *= 2", "                    weight *= 1", "later suborbits weighted once"),
+    (GRAPHS, "w * size, cand & own, cand & later)", "w * size, 0, cand & later)", "own suborbit skipped"),
+    (GRAPHS, "key=lambda i: -table[i][1]", "key=lambda i: table[i][1]", "suborbits ordered smallest first"),
+    (GRAPHS, "(top == 3 and g.suborbit_masks", "(top >= 3 and g.suborbit_masks", "split walk below the leaf level"),
+    (GRAPHS, "(once, cand if binned else 0,", "(once, once if binned else 0,", "leaf binned against its walked part"),
+    (GRAPHS, "compress(adj, _selectors(cand))", "compress(adj[1:], _selectors(cand))", "dense leaf reads the rows shifted"),
     # the branch and bound
     (GRAPHS, "        if best > n:\n            break\n", "", "search goes on past its first witness"),
 ]
