@@ -57,10 +57,18 @@ left of the budget and returns, run out or not; only the parent raises,
 and a pooled run that runs out names how far its prefix got.
 
 Clique existence (find_clique) and the maximum clique (max_clique_order)
-share a second core, one colour-bounded branch and bound.  There are two
-cores because the questions differ: a count must visit every clique, so
-nothing can be pruned, while existence and maximum only need one
-witness and cut every branch whose colour bound cannot beat it.
+share a second core, a colour-bounded branch and bound: they need one
+witness, so they cut every branch whose colour bound cannot beat it.  A
+greedy dive from each anchor comes first, one node per vertex; the first
+clique of ceiling vertices ends the search, k for a k-clique, else n + 1.
+On one orbit, dives that leave it open lower the ceiling to n // |I|, I
+the greedy independent set, lowest vertex first, as alpha * omega <= n on
+a vertex-transitive graph (Godsil and Royle 2001): the automorphisms map
+a clique K onto each vertex equally often, so an average image of K meets
+I in |K| |I| / n vertices, and none in two.  A ceiling that settles
+it is charged the one node of the root expansion it replaces.  Without
+generators, only the least vertex of each twin class (equal rows) is
+walked: twins are never adjacent, so a clique holds at most one.
 
 A graph may carry generators, vertex permutations its constructor claims
 are automorphisms (the ring constructors do).  The constructor checks
@@ -786,36 +794,36 @@ def extension_profile(
     return _search(g.adj, min(k, g.n + 1), anchors, node_budget, workers, "profile", len(base), True)[1]
 
 
+def _coclique(adj: Sequence[int], best: int) -> list[int]:
+    """The greedy independent set: the lowest vertex left joins it and leaves
+    with its row, until none is left or n // its size <= best."""
+    left, out = (1 << len(adj)) - 1, []
+    need = len(adj) // (best + 1)  # n // size <= best iff size > need
+    while left and len(out) <= need:
+        lsb = left & -left
+        out.append(lsb.bit_length() - 1)
+        left ^= lsb | (left & adj[out[-1]])
+    return out
+
+
 def _branch_and_bound(
-    adj: Sequence[int],
-    floor: int,
-    budget: int,
-    what: str,
-    first: bool = False,
-    anchors: Sequence[tuple[Sequence[int], int, int, int, int]] | None = None,
+    adj: Sequence[int], floor: int, ceiling: int, budget: int, what: str, anchors: Sequence, transitive: bool = False
 ) -> list[int]:
-    """Largest clique with more than floor vertices, or [] if there is none.
+    """Largest clique with more than floor vertices, or [] if there is none,
+    by the rule of the module docstring: the first clique of ceiling
+    vertices or more ends it, and transitive adds the clique-coclique bound.
 
-    Colour-bounded branch and bound (Tomita and Seki's MCQ): the
-    candidates are greedily coloured, and a branch whose size plus colour
-    count cannot beat the best so far is cut.  One budget node is charged
-    per call.  With first, the first clique found that beats floor is
-    returned: best is raised past n, which prunes every open branch.
-    Only cliques through the members of an anchor (members, cand, ...) are
-    searched, each anchor in turn the path members with candidates
-    cand; the default is one anchor, the empty path with every vertex.
-
-    First each anchor dives: it adds its lowest candidate until none is
-    left, one node per vertex.  The largest dive is the first witness and,
-    above floor, best (with first, the answer).  A budget error names the
-    largest clique found and the anchors, as representatives, searched.
+    Colour-bounded (Tomita and Seki's MCQ): the candidates are greedily
+    coloured, and a branch whose size plus colour count cannot beat the
+    best so far is cut, at one budget node per call.  Each anchor (members,
+    cand, ...) is searched in turn as the path members with candidates
+    cand.  A budget error names the largest clique found and the anchors,
+    as representatives, searched.
     """
     n = len(adj)
     path = [0] * n  # path[:size] is the clique being grown
     witness: list[int] = []
     nodes = done = 0
-    if anchors is None:
-        anchors = [([], (1 << n) - 1, 1)]
 
     def exceeded() -> BudgetExceeded:
         return _exceeded(what, budget, len(witness), f"representatives searched: {done} of {len(anchors)}")
@@ -828,7 +836,7 @@ def _branch_and_bound(
         if not cand:
             if size > best:
                 witness = path[:size]
-                best = n + 1 if first else size
+                best = size if size < ceiling else n + 1  # n + 1 cuts every branch
             return
         order: list[tuple[int, int]] = []
         uncolored = cand
@@ -859,10 +867,14 @@ def _branch_and_bound(
         if nodes > budget:
             raise exceeded()
     best = max(floor, len(witness))
-    if first and best > floor:
-        return witness
+    if transitive and best < ceiling:
+        ceiling = min(ceiling, n // len(_coclique(adj, best)))
+        if best >= ceiling:  # charged as the root expansion it replaces
+            nodes += 1
+            if nodes > budget:
+                raise exceeded()
     for members, cand, *_ in anchors:
-        if best > n:
+        if best >= ceiling:
             break
         path[: len(members)] = members
         expand(len(members), cand)
@@ -870,34 +882,32 @@ def _branch_and_bound(
     return witness if len(witness) > floor else []
 
 
-def find_clique(g: Graph, k: int) -> list[int] | None:
-    """Some k-clique, or None if there is none.
+def _clique_search(g: Graph, floor: int, ceiling: int, budget: int, what: str) -> list[int]:
+    """_branch_and_bound from the anchors of the clique searches (module docstring)."""
+    if g.generators:
+        return _branch_and_bound(g.adj, floor, ceiling, budget, what, _anchors(g, [], 1), len(g.orbits) == 1)
+    least = len(set(g.adj)) < g.n and dict(zip(reversed(g.adj), range(g.n - 1, -1, -1)))  # each row's least vertex
+    cand = sum(1 << v for v in least.values()) if least else (1 << g.n) - 1
+    return _branch_and_bound(g.adj, floor, ceiling, budget, what, [([], cand)])
 
-    Which k-clique is returned is unspecified.  The search is charged
-    against the default node budget, CENSUS_NODE_BUDGET.  It starts from
-    the floor-1 anchors of the module docstring, one representative per
-    vertex orbit.  Greedy dives come first, one node per vertex; see
-    _branch_and_bound.
-    """
+
+def find_clique(g: Graph, k: int) -> list[int] | None:
+    """Some k-clique, or None if there is none; which one is unspecified.
+    The search is charged against the default budget, CENSUS_NODE_BUDGET."""
     if g.is_T:
         raise ValueError("find_clique on T is undefined")
     if k < 0:
         raise ValueError("k must be >= 0")
-    witness = _branch_and_bound(g.adj, k - 1, CENSUS_NODE_BUDGET, "clique search", first=True, anchors=_anchors(g, [], 1))
+    witness = _clique_search(g, k - 1, k, CENSUS_NODE_BUDGET, "clique search")
     return witness[:k] if len(witness) >= k else None
 
 
 def max_clique_order(g: Graph, node_budget: int = CENSUS_NODE_BUDGET) -> int:
-    """Exact maximum clique size, by branch and bound with greedy coloring.
-
-    With generators, every clique maps into one through an orbit
-    representative, so the search starts from the floor-1 anchors.
-    A greedy dive from each one, one node per vertex, sets the first bound.
-    """
+    """Exact maximum clique size, by branch and bound with greedy colouring."""
     if g.is_T:
         raise ValueError("T has a clique of every order")
     _check_limits(node_budget)
-    return len(_branch_and_bound(g.adj, 0, node_budget, "max-clique search", anchors=_anchors(g, [], 1)))
+    return len(_clique_search(g, 0, g.n + 1, node_budget, "max-clique search"))
 
 
 def verify_isomorphism(a: Graph, b: Graph, mapping: Sequence[int]) -> bool:

@@ -456,9 +456,9 @@ def test_closed_forms_against_the_graph_of_drawn_specs(summands, multiplier):
             general_max_clique(spec)
         return
     omega = general_max_clique(spec)
-    # blow-ups carry no generators, and the plain branch and bound can run
-    # past the budget on them (blowup(P(M_2(3)), 2) takes about a second);
-    # then the witness and the census are the oracles for omega
+    # products and blow-ups carry no generators, and the plain branch and
+    # bound can run past the budget on them; then the witness and the
+    # census are the oracles for omega
     with contextlib.suppress(BudgetExceeded):
         assert max_clique_order(g, node_budget=SPEC_BUDGET) == omega
     witness = find_clique(g, omega)

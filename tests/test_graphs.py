@@ -45,7 +45,14 @@ from ringline.graphs import (
     to_dot,
     verify_isomorphism,
 )
-from ringline.rings import matrix_ring_graph, unit_difference_graph, zn_projective_line
+from ringline.rings import (
+    MatrixRing,
+    RingSpec,
+    matrix_ring_graph,
+    spec_graph,
+    unit_difference_graph,
+    zn_projective_line,
+)
 
 
 @pytest.fixture
@@ -583,11 +590,11 @@ def test_find_clique_above_omega_within_default_budget():
 
 
 def test_branch_and_bound_budget():
-    adj = Graph.complete(30).adj
-    for first in (False, True):
+    adj, every = Graph.complete(30).adj, [([], (1 << 30) - 1)]
+    for ceiling in (31, 1):  # a maximum, a first witness
         with pytest.raises(BudgetExceeded, match="probe exceeded 3 nodes"):
-            _branch_and_bound(adj, 0, 3, "probe", first=first)
-    assert len(_branch_and_bound(adj, 0, 31, "probe")) == 30
+            _branch_and_bound(adj, 0, ceiling, 3, "probe", every)
+    assert len(_branch_and_bound(adj, 0, 31, 31, "probe", every)) == 30
 
 
 def two_orbit_graph() -> Graph:
@@ -615,7 +622,7 @@ def test_budget_error_says_how_far_the_search_got():
         "max-clique search exceeded 3 nodes; largest clique found: 2, representatives searched: 0 of 1"
     )
     with pytest.raises(BudgetExceeded) as err:
-        _branch_and_bound(Graph.complete(30).adj, 0, 29, "probe")
+        _branch_and_bound(Graph.complete(30).adj, 0, 31, 29, "probe", [([], (1 << 30) - 1)])
     assert str(err.value) == "probe exceeded 29 nodes; largest clique found: 30, representatives searched: 0 of 1"
 
 
@@ -745,8 +752,8 @@ def test_search_goes_on_past_a_greedy_dive_that_is_not_maximum():
     assert max_clique_order(g) == 3
     assert sorted(find_clique(g, 3)) == [2, 3, 4]
     assert find_clique(g, 4) is None
-    assert sorted(_branch_and_bound(g.adj, 0, 10**6, "probe")) == [2, 3, 4]
-    assert _branch_and_bound(g.adj, 3, 10**6, "probe", first=True) == []
+    assert sorted(_branch_and_bound(g.adj, 0, 6, 10**6, "probe", [([], 31)])) == [2, 3, 4]
+    assert _branch_and_bound(g.adj, 3, 4, 10**6, "probe", [([], 31)]) == []
 
 
 def test_greedy_dive_settles_the_large_ring_graphs_in_a_few_nodes(monkeypatch):
@@ -892,14 +899,19 @@ def assert_same_search(g: Graph, kmax: int, kprofile: int) -> None:
         for k in range(1, kprofile + 1):
             through = extension_profile(g, k, containing=[c], node_budget=big)
             assert through == extension_profile(h, k, containing=[c], node_budget=big)
+    assert_same_cliques(g)
+
+
+def assert_same_cliques(g: Graph) -> None:
+    """max_clique_order, and whether find_clique finds a k-clique for
+    k = 0..omega + 1, equal the plain search's; every witness is a clique."""
+    h = plain(g)
     omega = max_clique_order(g)
     assert omega == max_clique_order(h)
     for k in range(omega + 2):
-        got = find_clique(g, k)
-        if k <= omega:
-            assert got is not None and len(got) == k and is_clique(g, got)
-        else:
-            assert got is None and find_clique(h, k) is None
+        got, want = find_clique(g, k), find_clique(h, k)
+        assert (got is None) == (want is None) == (k > omega)
+        assert got is None or (len(got) == k and is_clique(g, got))
 
 
 ORBIT_GRAPHS = (
@@ -950,11 +962,7 @@ def test_orbit_search_equals_plain_walk_property(g, kmax, k, c):
     assert extension_profile(g, k) == extension_profile(h, k)
     c %= g.n
     assert extension_profile(g, max(k, 1), containing=[c]) == extension_profile(h, max(k, 1), containing=[c])
-    omega = max_clique_order(g)
-    assert omega == max_clique_order(h)
-    assert find_clique(g, omega + 1) is None
-    witness = find_clique(g, omega)
-    assert witness is not None and len(witness) == omega and is_clique(g, witness)
+    assert_same_cliques(g)
 
 
 @st.composite
@@ -1089,8 +1097,8 @@ def test_pair_anchors_equal_the_level_one_walk(case, monkeypatch):
 def assert_anchor_rule(g: Graph) -> None:
     """The anchors of _anchors against the tables: floor 1 stands for every
     vertex, floor 2 for every ordered edge and, through a vertex c, for
-    every edge at c; the clique searches start from floor 1, or from the
-    one floor-0 anchor of a graph without generators.  Every anchor walks
+    every edge at c; the clique searches start from floor 1, or without
+    generators from the least vertex of each twin class.  Every anchor walks
     all of cand at its weight, except a pair anchor at k = 3: it walks one
     part of cand at its weight and another, disjoint from it, at double it."""
     full = (1 << g.n) - 1
@@ -1121,14 +1129,15 @@ def assert_anchor_rule(g: Graph) -> None:
             assert through == [([c], g.adj[c], 1, g.adj[c], 0)]
     seen, search = [], graphs._branch_and_bound
 
-    def spy(*args, anchors, **kwargs):
+    def spy(adj, floor, ceiling, budget, what, anchors, *transitive):
         seen.append(anchors)
-        return search(*args, anchors=anchors, **kwargs)
+        return search(adj, floor, ceiling, budget, what, anchors, *transitive)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graphs, "_branch_and_bound", spy)
         find_clique(g, max_clique_order(g))
-    assert seen == [level_one, level_one]
+    twins = sum(1 << v for v in range(g.n) if g.adj[v] not in g.adj[:v])  # least of each twin class
+    assert seen == ([level_one] if g.generators else [[([], twins)]]) * 2
 
 
 @pytest.mark.parametrize("case", ORBIT_GRAPHS, ids=lambda c: "-".join(map(str, c[:-1])))
@@ -1402,6 +1411,97 @@ def test_orbit_budget_is_schedule_independent(eager_pool):
 def test_orbit_max_clique_of_p_m2_4():
     # omega = q^2 + 1; the plain search needs minutes, the anchored one a few nodes
     assert max_clique_order(matrix_ring_graph(2, 4), node_budget=10_000) == 17
+
+
+# ---------------------------------------------------------------------------
+# the clique-coclique ceiling and the twin classes of the clique searches
+# ---------------------------------------------------------------------------
+
+
+def circulant(m: int, dist: set[int], isolated: int = 0) -> Graph:
+    """Z/m, v ~ u when u - v or v - u is in dist, turned by the shift, then
+    `isolated` vertices that the shift fixes."""
+    rows = [sum(1 << u for u in range(m) if u != v and min((u - v) % m, (v - u) % m) in dist) for v in range(m)]
+    shift = [(v + 1) % m for v in range(m)] + list(range(m, m + isolated))
+    return Graph(m + isolated, rows + [0] * isolated, generators=[shift])
+
+
+def test_greedy_coclique_is_independent_and_tight_on_the_ring_graphs():
+    for g, omega in ((matrix_ring_graph(2, 3), 10), (unit_difference_graph(2, 5), 24), (matrix_ring_graph(2, 9), 82)):
+        assert len(g.orbits) == 1
+        coclique = graphs._coclique(g.adj, 0)
+        members = sum(1 << v for v in coclique)
+        assert coclique == sorted(coclique) and all(g.adj[v] & members == 0 for v in coclique)
+        assert g.n // len(coclique) == omega == max_clique_order(g)
+        # with best = omega it stops at the first size that settles omega
+        short = graphs._coclique(g.adj, omega)
+        assert short == coclique[: len(short)] and g.n // len(short) <= omega < g.n // (len(short) - 1)
+
+
+def test_coclique_ceiling_settles_where_the_colouring_does_not(monkeypatch):
+    # on Z/9 with distances 1, 3, 4 the dive from 0 finds a 4-clique in 4
+    # nodes, and 9 // |I| = 4 settles it for one more; the greedy colouring
+    # of adj[0] takes 4 colours, so the root's colour bound leaves it open
+    # (the search without the ceiling takes 6 nodes)
+    g = circulant(9, {1, 3, 4})
+    assert g.n // len(graphs._coclique(g.adj, 0)) == 4
+    assert max_clique_order(g, node_budget=5) == 4
+    with pytest.raises(BudgetExceeded, match="exceeded 4 nodes; largest clique found: 4, representatives searched: 0 of 1$"):
+        max_clique_order(g, node_budget=4)
+    monkeypatch.setattr(graphs, "CENSUS_NODE_BUDGET", 5)
+    assert find_clique(g, 5) is None
+    # on Z/9 with distances 1, 3 the dive finds an edge, and 9 // |I| = 3
+    # leaves the search open until it finds a triangle
+    h = circulant(9, {1, 3})
+    assert h.n // len(graphs._coclique(h.adj, 0)) == 3
+    assert max_clique_order(h) == 3 and is_clique(h, find_clique(h, 3))
+
+
+def test_two_orbits_take_no_coclique_ceiling(monkeypatch):
+    # Z/9 with distances 1, 3 and one vertex apart: the dives find an edge
+    # and 10 // |I| = 2 would end the search there, but the graph is not
+    # vertex-transitive and has a triangle
+    g = circulant(9, {1, 3}, isolated=1)
+    assert g.orbits == [(0, 9), (9, 1)] and g.n // len(graphs._coclique(g.adj, 0)) == 2
+    assert max_clique_order(g) == 3 and is_clique(g, find_clique(g, 3))
+
+    def refuse(*args):
+        raise AssertionError("the coclique ceiling ran on two orbits")
+
+    monkeypatch.setattr(graphs, "_coclique", refuse)
+    assert max_clique_order(g) == 3 and len(find_clique(g, 3)) == 3
+
+
+def test_zero_vertex_graph_with_generators_takes_no_coclique_ceiling():
+    g = Graph(0, [], generators=[[]])
+    assert g.generators and g.orbits == []
+    assert max_clique_order(g) == 0 and find_clique(g, 0) == [] and find_clique(g, 1) is None
+
+
+def test_twin_classes_settle_blowups_of_the_ring_graphs():
+    # a blow-up has no generators, and a clique holds one vertex per twin
+    # class, so the search walks the 130 least vertices in the 6,659 nodes
+    # of the line without generators; walking every vertex took 110,795
+    # nodes for t = 2 and 632,207 for t = 3
+    assert max_clique_order(plain(matrix_ring_graph(2, 3)), node_budget=6659) == 10
+    for t in (2, 3):
+        g = spec_graph(RingSpec([MatrixRing(2, 3)], radical_multiplier=t))
+        assert not g.generators and g.n == 130 * t
+        assert max_clique_order(g, node_budget=6659) == 10
+        with pytest.raises(BudgetExceeded, match="^max-clique search exceeded 6658 nodes"):
+            max_clique_order(g, node_budget=6658)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=st.one_of(graphs_with_generators(), edge_graphs()), t=st.integers(1, 3))
+def test_twin_classes_equal_the_unmasked_search_property(g, t):
+    b = blowup(plain(g), t)
+    every = [([], (1 << b.n) - 1)]
+    omega = len(_branch_and_bound(b.adj, 0, b.n + 1, 10**7, "probe", every))
+    assert max_clique_order(b) == omega == max_clique_order(g)
+    for k in range(1, omega + 2):
+        unmasked = len(_branch_and_bound(b.adj, k - 1, k, 10**7, "probe", every)) >= k
+        assert (find_clique(b, k) is not None) == unmasked == (k <= omega)
 
 
 def test_combinators_carry_no_generators():

@@ -97,7 +97,31 @@ MUTANTS = [
     (GRAPHS, "(once, cand if binned else 0,", "(once, once if binned else 0,", "leaf binned against its walked part"),
     (GRAPHS, "compress(adj, _selectors(cand))", "compress(adj[1:], _selectors(cand))", "dense leaf reads the rows shifted"),
     # the branch and bound
-    (GRAPHS, "        if best > n:\n            break\n", "", "search goes on past its first witness"),
+    (GRAPHS, "        if best >= ceiling:\n            break\n", "", "search goes on past its first witness"),
+    # the clique-coclique ceiling and the twin classes
+    (GRAPHS, "_anchors(g, [], 1), len(g.orbits) == 1)", "_anchors(g, [], 1), True)", "coclique ceiling on every orbit count"),
+    (GRAPHS, "left ^= lsb | (left & adj[out[-1]])", "left ^= lsb", "coclique keeps the neighbours"),
+    (GRAPHS, "n // len(_coclique(adj, best)))", "n // len(_coclique(adj, best)) + 1)", "coclique ceiling one too high"),
+    (GRAPHS, "n // len(_coclique(adj, best)))", "n // len(_coclique(adj, best)) - 1)", "coclique ceiling one too low"),
+    (
+        GRAPHS,
+        "        if best >= ceiling:  # charged as the root expansion it replaces\n            nodes += 1\n",
+        "        if best >= ceiling:  # charged as the root expansion it replaces\n            nodes += 0\n",
+        "coclique ceiling charged no node",
+    ),
+    (
+        GRAPHS,
+        "_anchors(g, [], 1), len(g.orbits) == 1)",
+        "[(m, c & sum(1 << v for v in dict(zip(reversed(g.adj), range(g.n - 1, -1, -1))).values()), *rest)"
+        " for m, c, *rest in _anchors(g, [], 1)], len(g.orbits) == 1)",
+        "twin classes on graphs with generators",
+    ),
+    (
+        GRAPHS,
+        "    cand = _common_neighbors(g, base)\n",
+        "    cand = _common_neighbors(g, base) & sum(1 << v for v in dict(zip(reversed(g.adj), range(g.n - 1, -1, -1))).values())\n",
+        "twin classes in the census and the profile",
+    ),
 ]
 
 
