@@ -48,13 +48,13 @@ picking their rows out of adj, so a sparse set never pays for its length.
 A search with workers walks its roots serially, in order, until it has
 charged more than _POOL_PROBE nodes, about what starting a pool costs a
 fresh process; a search that ends first never loads the pool.  The
-anchors not finished go to one pool, with the roots not yet walked:
-worker i of w walks the cliques whose minimum vertex is root i, i + w,
-... of them.  Each clique is walked by the one process that owns its
-minimum vertex, so counts, nodes and budget outcomes do not depend on w
-or on where the prefix stopped.  Each share may charge what the prefix
-left of the budget and returns, run out or not; only the parent raises,
-and a pooled run that runs out names how far its prefix got.
+anchors not finished go to one pool of w processes, w the workers capped
+at the CPUs and at the widest anchor's roots: share i walks the cliques
+whose minimum vertex is root i, i + w, ... of the roots not yet walked,
+so counts, nodes and budget outcomes do not depend on w or on where the
+prefix stopped.  Each share may charge what the prefix left of the
+budget and returns, run out or not; only the parent raises, and a pooled
+run that runs out names how far its prefix got.
 
 Clique existence (find_clique) and the maximum clique (max_clique_order)
 share a second core, a colour-bounded branch and bound: they need one
@@ -75,8 +75,9 @@ are automorphisms (the ring constructors do).  The constructor checks
 each once, in the symmetry pass and on its strings, and stores two levels
 of orbit tables: the vertex orbits, with each vertex's orbit, and for the
 least vertex r of each orbit the suborbits, the orbits on adj[r] of the
-generators that fix r.  Only _anchors reads these tables, with no check
-per call.
+generators that fix r, each with its bit mask and that of the suborbits
+after it in the leaf step's order below.  Only _anchors reads these
+tables, with no check per call.
 
 Anchors.  Every search walks from anchors (members, cand, weight): an
 anchor fixes the clique members, walks cand, their common neighbours
@@ -118,7 +119,7 @@ searches split their roots anchor by anchor.
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations, compress, count, repeat, zip_longest
+from itertools import combinations, compress, count, zip_longest
 from math import perm
 from typing import Iterable, Iterator, Sequence
 
@@ -167,10 +168,11 @@ def _spread(rows: Iterable[int], width: int) -> list[int]:
     return [int(gap.join(format(row, "b")), 2) for row in rows]
 
 
-def _check_transpose(rows: Sequence[int], cols: Sequence[int], orders: list) -> list[tuple[int, int] | None]:
-    """For each (s, t) in orders, None iff u in rows[s[v]] iff v in cols[t[u]];
-    otherwise the first (v, u), least v then least u, with u in rows[s[v]]
-    but v not in cols[t[u]], failing that the first with the converse.
+def _check_transpose(rows: Sequence[int], cols: Sequence[int], perms: list) -> list[tuple[int, int] | None]:
+    """For each permutation s in perms, t its inverse, None or the first
+    (v, u), least v then least u, with u in rows[s[v]] but v not in
+    cols[t[u]].  When rows and cols hold equally many set bits, such a pair
+    exists iff u in rows[s[v]] and v in cols[t[u]] differ for some (v, u).
 
     Row v is written as its n-bit binary string, most significant bit
     first, so vertex u sits at position n - 1 - u.  For the columns
@@ -183,8 +185,8 @@ def _check_transpose(rows: Sequence[int], cols: Sequence[int], orders: list) -> 
     """
     n = len(rows)
     full = f"0{n}b"
+    orders = [(s, sorted(range(n), key=s.__getitem__)) for s in perms]
     missing: list = [None] * len(orders)
-    extra: list = [None] * len(orders)
     for c0 in range(0, n, _SYMMETRY_BLOCK):
         w = min(_SYMMETRY_BLOCK, n - c0)
         mask, part = (1 << w) - 1, f"0{w}b"
@@ -197,12 +199,11 @@ def _check_transpose(rows: Sequence[int], cols: Sequence[int], orders: list) -> 
             for v in range(c0, c0 + w):
                 column = flat[c0 + w - 1 - v :: w]
                 if (parts[s[v]] if shared else format(rows[s[v]], full)) != column:
-                    row, seen = rows[s[v]], int(column, 2)
-                    if row & ~seen:
-                        missing[i] = v, _lowest(row & ~seen)
+                    lost = rows[s[v]] & ~int(column, 2)
+                    if lost:
+                        missing[i] = v, _lowest(lost)
                         break
-                    extra[i] = extra[i] or (v, _lowest(seen & ~row))
-    return [m or e for m, e in zip(missing, extra)]
+    return missing
 
 
 class Graph:
@@ -211,11 +212,11 @@ class Graph:
     generators is a tuple of vertex permutations (sigma[v] is the image of
     v) that the constructor claims are automorphisms; each is checked here,
     once, and one that is not raises ValueError.  The searches read
-    orbits, orbit_of, suborbits and suborbit_masks, the tables of _orbits,
-    through _anchors alone.  Equality and hashing ignore all five.
+    orbits, orbit_of and suborbits, the tables of _orbits, through _anchors
+    alone.  Equality and hashing ignore all four.
     """
 
-    __slots__ = ("n", "adj", "is_T", "labels", "generators", "orbits", "orbit_of", "suborbits", "suborbit_masks")
+    __slots__ = ("n", "adj", "is_T", "labels", "generators", "orbits", "orbit_of", "suborbits")
 
     def __init__(
         self,
@@ -240,12 +241,10 @@ class Graph:
                 if row >> v & 1:
                     raise ValueError(f"loop at vertex {v}")
             # on symmetric rows, sigma is an automorphism iff the rows
-            # adj[sigma[v]] are the transpose of adj[sigma^-1[u]]
-            inverses = [sorted(range(n), key=sigma.__getitem__) for sigma in generators]
-            bad, *failed = _check_transpose(adj, adj, [(range(n), range(n))] + list(zip(generators, inverses)))
+            # adj[sigma[v]] are the transpose of adj[sigma^-1[u]]; each side
+            # holds the set bits of adj, so every mismatch shows as a pair
+            bad, *failed = _check_transpose(adj, adj, [range(n), *generators])
             if bad is not None:
-                # in a square matrix every u in column v but not in row v is an
-                # edge u->v whose reverse is missing, so bad is of the first kind
                 raise ValueError("asymmetric edge {}->{}".format(*bad))
             for i, fail in enumerate(failed):
                 if fail is not None:
@@ -259,7 +258,7 @@ class Graph:
         self.is_T = is_T
         self.labels = labels
         self.generators = generators
-        self.orbits, self.orbit_of, self.suborbits, self.suborbit_masks = _orbits(adj, generators)
+        self.orbits, self.orbit_of, self.suborbits = _orbits(adj, generators)
 
     @classmethod
     def T(cls) -> "Graph":
@@ -527,8 +526,8 @@ def _search(
     when binned, else all of them to 0.
 
     With workers, the anchors left after the serial prefix run in one pool
-    of at most as many processes as CPUs: worker i of w takes the roots
-    [i::w] of each, w being workers capped at the most roots of any anchor,
+    of w processes, one share each: share i takes the roots [i::w] of each,
+    w being workers capped at the most roots of any anchor and at the CPUs,
     each share may charge the nodes the prefix left of the budget, and the
     histograms are summed by position.  Past the budget this raises the one
     error, which names how far the serial walk got: where it stopped, or
@@ -540,8 +539,9 @@ def _search(
     tasks = [
         (once, cand if binned else 0, _bits(once) if depth > 1 else [], w, twice) for _, cand, w, once, twice in anchors
     ]
-    longest = max((len(roots) for _, _, roots, _, _ in tasks), default=0)
-    workers = min(workers, longest)
+    workers = min(workers, max((len(roots) for _, _, roots, _, _ in tasks), default=0))
+    if workers > 1:
+        workers = min(workers, _default_workers())
     # serial, never stop short of the budget
     stop = spent + _POOL_PROBE if workers > 1 else budget
     counts, hist, nodes, rest = _walk(adj, depth, tasks, budget, stop, spent)
@@ -555,7 +555,7 @@ def _search(
 
         left = budget - nodes
         task = partial(_walk, adj, depth, budget=left, stop=left)
-        with ProcessPoolExecutor(max_workers=min(workers, _default_workers())) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = [(counts, hist, nodes), *(part[:3] for part in pool.map(task, shares))]
         sums, hists, used = zip(*parts)
         nodes = sum(used)
@@ -603,48 +603,40 @@ def _orbit_table(vertices: Iterable[int], generators: Sequence[Sequence[int]]):
 
 
 def _orbits(adj: Sequence[int], generators: Sequence[Sequence[int]]):
-    """(orbits, orbit_of, suborbits, suborbit_masks), the tables that
-    Graph.__init__ stores once it has checked the generators, all None
-    without generators.
+    """(orbits, orbit_of, suborbits), the tables that Graph.__init__ stores
+    once it has checked the generators, all None without generators.
 
     orbits lists (least vertex, size) of every orbit of the group generated
     by the generators, in vertex order, and orbit_of[v] is the position of
     the orbit of v in it.  suborbits[i] lists, the same way, the orbits on
     adj[r], r the least vertex of orbit i, of the subgroup generated by the
-    generators that fix r; it is None when they merge no two neighbours.
-    suborbit_masks[i] is None unless suborbits[i] has two or more entries;
-    then it lists, per suborbit in table order, (own, later): the suborbit
-    as a bitmask, and the union of the suborbits after it when they are
-    ordered by size, largest first, ties by table position.
+    generators that fix r, as (least vertex, size, own, later): own is the
+    suborbit as a bitmask, and later the union of the suborbits after it
+    when they are ordered by size, largest first, ties by table position.
+    It is None when those generators merge no two neighbours.
     """
     if not generators:
-        return None, None, None, None
+        return None, None, None
     index, orbits = _orbit_table(range(len(adj)), generators)
-    suborbits, masks = [], []
+    suborbits = []
     for r, _ in orbits:
-        fixing = [sigma for sigma in generators if sigma[r] == r]
         neighbours = _bits(adj[r])
-        place, table = _orbit_table(neighbours, fixing) if fixing else ({}, None)
-        if table is not None and len(table) == len(neighbours):
-            table = None
-        suborbits.append(table)
-        masks.append(_suborbit_masks(place, table) if table and len(table) > 1 else None)
-    return orbits, [index[v] for v in range(len(adj))], suborbits, masks
-
-
-def _suborbit_masks(place: dict[int, int], table: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    """(own, later) per entry of table, as _orbits describes, where place[v]
-    is the position in table of the suborbit of v."""
-    own = [0] * len(table)
-    for v, i in place.items():
-        own[i] |= 1 << v
-    order = sorted(range(len(table)), key=lambda i: -table[i][1])  # largest first, ties by position
-    out: list = [None] * len(table)
-    later = 0
-    for i in reversed(order):
-        out[i] = own[i], later
-        later |= own[i]
-    return out
+        place, table = _orbit_table(neighbours, [sigma for sigma in generators if sigma[r] == r])
+        if len(table) == len(neighbours):
+            suborbits.append(None)
+            continue
+        order = sorted(range(len(table)), key=lambda i: -table[i][1])  # largest first, ties by position
+        own = [0] * len(table)
+        for v, i in place.items():
+            if i != order[0]:
+                own[i] |= 1 << v
+        own[order[0]] = adj[r] ^ sum(own)  # the largest, without a bit set one at a time
+        entries, later = [None] * len(table), 0
+        for i in reversed(order):
+            entries[i] = (*table[i], own[i], later)
+            later |= own[i]
+        suborbits.append(entries)
+    return orbits, [index[v] for v in range(len(adj))], suborbits
 
 
 def _anchors(g: Graph, base: list[int], top: int) -> list[tuple[list[int], int, int, int, int]]:
@@ -662,11 +654,11 @@ def _anchors(g: Graph, base: list[int], top: int) -> list[tuple[list[int], int, 
         if tables and all(tables):
             anchors = []
             for (r, w), table in zip(reps, tables):
-                # a leaf step meets each neighbour pair of r once, from the larger suborbit
-                masks = (top == 3 and g.suborbit_masks[g.orbit_of[r]]) or repeat((-1, 0))
-                for (s, size), (own, later) in zip(table, masks):
+                for s, size, own, later in table:
                     cand = g.adj[r] & g.adj[s]
-                    anchors.append(([r, s], cand, w * size, cand & own, cand & later))
+                    # a leaf step meets each neighbour pair of r once, from the larger suborbit
+                    once, twice = (cand & own, cand & later) if top == 3 else (cand, 0)
+                    anchors.append(([r, s], cand, w * size, once, twice))
             return anchors
         if not base:
             return [([r], g.adj[r], w, g.adj[r], 0) for r, w in reps]
@@ -915,14 +907,14 @@ def verify_isomorphism(a: Graph, b: Graph, mapping: Sequence[int]) -> bool:
 
     As a is symmetric, that holds iff the rows b.adj[mapping[u]] are the
     transpose of the rows a.adj[mapping^-1[w]]: both say that u ~ w in a
-    iff mapping[u] ~ mapping[w] in b.
+    iff mapping[u] ~ mapping[w] in b.  Graphs with equally many set bits
+    are what _check_transpose can tell apart; others are not isomorphic.
     """
     if a.n != b.n:
         return False
     if sorted(mapping) != list(range(a.n)):
         raise ValueError("mapping is not a bijection on the vertex sets")
-    inverse = sorted(range(a.n), key=mapping.__getitem__)
-    return _check_transpose(b.adj, a.adj, [(mapping, inverse)])[0] is None
+    return sum(a.degrees()) == sum(b.degrees()) and _check_transpose(b.adj, a.adj, [mapping])[0] is None
 
 
 # ---------------------------------------------------------------------------

@@ -306,9 +306,7 @@ def _local_point_index(f: int, p: int, j_order: int, a: int, b: int) -> int:
     if b % p:  # b is a unit: the point (a*b^-1, 1)
         r = a * pow(b, -1, f) % f
         part, copy = r % p, r // p
-    else:
-        if a % p == 0:
-            raise ValueError(f"({a},{b}) is not admissible mod {f}")
+    else:  # every caller's pair is admissible, so a is a unit
         j = b * pow(a, -1, f) % f
         part, copy = p, j // p
     return part * j_order + copy

@@ -19,7 +19,7 @@ from math import comb, factorial, prod
 
 import pytest
 
-from ringline import verification
+from ringline import graphs, verification
 from ringline.formulas import comm_clique_count_vertex_sets
 from ringline.graphs import Graph, count_cliques
 from ringline.rings import local_graph, matrix_ring_graph, zn_local_decomposition
@@ -167,6 +167,7 @@ def test_criterion_13_parallel_leg_opens_a_pool(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(graphs, "_default_workers", lambda: 4)  # 2 workers open a pool on any host
     serial = _census_suite(1)
     assert not opened
     assert _census_suite(2) == serial and opened

@@ -1,6 +1,7 @@
 """Bundled matrix fixtures: loading, checksums, verification."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,15 @@ def test_checksum_detects_tampering(tmp_path, monkeypatch):
     with pytest.raises(FixtureMismatch):
         load_appendix_c()
     load_appendix_b()  # untouched file still loads
+
+
+@pytest.mark.parametrize(
+    "label, size, message",
+    [("0112", 3, "matrix digit string '0112' is not 3x3"), ("0113", 2, "matrix '0113' has entries outside GF(3)")],
+)
+def test_matrix_labels_of_the_wrong_length_or_digits_are_refused(label, size, message):
+    with pytest.raises(FixtureMismatch, match=f"^{re.escape(message)}$"):
+        fixtures._parse_matrix(label, 3, size)
 
 
 def test_verify_appendix_B_report():

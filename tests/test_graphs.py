@@ -58,8 +58,10 @@ from ringline.rings import (
 @pytest.fixture
 def eager_pool(monkeypatch):
     """Searches with workers hand over to their pool after the first root,
-    so that tests of small graphs still run the pool."""
+    so that tests of small graphs still run the pool, and as if on 4 CPUs,
+    so that the shares do not depend on the host's."""
     monkeypatch.setattr(graphs, "_POOL_PROBE", 0)
+    monkeypatch.setattr(graphs, "_default_workers", lambda: 4)
 
 
 def brute_counts(g: Graph, kmax: int) -> list[int]:
@@ -1051,7 +1053,7 @@ def test_suborbit_node_charge(eager_pool):
         r = g.orbits[g.orbit_of[c]][0]
         suborbits = g.suborbits[g.orbit_of[c]]
         assert suborbits is not None
-        common = [g.adj[r] & g.adj[s] for s, _ in suborbits]
+        common = [g.adj[r] & g.adj[s] for s, _, _, _ in suborbits]
         edges = [sum((g.adj[v] & cand).bit_count() for v in range(g.n) if cand >> v & 1) // 2 for cand in common]
         vertices = [cand.bit_count() for cand in common]
         leaf = sum(leaf_walks(g, r).values())
@@ -1071,7 +1073,7 @@ def test_suborbit_node_charge(eager_pool):
 def pair_anchors(g: Graph) -> list[tuple[int, int, int]]:
     """(r, s, weight) for r the least vertex of each orbit and s the least
     vertex of each of its suborbits, read from the tables."""
-    return [(r, s, size * part) for i, (r, size) in enumerate(g.orbits) for s, part in g.suborbits[i]]
+    return [(r, s, size * part) for i, (r, size) in enumerate(g.orbits) for s, part, _, _ in g.suborbits[i]]
 
 
 @pytest.mark.parametrize("case", ORBIT_GRAPHS, ids=lambda c: "-".join(map(str, c[:-1])))
@@ -1110,7 +1112,7 @@ def assert_anchor_rule(g: Graph) -> None:
     pairs = graphs._anchors(g, [], 2)
     if tables:
         orbits = zip(g.orbits, g.suborbits)
-        common = [(r, s, g.adj[r] & g.adj[s], size * part) for (r, size), table in orbits for s, part in table]
+        common = [(r, s, g.adj[r] & g.adj[s], size * part) for (r, size), table in orbits for s, part, _, _ in table]
         assert pairs == [([r, s], cand, w, cand, 0) for r, s, cand, w in common]
         assert all(g.has_edge(r, s) for (r, s), *_ in pairs)
         assert sum(w for _, _, w, *_ in pairs) == 2 * g.edge_count()
@@ -1282,7 +1284,7 @@ def test_drawn_graphs_reach_the_pairs_and_the_level_one_fallback():
     assert tables(find(graphs_with_generators(), tables, settings=settings_))
     assert not tables(find(graphs_with_generators(), lambda g: not tables(g), settings=settings_))
     # and, for test_leaf_step_equals_plain_walk_property, suborbits that split the leaf step
-    split = find(graphs_with_generators(), lambda g: tables(g) and all(g.suborbit_masks), settings=settings_)
+    split = find(graphs_with_generators(), lambda g: tables(g) and all(len(t) > 1 for t in g.suborbits), settings=settings_)
     assert min(len(table) for table in split.suborbits) >= 2
 
 
@@ -1508,6 +1510,7 @@ def test_combinators_carry_no_generators():
     g = zn_projective_line(6)
     assert g.generators
     assert g == plain(g) and hash(g) == hash(plain(g))
+    assert g != g.adj and g != "P(Z/6)"  # no Graph: NotImplemented, then identity
     for h in (tensor_product(g, g), blowup(g, 2), complement(g), disjoint_union([g, g])):
         assert h.generators == ()
     assert tensor_product(Graph.T(), g) is g and blowup(g, 1) is g
@@ -1525,14 +1528,34 @@ def serial_pool(monkeypatch):
 
 
 def test_search_pool_is_capped_at_the_available_cpus(eager_pool, serial_pool):
-    from ringline.config import _default_workers
-
     g = plain(zn_projective_line(30))
     wide = count_cliques(g, 3, workers=10**6)
-    # every root is its own share, and the shares run on at most the CPUs
-    assert serial_pool == [min(g.n, _default_workers())]
+    # one share per process, on at most the CPUs
+    assert serial_pool == [min(g.n, graphs._default_workers())]
     serial = count_cliques(g, 3)
     assert wide.counts == serial.counts and wide.nodes == serial.nodes
+
+
+def test_search_runs_one_share_per_cpu(eager_pool, serial_pool, monkeypatch):
+    # a million workers on c CPUs walk the prefix and then min(c, 30) shares
+    # of the 30 roots, or the prefix alone on one CPU, to the serial answer
+    walk, calls = graphs._walk, []
+
+    def spy_walk(*args, **kwargs):
+        calls.append(args)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "_walk", spy_walk)
+    g = plain(zn_projective_line(30))
+    serial = count_cliques(g, 3)
+    for cpus in (1, 2, 3, 29, 30, 64):
+        monkeypatch.setattr(graphs, "_default_workers", lambda: cpus)
+        calls.clear()
+        serial_pool.clear()
+        wide = count_cliques(g, 3, workers=10**6)
+        shares = min(cpus, g.n) if cpus > 1 else 0
+        assert len(calls) == 1 + shares and serial_pool == [shares][: bool(shares)]
+        assert wide.counts == serial.counts and wide.nodes == serial.nodes
 
 
 def test_search_under_the_probe_opens_no_pool(serial_pool):
@@ -1567,6 +1590,7 @@ def test_search_crossing_the_probe_hands_over_to_the_pool(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(graphs, "_default_workers", lambda: 4)  # 2 and 3 workers open a pool on any host
     g = plain(zn_projective_line(110))
     serial = count_cliques(g, 3)
     needed = serial.nodes
@@ -1614,6 +1638,7 @@ def test_hand_over_at_every_stop_point(serial_pool, monkeypatch):
 
     monkeypatch.setattr(graphs, "_walk", spy_walk)
     monkeypatch.setattr(graphs, "_search", spy_search)
+    monkeypatch.setattr(graphs, "_default_workers", lambda: 4)  # 2 and 3 workers split 2 and 3 ways on any host
     gl23 = unit_difference_graph(2, 3)
     assert [(gl23.adj[r] & gl23.adj[s]).bit_count() for r, s, _ in pair_anchors(gl23)] == [18, 15, 14, 14]
     cases = {

@@ -2,6 +2,7 @@
 
 import pytest
 
+from ringline import identities
 from ringline.formulas import cap_n_N_comm
 from ringline.identities import (
     capN_divisibility_check,
@@ -25,6 +26,14 @@ def test_lacunary_identity_check():
     assert lacunary_identity_check(2, 2)
     assert lacunary_identity_check(5, 3)
     assert lacunary_identity_check(13, 13)
+
+
+def test_lacunary_identity_check_fails_on_a_sum_not_divisible(monkeypatch):
+    # one sum off by one at n = 4, p = 3, m = 1: the check is red from there
+    real = identities.lacunary_sum
+    monkeypatch.setattr(identities, "lacunary_sum", lambda n, p, m: real(n, p, m) + ((n, p, m) == (4, 3, 1)))
+    assert lacunary_identity_check(3, 3)
+    assert not lacunary_identity_check(4, 3)
 
 
 def test_lacunary_congruences_directly():

@@ -23,6 +23,7 @@ PARTITION_NUMBERS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]
 
 def test_enumerate_partitions_basic():
     assert enumerate_partitions(0) == [()]
+    assert enumerate_partitions(-1) == []
     assert enumerate_partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert enumerate_partitions(4, max_part=2, max_len=2) == [(2, 2)]
     for h, p in enumerate(PARTITION_NUMBERS):

@@ -38,6 +38,16 @@ def test_equality_with_ints():
     assert IntPoly([1, 1]) != 1
 
 
+def test_truth_hashing_and_the_other_operand_kinds():
+    p = IntPoly([1, 1])
+    assert not IntPoly() and p
+    assert p != "q+1" and p != [1, 1]  # no polynomial: NotImplemented, then identity
+    assert hash(p) == hash(IntPoly([1, 1, 0])) and len({p, IntPoly([1, 1]), IntPoly([1])}) == 2
+    assert (p - 1).coeffs == (0, 1)
+    assert p * IntPoly() == IntPoly() == IntPoly() * p
+    assert repr(p) == "IntPoly(q+1)" and str(p) == "q+1" and repr(IntPoly()) == "IntPoly(0)"
+
+
 def test_render_descending_form():
     assert IntPoly([1, 1, 2, 1, 1]).render() == "q^4+q^3+2q^2+q+1"
     assert IntPoly([0, 3, -1, -2, 1]).render() == "q^4-2q^3-q^2+3q"

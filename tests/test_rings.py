@@ -404,13 +404,13 @@ def test_ring_generators_give_one_orbit(family):
     if kind == "GL" and args[0] == 1:
         assert suborbits is None  # GL_1(q) is abelian: no generator fixes vertex 0
         return
-    assert sum(size for _, size in suborbits) == g.degree(0)
-    assert all(g.adj[0] >> s & 1 for s, _ in suborbits)
-    sizes = sorted(size for _, size in suborbits)
+    assert sum(size for _, size, _, _ in suborbits) == g.degree(0)
+    assert all(g.adj[0] >> s & 1 for s, _, _, _ in suborbits)
+    sizes = sorted(size for _, size, _, _ in suborbits)
     if kind == "GL":
         partition = gl_suborbit_partition(*args)
         assert suborbit_sets(g) == partition
-        assert suborbits == sorted((min(orbit), len(orbit)) for orbit in partition)
+        assert [(s, size) for s, size, _, _ in suborbits] == sorted((min(orbit), len(orbit)) for orbit in partition)
         assert sizes == GL_SUBORBIT_SIZES[tuple(args)]
     else:
         assert sizes == [g.degree(0)]

@@ -69,9 +69,16 @@ MUTANTS = [
     (GRAPHS, "                if fail is not None:\n", "                if False:\n", "generators unchecked"),
     (
         GRAPHS,
-        "fixing = [sigma for sigma in generators if sigma[r] == r]",
-        "fixing = list(generators)",
+        "[sigma for sigma in generators if sigma[r] == r]",
+        "list(generators)",
         "suborbits from generators that move r",
+    ),
+    (GRAPHS, "own[order[0]] = adj[r] ^ sum(own)", "own[order[0]] = adj[r]", "largest suborbit's mask is all of adj[r]"),
+    (
+        GRAPHS,
+        "sum(a.degrees()) == sum(b.degrees()) and _check_transpose",
+        "_check_transpose",
+        "isomorphism check without its popcounts",
     ),
     # anchors, depths and the pool
     (
@@ -85,15 +92,21 @@ MUTANTS = [
     (GRAPHS, "        left = budget - nodes\n", "        left = budget\n", "pool share gets the whole budget"),
     (
         GRAPHS,
+        "    if workers > 1:\n        workers = min(workers, _default_workers())\n",
+        "",
+        "shares not capped at the CPUs",
+    ),
+    (
+        GRAPHS,
         "        done = len(tasks) - len(rest)\n",
         "        done = len(tasks) - len(rest) - 1\n",
         "budget error counts one anchor too few",
     ),
     # the leaf step that meets each neighbour pair once
     (GRAPHS, "                    weight *= 2", "                    weight *= 1", "later suborbits weighted once"),
-    (GRAPHS, "w * size, cand & own, cand & later)", "w * size, 0, cand & later)", "own suborbit skipped"),
+    (GRAPHS, "(cand & own, cand & later) if top", "(0, cand & later) if top", "own suborbit skipped"),
     (GRAPHS, "key=lambda i: -table[i][1]", "key=lambda i: table[i][1]", "suborbits ordered smallest first"),
-    (GRAPHS, "(top == 3 and g.suborbit_masks", "(top >= 3 and g.suborbit_masks", "split walk below the leaf level"),
+    (GRAPHS, "if top == 3 else (cand, 0)", "if top >= 3 else (cand, 0)", "split walk below the leaf level"),
     (GRAPHS, "(once, cand if binned else 0,", "(once, once if binned else 0,", "leaf binned against its walked part"),
     (GRAPHS, "compress(adj, _selectors(cand))", "compress(adj[1:], _selectors(cand))", "dense leaf reads the rows shifted"),
     # the branch and bound
