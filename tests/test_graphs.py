@@ -1554,7 +1554,7 @@ def test_search_runs_one_share_per_cpu(eager_pool, serial_pool, monkeypatch):
         serial_pool.clear()
         wide = count_cliques(g, 3, workers=10**6)
         shares = min(cpus, g.n) if cpus > 1 else 0
-        assert len(calls) == 1 + shares and serial_pool == [shares][: bool(shares)]
+        assert len(calls) == 1 + shares and serial_pool == ([shares] if shares else [])
         assert wide.counts == serial.counts and wide.nodes == serial.nodes
 
 
