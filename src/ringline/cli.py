@@ -22,7 +22,7 @@ import warnings
 from pathlib import Path
 
 from .config import SUITES, VERTEX_BOUND, _default_workers, budget_from_env
-from .errors import BoundExceeded, BudgetExceeded, FixtureMismatch
+from .errors import BudgetExceeded
 from .graphs import Graph, count_cliques, extension_profile, to_dot
 from .rings import MatrixRing, RingSpec, parse_ring_spec, spec_graph, unit_difference_graph
 
@@ -213,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
         return args.func(args)
-    except (BoundExceeded, BudgetExceeded, FixtureMismatch, ValueError, OSError) as exc:
+    except (BudgetExceeded, ValueError, OSError) as exc:  # BoundExceeded is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -265,9 +265,8 @@ class Graph:
         return cls(1, (1,), labels=("T",))
 
     @classmethod
-    def from_edges(
-        cls, n: int, edges: Iterable[tuple[int, int]], labels: Sequence[str] | None = None
-    ) -> "Graph":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """The unlabeled graph on n vertices with the given undirected edges."""
         rows = [0] * n
         for u, v in edges:
             if u == v:
@@ -276,7 +275,7 @@ class Graph:
                 raise ValueError(f"vertex {v if 0 <= u < n else u} out of range")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, rows, labels)
+        return cls(n, rows)
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
@@ -510,7 +509,6 @@ def _search(
     anchors: Sequence[tuple[Sequence[int], int, int, int, int]],
     budget: int,
     workers: int,
-    what: str,
     base: int = 0,
     binned: bool = False,
 ):
@@ -530,8 +528,9 @@ def _search(
     w being workers capped at the most roots of any anchor and at the CPUs,
     each share may charge the nodes the prefix left of the budget, and the
     histograms are summed by position.  Past the budget this raises the one
-    error, which names how far the serial walk got: where it stopped, or
-    where it handed over to the pool.
+    error, which names the search a profile when binned, else a census, and
+    how far the serial walk got: where it stopped, or where it handed over
+    to the pool.
     """
     fixed = len(anchors[0][0])
     depth = top - fixed
@@ -568,7 +567,7 @@ def _search(
         progress = f"anchors finished: {done} of {len(tasks)}"
         if rest[0][2]:
             progress += f", roots finished: {len(tasks[done][2]) - len(rest[0][2])} of {len(tasks[done][2])}"
-        raise _exceeded(what, budget, fixed + reached, progress)
+        raise _exceeded("profile" if binned else "census", budget, fixed + reached, progress)
     counts.append(sum(hist))  # every depth-clique is binned once
     for _, common, _, w, _ in tasks:
         counts[0] += w
@@ -706,7 +705,7 @@ def count_cliques(
         return CliqueCensus(dict.fromkeys(range(min(kmax, 1) + 1), 1), kmax, 0, 1)
     depth = min(kmax, g.n)  # no clique has more than n vertices
     anchors = _anchors(g, [], depth if depth > 2 else min(depth, 1))
-    counts, _, nodes, fixed = _search(g.adj, depth, anchors, node_budget, workers, "census")
+    counts, _, nodes, fixed = _search(g.adj, depth, anchors, node_budget, workers)
     return CliqueCensus(dict(enumerate([1, g.n][:fixed] + counts)), kmax, nodes, 0)
 
 
@@ -783,7 +782,7 @@ def extension_profile(
         raise ValueError("k smaller than the fixed clique")
     anchors = _anchors(g, base, k)
     # a walk deeper than n visits the same cliques and reaches no leaf
-    return _search(g.adj, min(k, g.n + 1), anchors, node_budget, workers, "profile", len(base), True)[1]
+    return _search(g.adj, min(k, g.n + 1), anchors, node_budget, workers, len(base), True)[1]
 
 
 def _coclique(adj: Sequence[int], best: int) -> list[int]:

@@ -240,7 +240,7 @@ def zn_projective_line(n: int, vertex_bound: int = VERTEX_BOUND) -> Graph:
     This construction never touches the tensor/blow-up machinery, so it
     can serve as the independent oracle for the commutative formulas.
     """
-    factors = _local_factors([p**a for p, a in factorize(n)])
+    factors = _local_factors(n)
     verts = _zn_points(n, factors, vertex_bound)
     local = [_local_indices(factors, a, b) for a, b in verts]
     # the point of P(Z/p) a vertex lies over is its local index // p^(e-1)
@@ -288,13 +288,10 @@ def _zn_points(n: int, factors, vertex_bound: int) -> list[tuple[int, int]]:
     return verts
 
 
-def _local_factors(factorization: list[int]) -> list[tuple[int, int, int, int]]:
-    """(f, p, p^(e-1), point count of P(Z/f)) for each prime power f = p^e."""
-    out = []
-    for f in factorization:
-        p, a = factor_prime_power(f)
-        out.append((f, p, p ** (a - 1), (p + 1) * p ** (a - 1)))
-    return out
+def _local_factors(n: int) -> list[tuple[int, int, int, int]]:
+    """(f, p, p^(e-1), point count of P(Z/f)) for each prime power f = p^e
+    of n, primes ascending (the order of zn_local_decomposition)."""
+    return [(p**a, p, p ** (a - 1), (p + 1) * p ** (a - 1)) for p, a in factorize(n)]
 
 
 def _local_indices(factors, a: int, b: int) -> list[int]:
@@ -320,22 +317,14 @@ def _crt_index(factors, indices: list[int]) -> int:
     return idx
 
 
-def zn_crt_map(n: int, factorization: list[int] | None = None) -> list[int]:
-    """Vertex bijection from zn_projective_line(n) onto spec_graph of the
-    local decomposition, induced componentwise by the Chinese remainder map.
+def zn_crt_map(n: int) -> list[int]:
+    """Vertex bijection from zn_projective_line(n) onto
+    spec_graph(zn_local_decomposition(n)), induced componentwise by the
+    Chinese remainder map onto the prime-power factors, primes ascending.
 
-    mapping[i] is the spec-graph index of oracle vertex i.  Factors must
-    be coprime and multiply to n; the default is the prime-power
-    factorization in ascending order (matching zn_local_decomposition).
+    mapping[i] is the spec-graph index of oracle vertex i.
     """
-    if factorization is None:
-        factorization = [p**a for p, a in factorize(n)]
-    if prod(factorization) != n:
-        raise ValueError("factors do not multiply to n")
-    for f1, f2 in combinations(factorization, 2):
-        if gcd(f1, f2) != 1:
-            raise ValueError("factors are not coprime")
-    factors = _local_factors(factorization)
+    factors = _local_factors(n)
     return [_crt_index(factors, _local_indices(factors, a, b)) for a, b in _zn_points(n, factors, VERTEX_BOUND)]
 
 
@@ -481,19 +470,6 @@ def _singer(F: GF, n: int) -> tuple[tuple[int, ...], ...]:
     return companion_matrix(F, find_primitive(n, F)).rows
 
 
-def _gl_generators(F: GF, n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Generators of GL_n(q), acting on row vectors from the right: a Singer
-    cycle and, for n >= 2, the transvection that adds coordinate 0 to
-    coordinate 1.  A subgroup of GL_n(q) with a Singer cycle and a
-    transvection contains SL_n(q) (Kantor, "Linear groups containing a
-    Singer cycle", 1980); the tests check the single orbit this gives.
-    """
-    out = [_singer(F, n)]
-    if n >= 2:
-        out.append(tuple(tuple(int(i == j or (i, j) == (0, 1)) for j in range(n)) for i in range(n)))
-    return out
-
-
 def _block(a, b, c, d) -> tuple[tuple[int, ...], ...]:
     """The 2m x 2m matrix [[a, b], [c, d]] from m x m blocks."""
     return tuple(x + y for x, y in zip(a, b)) + tuple(x + y for x, y in zip(c, d))
@@ -631,8 +607,11 @@ def _pairing_rows(F: GF, m: int, minors: list[tuple[int, ...]]) -> list[int]:
 def unit_difference_graph(m: int, q: int | GF, vertex_bound: int = VERTEX_BOUND) -> Graph:
     """GL_m(q) with edges between matrices whose difference is invertible.
 
-    Its generators act on the points (X | I) below.  With S and T the
-    generators of GL_m(q) from _gl_generators (T only for m >= 2), they are
+    Its generators act on the points (X | I) below.  With S a Singer cycle
+    and T the transvection that adds coordinate 0 to coordinate 1 (acting on
+    row vectors from the right; for m = 1, T = I), which generate GL_m(q)
+    (a subgroup with a Singer cycle and a transvection contains SL_m(q):
+    Kantor, "Linear groups containing a Singer cycle", 1980), they are
     X -> X B for B = S T, which is (X | I) -> (X | I) diag(B, I), and for
     m >= 2 X -> S^-1 X J S J, which is (X | I) -> (X | I) diag(J S J, S), and
     X -> T^-1 X^-1 J T J, the block swap (X | I) -> (I | X) ~ (X^-1 | I)
@@ -656,10 +635,11 @@ def unit_difference_graph(m: int, q: int | GF, vertex_bound: int = VERTEX_BOUND)
     eye = identity(F, m).rows
     zero = tuple((0,) * m for _ in eye)
     minors = _plucker(F, m, [tuple(r + e for r, e in zip(rows, eye)) for rows in mats])
-    gens = _gl_generators(F, m)
-    moves = [_block(reduce(mat_mul, [MatrixGF(F, a) for a in gens]).rows, zero, zero, eye)]
+    s = _singer(F, m)
+    t = tuple(tuple(int(i == j or (i, j) == (0, 1)) for j in range(m)) for i in range(m))
+    moves = [_block(mat_mul(MatrixGF(F, s), MatrixGF(F, t)).rows, zero, zero, eye)]
     if m >= 2:
-        (s, jsj), (t, jtj) = [(a, tuple(row[::-1] for row in a[::-1])) for a in gens]
+        jsj, jtj = [tuple(row[::-1] for row in a[::-1]) for a in (s, t)]
         moves += [_block(jsj, zero, zero, s), _block(zero, t, jtj, zero)]
     generators = _plucker_images(F, m, minors, moves)
     labels = [_rows_label(F.q, rows) for rows in mats]

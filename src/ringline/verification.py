@@ -360,12 +360,9 @@ def _criterion_10() -> tuple[bool, str]:
 def _criterion_11() -> tuple[bool, str]:
     from . import fixtures
 
-    b = fixtures.verify_appendix_B()
-    if b["class_sizes"] != (4, 4, 1) or b["extension_count_via_C"] != 8:
-        return False, f"triangle-extension fixture report off: {b}"
-    c = fixtures.verify_appendix_C()
-    if c["pairwise_checks"] != 190 or c["extension_candidates"] != 0:
-        return False, f"inextensible-clique fixture report off: {c}"
+    # each raises FixtureMismatch on any failed check
+    fixtures.verify_appendix_B()
+    fixtures.verify_appendix_C()
     return True, (
         "classes (4,4,1) with extension counts {C:8, A/B:4} and two maximal 8-cliques; "
         "20-set pairwise distant 190/190 and extended by 0 of 480 candidates"

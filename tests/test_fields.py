@@ -107,6 +107,9 @@ def test_irreducibility_matches_exhaustive_products():
             }
             for cand in monic_polys(F, d):
                 assert fp_is_irreducible(F, cand) == (cand not in reducible)
+        # constants, the empty polynomial included, are units or zero
+        assert not fp_is_irreducible(F, (1,))
+        assert not fp_is_irreducible(F, ())
 
 
 def test_gf_build_rejects_bad_input():
@@ -139,6 +142,7 @@ def test_extension_moduli_are_the_first_irreducibles():
 
 
 def test_field_instances_cached_and_comparable():
+    assert repr(gf_of(4)) == "GF(4)"
     assert gf_build(3) is gf_build(3)
     assert gf_of(9) == gf_build(3, 2)
     assert gf_of(gf_build(5)) is gf_build(5)

@@ -70,6 +70,14 @@ def test_verify_appendix_C_report():
     assert report["clique_size"] < report["max_possible_clique"]
 
 
+def test_verify_appendix_C_refuses_a_set_that_extends(monkeypatch):
+    # every determinant 1: the invertibility checks pass, and then every
+    # element of GL_2(5) extends the set
+    monkeypatch.setattr(fixtures, "mat_det", lambda m: 1)
+    with pytest.raises(FixtureMismatch, match="^480 of 480 candidates extend the set$"):
+        verify_appendix_C()
+
+
 def test_fixture_module_is_independent_of_the_formula_layer():
     source = Path(fixtures.__file__).read_text()
     assert "formulas" not in source

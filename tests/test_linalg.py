@@ -220,6 +220,7 @@ def test_matrix_product_and_powers():
 
 def test_matrix_label_digit_string():
     assert matrix_label(matrix(3, [[2, 2], [0, 1]])) == "2201"
+    assert repr(matrix(3, [[2, 2], [0, 1]])) == "MatrixGF(GF(3), [2 2; 0 1])"
     assert matrix_label(identity(2, 2)) == "1001"
 
 

@@ -222,20 +222,6 @@ def test_crt_map_is_isomorphism():
     assert verify_isomorphism(g9, h9, zn_crt_map(9))
 
 
-def test_crt_map_validates_factorizations():
-    with pytest.raises(ValueError):
-        zn_crt_map(12, [6, 2])
-    with pytest.raises(ValueError):
-        zn_crt_map(12, [4, 5])
-
-
-def test_crt_map_with_explicit_factor_order():
-    # the mapping tracks the factor order it is given
-    g = zn_projective_line(12)
-    h = spec_graph(RingSpec([Local(3, 1), Local(4, 2)]))
-    assert verify_isomorphism(g, h, zn_crt_map(12, [3, 4]))
-
-
 def test_spec_graph_cases():
     assert spec_graph(RingSpec([])) == Graph.T()
     assert spec_graph(RingSpec([MatrixRing(1, 4)])) == Graph.complete(5)
@@ -299,6 +285,14 @@ def test_spread_cliques_verified_sizes():
             assert mat_rank(mat_vstack(p1.basis, p2.basis)) == 2 * m
 
 
+def test_spread_clique_checks_its_points_are_distant(monkeypatch):
+    import ringline.rings
+
+    monkeypatch.setattr(ringline.rings, "points_distant", lambda p1, p2: False)
+    with pytest.raises(AssertionError, match="^spread construction produced non-distant points$"):
+        spread_clique(2, 2)
+
+
 def test_spread_clique_lives_inside_the_graph():
     g = matrix_ring_graph(2, 2)
     idx = [g.index_of(p.label) for p in spread_clique(2, 2)]
@@ -319,6 +313,9 @@ def test_unit_difference_graph():
         unit_difference_graph(2, 5, vertex_bound=400)
     with pytest.raises(ValueError):
         unit_difference_graph(0, 3)
+    # refused from 2^(m(m-1)/2) alone, before the slow exact |GL_m(q)|
+    with pytest.raises(BoundExceeded, match=r"^GL_200\(2\) has at least 2\^19900 elements, bound 20000$"):
+        unit_difference_graph(200, 2)
 
 
 def test_unit_difference_max_clique_attains_qm_minus_1():

@@ -31,6 +31,7 @@ PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
 TIMEOUT_S = 900
 
 GRAPHS = "src/ringline/graphs.py"
+VERIFICATION = "src/ringline/verification.py"
 MUTANTS = [
     # node charges
     (
@@ -135,6 +136,17 @@ MUTANTS = [
         "    cand = _common_neighbors(g, base) & sum(1 << v for v in dict(zip(reversed(g.adj), range(g.n - 1, -1, -1))).values())\n",
         "twin classes in the census and the profile",
     ),
+    # the acceptance checks, each of which must report its own failure
+    (VERIFICATION, "if got != gl_order(m, q):", "if False:", "criterion 8 weights unchecked"),
+    (
+        VERIFICATION,
+        "if (g.adj[u] & g.adj[v]).bit_count() != want_codeg:",
+        "if False:",
+        "criterion 2 codegrees unchecked",
+    ),
+    (VERIFICATION, "if not coeffs_theorem_check(m, k):", "if False:", "criterion 9 coefficient identity unchecked"),
+    (VERIFICATION, "if cap_n_N_comm(spec, 5) % 30:", "if False:", "criterion 10 cap5N unchecked"),
+    (VERIFICATION, "if serial != parallel:", "if False:", "criterion 13 determinism unchecked"),
 ]
 
 
