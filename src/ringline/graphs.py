@@ -1,11 +1,12 @@
 """Finite simple graphs as bitset adjacency rows, plus the loop graph T.
 
-Vertices are 0..n-1; row v is a Python int whose bit u is set when
-u ~ v.  Graphs are immutable after construction and safe to share
-across workers.  T, the single vertex with a loop, is the identity of
-the tensor product and is rejected by every other combinator.  It is
-the one graph whose row holds its loop: the constructor reads T off the
-row (1,), so Graph(1, [1]) is T, and every other loop raises.
+Vertices are 0..n-1; row v is a Python int whose bit u is set when u ~ v.
+Graphs are safe to share across workers, and immutable after construction
+but for the symmetry record below, which is set once: a second build of it
+is the same value.  T, the single vertex with a loop, is the identity of
+the tensor product and is rejected by every other combinator.  It is the
+one graph whose row holds its loop: the constructor reads T off the row
+(1,), so Graph(1, [1]) is T, and every other loop raises.
 
 The tensor product and the blow-up are row arithmetic on one spread
 rule: spread(row, w) moves bit u of row to bit u * w.  A number below
@@ -71,13 +72,13 @@ generators, only the least vertex of each twin class (equal rows) is
 walked: twins are never adjacent, so a clique holds at most one.
 
 A graph may carry generators, vertex permutations its constructor claims
-are automorphisms (the ring constructors do).  The constructor checks
-each once, in the symmetry pass and on its strings, and stores two levels
-of orbit tables: the vertex orbits, with each vertex's orbit, and for the
-least vertex r of each orbit the suborbits, the orbits on adj[r] of the
-generators that fix r, each with its bit mask and that of the suborbits
-after it in the leaf step's order below.  Only _anchors reads these
-tables, with no check per call.
+are automorphisms.  The first _symmetry(g) checks them in one transpose
+check and keeps their record: each vertex's orbit, and per orbit its least
+vertex r, its size and the suborbits of r, the orbits on adj[r] of the
+generators that fix r, each with its mask and that of the later ones in
+the leaf step's order below.  Graph() calls it at once; ring constructors
+attach theirs by _with_generators, so no build pays for it and their
+first search checks them.  Only _anchors and _clique_search read it.
 
 Anchors.  Every search walks from anchors (members, cand, weight): an
 anchor fixes the clique members, walks cand, their common neighbours
@@ -210,13 +211,12 @@ class Graph:
     """n vertices, bitset rows adj, optional labels.
 
     generators is a tuple of vertex permutations (sigma[v] is the image of
-    v) that the constructor claims are automorphisms; each is checked here,
-    once, and one that is not raises ValueError.  The searches read
-    orbits, orbit_of and suborbits, the tables of _orbits, through _anchors
-    alone.  Equality and hashing ignore all four.
+    v) that the constructor claims are automorphisms; _symmetry checks them
+    here, and one that is not raises ValueError.  Equality and hashing
+    ignore the generators and their record.
     """
 
-    __slots__ = ("n", "adj", "is_T", "labels", "generators", "orbits", "orbit_of", "suborbits")
+    __slots__ = ("n", "adj", "is_T", "labels", "generators", "_orbits")
 
     def __init__(
         self,
@@ -228,10 +228,10 @@ class Graph:
         adj = tuple(adj)
         if len(adj) != n:
             raise ValueError("adjacency row count mismatch")
-        generators = tuple(tuple(sigma) for sigma in generators)
-        for i, sigma in enumerate(generators):
-            if sorted(sigma) != list(range(n)):
-                raise ValueError(f"generator {i} is not an automorphism")
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != n:
+                raise ValueError("label count mismatch")
         is_T = adj == (1,)
         if not is_T:
             mask = (1 << n) - 1
@@ -240,25 +240,15 @@ class Graph:
                     raise ValueError(f"row {v} has bits outside the vertex range")
                 if row >> v & 1:
                     raise ValueError(f"loop at vertex {v}")
-            # on symmetric rows, sigma is an automorphism iff the rows
-            # adj[sigma[v]] are the transpose of adj[sigma^-1[u]]; each side
-            # holds the set bits of adj, so every mismatch shows as a pair
-            bad, *failed = _check_transpose(adj, adj, [range(n), *generators])
+            (bad,) = _check_transpose(adj, adj, [range(n)])
             if bad is not None:
                 raise ValueError("asymmetric edge {}->{}".format(*bad))
-            for i, fail in enumerate(failed):
-                if fail is not None:
-                    raise ValueError(f"generator {i} is not an automorphism")
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise ValueError("label count mismatch")
         self.n = n
         self.adj = adj
         self.is_T = is_T
         self.labels = labels
-        self.generators = generators
-        self.orbits, self.orbit_of, self.suborbits = _orbits(adj, generators)
+        if _with_generators(self, generators).generators:
+            _symmetry(self)
 
     @classmethod
     def T(cls) -> "Graph":
@@ -601,28 +591,37 @@ def _orbit_table(vertices: Iterable[int], generators: Sequence[Sequence[int]]):
     return index, table
 
 
-def _orbits(adj: Sequence[int], generators: Sequence[Sequence[int]]):
-    """(orbits, orbit_of, suborbits), the tables that Graph.__init__ stores
-    once it has checked the generators, all None without generators.
+def _with_generators(g: Graph, generators: Iterable[Sequence[int]]) -> Graph:
+    """g carrying generators, unchecked until _symmetry(g) first runs."""
+    g.generators, g._orbits = tuple(tuple(sigma) for sigma in generators), None
+    return g
 
-    orbits lists (least vertex, size) of every orbit of the group generated
-    by the generators, in vertex order, and orbit_of[v] is the position of
-    the orbit of v in it.  suborbits[i] lists, the same way, the orbits on
-    adj[r], r the least vertex of orbit i, of the subgroup generated by the
-    generators that fix r, as (least vertex, size, own, later): own is the
-    suborbit as a bitmask, and later the union of the suborbits after it
-    when they are ordered by size, largest first, ties by table position.
-    It is None when those generators merge no two neighbours.
-    """
-    if not generators:
-        return None, None, None
-    index, orbits = _orbit_table(range(len(adj)), generators)
-    suborbits = []
-    for r, _ in orbits:
+
+def _symmetry(g: Graph):
+    """The symmetry record (orbit_of, orbits) of g, built and kept on the
+    first call once each generator is a bijection and an automorphism, else
+    ValueError names the first that is not.  orbits lists (r, size,
+    suborbits) per orbit, r its least vertex, in vertex order; orbit_of[v]
+    is the position of the orbit of v.  suborbits lists the orbits on adj[r]
+    of the generators that fix r as (least vertex, size, own, later), own its
+    bitmask and later that of those after it by size, largest first, ties by
+    table position; None if they merge no two neighbours."""
+    if g._orbits is not None:
+        return g._orbits
+    adj, generators = g.adj, g.generators
+    failed = [sorted(sigma) != list(range(g.n)) for sigma in generators]
+    # on symmetric rows, sigma is an automorphism iff the rows adj[sigma[v]] are the
+    # transpose of adj[sigma^-1[u]]; both hold adj's set bits, so a mismatch shows as a pair
+    for i, fail in enumerate(failed if any(failed) else _check_transpose(adj, adj, list(generators))):
+        if fail:
+            raise ValueError(f"generator {i} is not an automorphism")
+    orbit_of, reps = _orbit_table(range(g.n), generators)
+    orbits = []
+    for r, size in reps:
         neighbours = _bits(adj[r])
         place, table = _orbit_table(neighbours, [sigma for sigma in generators if sigma[r] == r])
         if len(table) == len(neighbours):
-            suborbits.append(None)
+            orbits.append((r, size, None))
             continue
         order = sorted(range(len(table)), key=lambda i: -table[i][1])  # largest first, ties by position
         own = [0] * len(table)
@@ -634,8 +633,9 @@ def _orbits(adj: Sequence[int], generators: Sequence[Sequence[int]]):
         for i in reversed(order):
             entries[i] = (*table[i], own[i], later)
             later |= own[i]
-        suborbits.append(entries)
-    return orbits, [index[v] for v in range(len(adj))], suborbits
+        orbits.append((r, size, entries))
+    g._orbits = orbit_of, orbits
+    return g._orbits
 
 
 def _anchors(g: Graph, base: list[int], top: int) -> list[tuple[list[int], int, int, int, int]]:
@@ -647,20 +647,20 @@ def _anchors(g: Graph, base: list[int], top: int) -> list[tuple[list[int], int, 
     twice at double it: cand and nothing, but for a pair anchor (r, s) at
     top = 3 the part of cand in the suborbit of s and the part in the
     suborbits after it, largest first."""
-    if g.orbits and len(base) < min(top, 2):
-        reps = [(g.orbits[g.orbit_of[base[0]]][0], 1)] if base else g.orbits
-        tables = top > 1 and [g.suborbits[g.orbit_of[r]] for r, _ in reps]
-        if tables and all(tables):
+    if g.generators and len(base) < min(top, 2):
+        orbit_of, orbits = _symmetry(g)
+        reps = [orbits[orbit_of[base[0]]]] if base else orbits
+        if top > 1 and reps and all(table for _, _, table in reps):
             anchors = []
-            for (r, w), table in zip(reps, tables):
+            for r, w, table in reps:
                 for s, size, own, later in table:
                     cand = g.adj[r] & g.adj[s]
                     # a leaf step meets each neighbour pair of r once, from the larger suborbit
                     once, twice = (cand & own, cand & later) if top == 3 else (cand, 0)
-                    anchors.append(([r, s], cand, w * size, once, twice))
+                    anchors.append(([r, s], cand, size if base else w * size, once, twice))
             return anchors
-        if not base:
-            return [([r], g.adj[r], w, g.adj[r], 0) for r, w in reps]
+        if reps and not base:
+            return [([r], g.adj[r], w, g.adj[r], 0) for r, w, _ in reps]
     cand = _common_neighbors(g, base)
     return [(base, cand, 1, cand, 0)]
 
@@ -876,7 +876,7 @@ def _branch_and_bound(
 def _clique_search(g: Graph, floor: int, ceiling: int, budget: int, what: str) -> list[int]:
     """_branch_and_bound from the anchors of the clique searches (module docstring)."""
     if g.generators:
-        return _branch_and_bound(g.adj, floor, ceiling, budget, what, _anchors(g, [], 1), len(g.orbits) == 1)
+        return _branch_and_bound(g.adj, floor, ceiling, budget, what, _anchors(g, [], 1), len(_symmetry(g)[1]) == 1)
     least = len(set(g.adj)) < g.n and dict(zip(reversed(g.adj), range(g.n - 1, -1, -1)))  # each row's least vertex
     cand = sum(1 << v for v in least.values()) if least else (1 << g.n) - 1
     return _branch_and_bound(g.adj, floor, ceiling, budget, what, [([], cand)])

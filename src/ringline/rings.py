@@ -32,10 +32,10 @@ The unit-difference graph is the induced subgraph on the points (A | I),
 since det[A, I; B, I] = det(A - B).  `points_distant` and `mat_det` stay
 as the reference the tests compare the kernel against.
 
-The three constructors above also give their graphs generators of a
+The three constructors above also attach generators of a
 vertex-transitive automorphism group, built from their own index tables
-or minors, and some of them fix vertex 0, so that the profile through a
-vertex can be searched per suborbit of vertex 0 (see `ringline.graphs`):
+or minors and checked at the first search; some fix vertex 0, so that the
+profile through a vertex is searched per suborbit of it (`ringline.graphs`):
 
 * P(Z/n): (a:b) -> (-b:a), and (a:b) -> (a:a+b), which fixes 0:1 and
   moves its n neighbours as one orbit.
@@ -71,7 +71,7 @@ from pathlib import Path
 from .config import VERTEX_BOUND
 from .errors import BoundExceeded, Record
 from .fields import GF, factor_prime_power, factorize, find_primitive, gf_of
-from .graphs import Graph, blowup, tensor_product
+from .graphs import Graph, _with_generators, blowup, tensor_product
 from .linalg import (
     MatrixGF,
     _echelon,
@@ -258,7 +258,7 @@ def zn_projective_line(n: int, vertex_bound: int = VERTEX_BOUND) -> Graph:
         [vertex[_crt_index(factors, _local_indices(factors, -b, a))] for a, b in verts],
         [vertex[_crt_index(factors, _local_indices(factors, a, a + b))] for a, b in verts],
     ]
-    return Graph(len(verts), rows, [f"{a}:{b}" for a, b in verts], generators=generators)
+    return _with_generators(Graph(len(verts), rows, [f"{a}:{b}" for a, b in verts]), generators)
 
 
 def _zn_points(n: int, factors, vertex_bound: int) -> list[tuple[int, int]]:
@@ -425,7 +425,7 @@ def matrix_ring_graph(m: int, q: int | GF, vertex_bound: int = VERTEX_BOUND) -> 
     minors = _plucker(F, m, bases)
     generators = _plucker_images(F, m, minors, _line_generators(F, m))
     labels = [_rows_label(F.q, rows) for rows in bases]
-    return Graph(len(bases), _pairing_rows(F, m, minors), labels, generators=generators)
+    return _with_generators(Graph(len(bases), _pairing_rows(F, m, minors), labels), generators)
 
 
 def _minor_plan(m: int) -> list[list[list[tuple[int, int, int]]]]:
@@ -643,7 +643,7 @@ def unit_difference_graph(m: int, q: int | GF, vertex_bound: int = VERTEX_BOUND)
         moves += [_block(jsj, zero, zero, s), _block(zero, t, jtj, zero)]
     generators = _plucker_images(F, m, minors, moves)
     labels = [_rows_label(F.q, rows) for rows in mats]
-    return Graph(len(mats), _pairing_rows(F, m, minors), labels, generators=generators)
+    return _with_generators(Graph(len(mats), _pairing_rows(F, m, minors), labels), generators)
 
 
 def spread_clique(m: int, q: int | GF) -> list[SubspacePoint]:

@@ -23,13 +23,14 @@ from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 from ringline import graphs
+from ringline.cli import main
 from ringline.errors import BoundExceeded, BudgetExceeded
 from ringline.graphs import (
     _SYMMETRY_BLOCK,
     Graph,
     _bits,
     _branch_and_bound,
-    _orbits,
+    _symmetry,
     blowup,
     complement,
     count_cliques,
@@ -128,6 +129,15 @@ def test_input_checks(call, want):
             call()
     else:
         assert call() is want
+
+
+def test_label_count_is_checked_before_the_symmetry_pass(monkeypatch):
+    def check(*args):
+        raise AssertionError("the symmetry pass ran before the label count check")
+
+    monkeypatch.setattr(graphs, "_check_transpose", check)
+    with pytest.raises(ValueError, match="^label count mismatch$"):
+        Graph(3, [0b110, 0b101, 0b011], ["a", "b"])
 
 
 def first_asymmetric_edge(rows):
@@ -610,7 +620,7 @@ def two_orbit_graph() -> Graph:
 def test_budget_error_says_how_far_the_search_got():
     # dives from 0 (2 vertices) and 5 (4), then one node per representative
     g = two_orbit_graph()
-    assert g.orbits == [(0, 5), (5, 4)] and max_clique_order(g, node_budget=8) == 4
+    assert _symmetry(g)[1] == [(0, 5, None), (5, 4, None)] and max_clique_order(g, node_budget=8) == 4
     with pytest.raises(BudgetExceeded) as err:
         max_clique_order(g, node_budget=7)
     assert str(err.value) == (
@@ -652,7 +662,7 @@ def test_census_and_profile_budget_errors_say_how_far_they_got(eager_pool, seria
     # two level-1 anchors, adj[0] of the 5-cycle (done at 4 nodes) and adj[5]
     # of the K_4, whose 4-clique is counted at node 7
     g = two_orbit_graph()
-    assert count_cliques(g, 4).nodes == 11 and g.suborbits == [None, None]
+    assert count_cliques(g, 4).nodes == 11 and [table for _, _, table in _symmetry(g)[1]] == [None, None]
     want = {
         (count_cliques, 4, 4): "census exceeded 4 nodes; largest clique found: 2, anchors finished: 1 of 2, "
         "roots finished: 0 of 3",
@@ -1050,8 +1060,8 @@ def test_suborbit_node_charge(eager_pool):
     # split those roots and agree
     for g in (matrix_ring_graph(2, 3), unit_difference_graph(2, 3), zn_projective_line(30)):
         c = g.n - 1
-        r = g.orbits[g.orbit_of[c]][0]
-        suborbits = g.suborbits[g.orbit_of[c]]
+        orbit_of, orbits = _symmetry(g)
+        r, _, suborbits = orbits[orbit_of[c]]
         assert suborbits is not None
         common = [g.adj[r] & g.adj[s] for s, _, _, _ in suborbits]
         edges = [sum((g.adj[v] & cand).bit_count() for v in range(g.n) if cand >> v & 1) // 2 for cand in common]
@@ -1073,7 +1083,7 @@ def test_suborbit_node_charge(eager_pool):
 def pair_anchors(g: Graph) -> list[tuple[int, int, int]]:
     """(r, s, weight) for r the least vertex of each orbit and s the least
     vertex of each of its suborbits, read from the tables."""
-    return [(r, s, size * part) for i, (r, size) in enumerate(g.orbits) for s, part, _, _ in g.suborbits[i]]
+    return [(r, s, size * part) for r, size, table in _symmetry(g)[1] for s, part, _, _ in table]
 
 
 @pytest.mark.parametrize("case", ORBIT_GRAPHS, ids=lambda c: "-".join(map(str, c[:-1])))
@@ -1083,13 +1093,14 @@ def test_pair_anchors_equal_the_level_one_walk(case, monkeypatch):
     # test_orbit_search_equals_plain_walk on the cases without tables
     kind, *args, _ = case
     g, big = BUILD[kind](*args), 10**8
-    tables = all(table is not None for table in g.suborbits)
+    tables = all(table is not None for _, _, table in _symmetry(g)[1])
     assert tables == (kind != "GL" or args[0] > 1)  # GL_1(q) fixes no vertex
     census = count_cliques(g, 5, node_budget=big)
     profiles = [extension_profile(g, k, node_budget=big) for k in (2, 3, 4)]
     if tables:
         assert census.nodes >= len(pair_anchors(g))
-    monkeypatch.setattr(g, "suborbits", [None] * len(g.orbits))
+    orbit_of, orbits = _symmetry(g)
+    monkeypatch.setattr(g, "_orbits", (orbit_of, [(r, size, None) for r, size, _ in orbits]))
     level_one = count_cliques(g, 5, node_budget=big)
     assert census.counts == level_one.counts
     assert profiles == [extension_profile(g, k, node_budget=big) for k in (2, 3, 4)]
@@ -1104,15 +1115,15 @@ def assert_anchor_rule(g: Graph) -> None:
     all of cand at its weight, except a pair anchor at k = 3: it walks one
     part of cand at its weight and another, disjoint from it, at double it."""
     full = (1 << g.n) - 1
-    level_one = [([r], g.adj[r], size, g.adj[r], 0) for r, size in g.orbits] if g.generators else [([], full, 1, full, 0)]
+    orbit_of, orbits = _symmetry(g) if g.generators else ({}, [])
+    level_one = [([r], g.adj[r], size, g.adj[r], 0) for r, size, _ in orbits] if g.generators else [([], full, 1, full, 0)]
     assert graphs._anchors(g, [], 1) == level_one
     if g.generators:
         assert sum(w for _, _, w, *_ in level_one) == g.n
-    tables = bool(g.generators) and all(table is not None for table in g.suborbits)
+    tables = bool(g.generators) and all(table is not None for _, _, table in orbits)
     pairs = graphs._anchors(g, [], 2)
     if tables:
-        orbits = zip(g.orbits, g.suborbits)
-        common = [(r, s, g.adj[r] & g.adj[s], size * part) for (r, size), table in orbits for s, part, _, _ in table]
+        common = [(r, s, g.adj[r] & g.adj[s], size * part) for r, size, table in orbits for s, part, _, _ in table]
         assert pairs == [([r, s], cand, w, cand, 0) for r, s, cand, w in common]
         assert all(g.has_edge(r, s) for (r, s), *_ in pairs)
         assert sum(w for _, _, w, *_ in pairs) == 2 * g.edge_count()
@@ -1123,8 +1134,8 @@ def assert_anchor_rule(g: Graph) -> None:
         assert pairs == level_one
     for c in {0, g.n // 2, g.n - 1}:
         through = graphs._anchors(g, [c], 2)
-        if g.generators and g.suborbits[g.orbit_of[c]] is not None:
-            r = g.orbits[g.orbit_of[c]][0]
+        r, _, table = orbits[orbit_of[c]] if g.generators else (c, 1, None)
+        if table is not None:
             assert all(members[0] == r and cand == g.adj[r] & g.adj[members[1]] for members, cand, *_ in through)
             assert sum(w for _, _, w, *_ in through) == g.degree(c)
         else:
@@ -1173,7 +1184,7 @@ def test_pair_node_charge(eager_pool, serial_pool):
             sum(sum(is_clique(g, c) for c in combinations(_bits(cand), j)) for cand in common) for j in (1, 2, 3)
         ]
         leaf = sum(leaf_walks(g, r)[s] for r, s, _ in pairs)
-        assert (leaf, cliques[0]) == ((29, 61) if len(pairs) > len(g.orbits) else (cliques[0],) * 2)
+        assert (leaf, cliques[0]) == ((29, 61) if len(pairs) > len(_symmetry(g)[1]) else (cliques[0],) * 2)
         need = {k: len(pairs) + sum(cliques[: k - 2]) for k in (4, 5)}
         need[3] = len(pairs) + leaf
         for k, nodes in need.items():
@@ -1241,7 +1252,8 @@ def assert_leaf_step_equals_plain_walk(g: Graph) -> None:
         used.append(out[2])
         return out
 
-    runs = [(count_cliques, 3, {})] + [(extension_profile, 3, {"containing": base}) for base in [[]] + [[r] for r, _ in g.orbits]]
+    bases = [[]] + [[r] for r, _, _ in _symmetry(g)[1]]
+    runs = [(count_cliques, 3, {})] + [(extension_profile, 3, {"containing": base}) for base in bases]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool_class([]))
         mp.setattr(graphs, "_search", spy)
@@ -1278,14 +1290,17 @@ def test_leaf_step_equals_plain_walk_property(g):
 def test_drawn_graphs_reach_the_pairs_and_the_level_one_fallback():
     # test_orbit_search_equals_plain_walk_property draws graphs of both kinds
     def tables(g: Graph) -> bool:
-        return all(table is not None for table in g.suborbits)
+        return all(table is not None for _, _, table in _symmetry(g)[1])
 
     settings_ = settings(database=None, max_examples=500, phases=[Phase.generate])
     assert tables(find(graphs_with_generators(), tables, settings=settings_))
     assert not tables(find(graphs_with_generators(), lambda g: not tables(g), settings=settings_))
     # and, for test_leaf_step_equals_plain_walk_property, suborbits that split the leaf step
-    split = find(graphs_with_generators(), lambda g: tables(g) and all(len(t) > 1 for t in g.suborbits), settings=settings_)
-    assert min(len(table) for table in split.suborbits) >= 2
+    def split_leaf(g: Graph) -> bool:
+        return tables(g) and all(len(table) > 1 for _, _, table in _symmetry(g)[1])
+
+    split = find(graphs_with_generators(), split_leaf, settings=settings_)
+    assert min(len(table) for _, _, table in _symmetry(split)[1]) >= 2
 
 
 def test_generator_that_is_no_automorphism_raises():
@@ -1306,7 +1321,7 @@ def test_generator_that_is_no_automorphism_raises():
     n = 2 * _SYMMETRY_BLOCK + 37
     rows = [sum(1 << (v + d) % n for d in (1, 2, -1, -2)) for v in range(n)]
     shift = [(v + 1) % n for v in range(n)]
-    assert Graph(n, rows, generators=[shift]).orbits == [(0, n)]
+    assert _symmetry(Graph(n, rows, generators=[shift]))[1] == [(0, n, None)]
     for v in (20, n - 20):
         swapped = list(shift)
         swapped[v], swapped[v + 1] = swapped[v + 1], swapped[v]
@@ -1315,22 +1330,73 @@ def test_generator_that_is_no_automorphism_raises():
 
 
 def test_searches_do_not_check_generators_again(monkeypatch):
+    # the first search checks the generators and builds the record; no later one does either
     g = matrix_ring_graph(2, 3)
     h = plain(g)
     want = count_cliques(h, 4).counts, extension_profile(h, 3), max_clique_order(h)
     through = extension_profile(h, 4, containing=[g.n - 1])
+    assert count_cliques(g, 4).counts == want[0]
 
     def check(*args):
         raise AssertionError("a search checked the generators again")
 
     monkeypatch.setattr(graphs, "_check_transpose", check)
-    monkeypatch.setattr(graphs, "verify_isomorphism", check)
-    monkeypatch.setattr(graphs, "_orbits", check)
+    monkeypatch.setattr(graphs, "_orbit_table", check)
     assert (count_cliques(g, 4).counts, extension_profile(g, 3), max_clique_order(g)) == want
     assert extension_profile(g, 4, containing=[g.n - 1]) == through
     witness = find_clique(g, want[2])
     assert witness is not None and len(witness) == want[2] and is_clique(g, witness)
     assert find_clique(g, want[2] + 1) is None
+
+
+def test_deferred_generator_that_is_no_automorphism_raises_at_each_first_search():
+    # attached as the ring constructors attach theirs, a bad generator builds,
+    # and every search that reads the record raises; a failed check keeps
+    # nothing, so each search checks again
+    g = matrix_ring_graph(2, 3)
+    sigma = list(g.generators[0])
+    sigma[0], sigma[1] = sigma[1], sigma[0]  # two images swapped
+    bad = graphs._with_generators(Graph(g.n, g.adj, g.labels), [g.generators[1], sigma])
+    searches = [
+        partial(count_cliques, bad, 3),
+        partial(extension_profile, bad, 3),
+        partial(find_clique, bad, 3),
+        partial(max_clique_order, bad),
+    ]
+    for search in searches:
+        with pytest.raises(ValueError, match="^generator 1 is not an automorphism$"):
+            search()
+        assert bad._orbits is None
+
+
+def test_ring_graphs_are_built_without_their_symmetry_record(monkeypatch, tmp_path, capsys):
+    # one transpose check each, of the rows alone; the generators wait for a search
+    calls, check = [], graphs._check_transpose
+
+    def spy(rows, cols, perms):
+        calls.append(perms)
+        return check(rows, cols, perms)
+
+    def refuse(*args):
+        raise AssertionError("a build made the symmetry record")
+
+    monkeypatch.setattr(graphs, "_check_transpose", spy)
+    monkeypatch.setattr(graphs, "_orbit_table", refuse)
+    builds = [
+        partial(zn_projective_line, 30),
+        partial(matrix_ring_graph, 2, 3),
+        partial(unit_difference_graph, 2, 3),
+        partial(spec_graph, RingSpec([MatrixRing(2, 2)])),
+    ]
+    for build in builds:
+        calls.clear()
+        g = build()
+        assert calls == [[range(g.n)]] and g.generators and g._orbits is None
+    calls.clear()
+    spec = tmp_path / "m23.json"
+    spec.write_text('{"summands": [{"matrix": {"m": 2, "q": 3}}], "radical": 1}')
+    assert main(["build", "--spec", str(spec)]) == 0
+    assert calls == [[range(130)]] and capsys.readouterr().out == "130 vertices, 81-regular, 5265 edges\n"
 
 
 @st.composite
@@ -1430,7 +1496,7 @@ def circulant(m: int, dist: set[int], isolated: int = 0) -> Graph:
 
 def test_greedy_coclique_is_independent_and_tight_on_the_ring_graphs():
     for g, omega in ((matrix_ring_graph(2, 3), 10), (unit_difference_graph(2, 5), 24), (matrix_ring_graph(2, 9), 82)):
-        assert len(g.orbits) == 1
+        assert len(_symmetry(g)[1]) == 1
         coclique = graphs._coclique(g.adj, 0)
         members = sum(1 << v for v in coclique)
         assert coclique == sorted(coclique) and all(g.adj[v] & members == 0 for v in coclique)
@@ -1464,7 +1530,7 @@ def test_two_orbits_take_no_coclique_ceiling(monkeypatch):
     # and 10 // |I| = 2 would end the search there, but the graph is not
     # vertex-transitive and has a triangle
     g = circulant(9, {1, 3}, isolated=1)
-    assert g.orbits == [(0, 9), (9, 1)] and g.n // len(graphs._coclique(g.adj, 0)) == 2
+    assert [orbit[:2] for orbit in _symmetry(g)[1]] == [(0, 9), (9, 1)] and g.n // len(graphs._coclique(g.adj, 0)) == 2
     assert max_clique_order(g) == 3 and is_clique(g, find_clique(g, 3))
 
     def refuse(*args):
@@ -1476,7 +1542,7 @@ def test_two_orbits_take_no_coclique_ceiling(monkeypatch):
 
 def test_zero_vertex_graph_with_generators_takes_no_coclique_ceiling():
     g = Graph(0, [], generators=[[]])
-    assert g.generators and g.orbits == []
+    assert g.generators and _symmetry(g) == ({}, [])
     assert max_clique_order(g) == 0 and find_clique(g, 0) == [] and find_clique(g, 1) is None
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ringline.errors import BoundExceeded
 from ringline.graphs import (
     Graph,
+    _symmetry,
     blowup,
     complement,
     disjoint_union,
@@ -396,8 +397,9 @@ BUILD = {"Z": zn_projective_line, "M": matrix_ring_graph, "GL": unit_difference_
 def test_ring_generators_give_one_orbit(family):
     kind, *args = family
     g = BUILD[kind](*args)
-    assert g.generators and g.orbits == [(0, g.n)] and set(g.orbit_of) == {0}
-    (suborbits,) = g.suborbits
+    orbit_of, orbits = _symmetry(g)
+    assert g.generators and [orbit[:2] for orbit in orbits] == [(0, g.n)] and set(orbit_of.values()) == {0}
+    ((_, _, suborbits),) = orbits
     if kind == "GL" and args[0] == 1:
         assert suborbits is None  # GL_1(q) is abelian: no generator fixes vertex 0
         return

@@ -58,7 +58,7 @@ MUTANTS = [
         "    cliques, rest = divmod(total, per)\n    if False:\n",
         "orbit sum remainder unchecked",
     ),
-    # the constructor's checks and tables
+    # the constructor's checks and the symmetry record
     (
         GRAPHS,
         "    for c0 in range(0, n, _SYMMETRY_BLOCK):\n",
@@ -67,7 +67,13 @@ MUTANTS = [
     ),
     (GRAPHS, "                if row >> v & 1:\n", "                if False:\n", "loops accepted"),
     (GRAPHS, "        is_T = adj == (1,)\n", "        is_T = n == 1\n", "every one-vertex graph is T"),
-    (GRAPHS, "                if fail is not None:\n", "                if False:\n", "generators unchecked"),
+    (GRAPHS, "        if fail:\n", "        if False:\n", "generators unchecked"),
+    (
+        GRAPHS,
+        "enumerate(failed if any(failed) else _check_transpose(adj, adj, list(generators)))",
+        "enumerate(failed)",
+        "record built without the automorphism check",
+    ),
     (
         GRAPHS,
         "[sigma for sigma in generators if sigma[r] == r]",
@@ -113,7 +119,12 @@ MUTANTS = [
     # the branch and bound
     (GRAPHS, "        if best >= ceiling:\n            break\n", "", "search goes on past its first witness"),
     # the clique-coclique ceiling and the twin classes
-    (GRAPHS, "_anchors(g, [], 1), len(g.orbits) == 1)", "_anchors(g, [], 1), True)", "coclique ceiling on every orbit count"),
+    (
+        GRAPHS,
+        "_anchors(g, [], 1), len(_symmetry(g)[1]) == 1)",
+        "_anchors(g, [], 1), True)",
+        "coclique ceiling on every orbit count",
+    ),
     (GRAPHS, "left ^= lsb | (left & adj[out[-1]])", "left ^= lsb", "coclique keeps the neighbours"),
     (GRAPHS, "n // len(_coclique(adj, best)))", "n // len(_coclique(adj, best)) + 1)", "coclique ceiling one too high"),
     (GRAPHS, "n // len(_coclique(adj, best)))", "n // len(_coclique(adj, best)) - 1)", "coclique ceiling one too low"),
@@ -125,9 +136,9 @@ MUTANTS = [
     ),
     (
         GRAPHS,
-        "_anchors(g, [], 1), len(g.orbits) == 1)",
+        "_anchors(g, [], 1), len(_symmetry(g)[1]) == 1)",
         "[(m, c & sum(1 << v for v in dict(zip(reversed(g.adj), range(g.n - 1, -1, -1))).values()), *rest)"
-        " for m, c, *rest in _anchors(g, [], 1)], len(g.orbits) == 1)",
+        " for m, c, *rest in _anchors(g, [], 1)], len(_symmetry(g)[1]) == 1)",
         "twin classes on graphs with generators",
     ),
     (
