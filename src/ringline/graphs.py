@@ -1,12 +1,13 @@
 """Finite simple graphs as bitset adjacency rows, plus the loop graph T.
 
 Vertices are 0..n-1; row v is a Python int whose bit u is set when u ~ v.
-Graphs are safe to share across workers, and immutable after construction
-but for the symmetry record below, which is set once: a second build of it
-is the same value.  T, the single vertex with a loop, is the identity of
-the tensor product and is rejected by every other combinator.  It is the
-one graph whose row holds its loop: the constructor reads T off the row
-(1,), so Graph(1, [1]) is T, and every other loop raises.
+Graphs are safe to share across workers.  Rows and labels never change;
+the generators below are attached once, as the graph is built, and their
+record is set once: a second build of it is the same value.  T, the
+single vertex with a loop, is the identity of the tensor product and is
+rejected by every other combinator.  It is the one graph whose row holds
+its loop: the constructor reads T off the row (1,), so Graph(1, [1]) is
+T, and every other loop raises.
 
 The tensor product and the blow-up are row arithmetic on one spread
 rule: spread(row, w) moves bit u of row to bit u * w.  A number below
@@ -72,13 +73,14 @@ generators, only the least vertex of each twin class (equal rows) is
 walked: twins are never adjacent, so a clique holds at most one.
 
 A graph may carry generators, vertex permutations its constructor claims
-are automorphisms.  The first _symmetry(g) checks them in one transpose
-check and keeps their record: each vertex's orbit, and per orbit its least
-vertex r, its size and the suborbits of r, the orbits on adj[r] of the
-generators that fix r, each with its mask and that of the later ones in
-the leaf step's order below.  Graph() calls it at once; ring constructors
-attach theirs by _with_generators, so no build pays for it and their
-first search checks them.  Only _anchors and _clique_search read it.
+are automorphisms.  They enter only by _with_generators, as the ring
+constructors attach theirs; Graph() takes none, so no build pays for a
+check.  The first _symmetry(g), at the first search, checks them in one
+transpose check and keeps their record: each vertex's orbit, and per
+orbit its least vertex r, its size and the suborbits of r, the orbits on
+adj[r] of the generators that fix r, each with its mask and that of the
+later ones in the leaf step's order below.  Only _anchors and
+_clique_search read it.
 
 Anchors.  Every search walks from anchors (members, cand, weight): an
 anchor fixes the clique members, walks cand, their common neighbours
@@ -210,21 +212,15 @@ def _check_transpose(rows: Sequence[int], cols: Sequence[int], perms: list) -> l
 class Graph:
     """n vertices, bitset rows adj, optional labels.
 
-    generators is a tuple of vertex permutations (sigma[v] is the image of
-    v) that the constructor claims are automorphisms; _symmetry checks them
-    here, and one that is not raises ValueError.  Equality and hashing
-    ignore the generators and their record.
+    generators, empty unless _with_generators attaches them, is a tuple of
+    vertex permutations (sigma[v] is the image of v) claimed to be
+    automorphisms; the first search checks them, and one that is not raises
+    ValueError.  Equality and hashing ignore the generators and their record.
     """
 
     __slots__ = ("n", "adj", "is_T", "labels", "generators", "_orbits")
 
-    def __init__(
-        self,
-        n: int,
-        adj: Sequence[int],
-        labels: Sequence[str] | None = None,
-        generators: Iterable[Sequence[int]] = (),
-    ):
+    def __init__(self, n: int, adj: Sequence[int], labels: Sequence[str] | None = None):
         adj = tuple(adj)
         if len(adj) != n:
             raise ValueError("adjacency row count mismatch")
@@ -247,8 +243,7 @@ class Graph:
         self.adj = adj
         self.is_T = is_T
         self.labels = labels
-        if _with_generators(self, generators).generators:
-            _symmetry(self)
+        self.generators, self._orbits = (), None
 
     @classmethod
     def T(cls) -> "Graph":
@@ -780,9 +775,9 @@ def extension_profile(
         raise ValueError("k must be >= 0")
     if k < len(base):
         raise ValueError("k smaller than the fixed clique")
-    anchors = _anchors(g, base, k)
-    # a walk deeper than n visits the same cliques and reaches no leaf
-    return _search(g.adj, min(k, g.n + 1), anchors, node_budget, workers, len(base), True)[1]
+    if k > g.n:  # no clique has more than n vertices
+        return {}
+    return _search(g.adj, k, _anchors(g, base, k), node_budget, workers, len(base), True)[1]
 
 
 def _coclique(adj: Sequence[int], best: int) -> list[int]:

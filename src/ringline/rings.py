@@ -34,8 +34,9 @@ as the reference the tests compare the kernel against.
 
 The three constructors above also attach generators of a
 vertex-transitive automorphism group, built from their own index tables
-or minors and checked at the first search; some fix vertex 0, so that the
-profile through a vertex is searched per suborbit of it (`ringline.graphs`):
+or minors and checked once, at the first search; some fix vertex 0, so
+that the profile through a vertex is searched per suborbit of it
+(`ringline.graphs`):
 
 * P(Z/n): (a:b) -> (-b:a), and (a:b) -> (a:a+b), which fixes 0:1 and
   moves its n neighbours as one orbit.
@@ -48,8 +49,7 @@ profile through a vertex is searched per suborbit of it (`ringline.graphs`):
   antidiagonal J; its suborbits are the classes of GL_m(q) with no
   eigenvalue 0 or 1, merged with their inverses' (12 on GL_2(5)).
 
-`Graph` checks them once, when the graph is built.  Tensor products and
-blow-ups carry none.
+Tensor products and blow-ups carry none.
 
 Before they count their vertices exactly, the two matrix constructors
 refuse any m whose lower bound already passes the vertex bound:

@@ -20,6 +20,7 @@ from ringline.rings import parse_ring_spec, spec_graph
 Z6 = '{"summands": [{"local": {"R": 2, "J": 1}}, {"local": {"R": 3, "J": 1}}], "radical": 1}'
 M22 = '{"summands": [{"matrix": {"m": 2, "q": 2}}], "radical": 1}'
 M23 = '{"summands": [{"matrix": {"m": 2, "q": 3}}], "radical": 1}'
+M24 = '{"summands": [{"matrix": {"m": 2, "q": 4}}], "radical": 1}'
 TRIVIAL = '{"summands": [], "radical": 1}'
 
 TABLES_TEXT = """point counts [2m,m]_q
@@ -108,6 +109,16 @@ def test_census_unit_graph_profile_on_fixed_triangle(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "extension profile at k=4: 4:8, 8:1" in out
+
+
+def test_profile_past_n_is_empty_without_a_walk(tmp_path, capsys):
+    # P(M_2(4)) has 357 points, so no 358-clique: the profile is empty, not a
+    # walk that runs out of the default budget
+    argv = ["census", "--spec", spec_file(tmp_path, M24), "--kmax", "2", "--profile", "358"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "clique counts (k=0..2): 1,357,45696\nextension profile at k=358: \n"
+    assert main(argv + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == '{"counts": [1, 357, 45696], "profile": {}}\n'
 
 
 def test_census_csv(tmp_path, capsys):

@@ -31,6 +31,7 @@ from ringline.graphs import (
     _bits,
     _branch_and_bound,
     _symmetry,
+    _with_generators,
     blowup,
     complement,
     count_cliques,
@@ -402,12 +403,11 @@ def test_census_and_profile_past_n_walk_no_deeper(monkeypatch):
         capped, census = count_cliques(g, g.n), count_cliques(g, big)
         assert census.as_list() == capped.as_list() + [0] * (big - g.n)
         assert census.nodes == capped.nodes
-        assert extension_profile(g, big) == extension_profile(g, g.n + 1) == {}
-        for k in (g.n + 1, big):
-            with pytest.raises(BudgetExceeded):
-                extension_profile(g, k, node_budget=capped.nodes - 1)
+        for k in (g.n + 1, big):  # settled without a walk: no node charged
+            assert extension_profile(g, k) == extension_profile(g, k, node_budget=0) == {}
     assert extension_profile(Graph.complete(5), 5) == {0: 1}
-    assert max(depths) == 13  # n + 1: the profile walk on the 12 points of P(Z/6)
+    assert extension_profile(Graph.complete(25), 26) == {}
+    assert max(depths) == 12  # n: the census walk on the 12 points of P(Z/6)
 
 
 def test_census_past_n_stores_no_padding():
@@ -614,7 +614,7 @@ def two_orbit_graph() -> Graph:
     rows = [(1 << (v + 1) % 5) | (1 << (v - 1) % 5) for v in range(5)]
     rows += [sum(1 << u for u in range(5, 9) if u != v) for v in range(5, 9)]
     shift = [(v + 1) % 5 for v in range(5)] + [5 + (v - 4) % 4 for v in range(5, 9)]
-    return Graph(9, rows, generators=[shift])
+    return _with_generators(Graph(9, rows), [shift])
 
 
 def test_budget_error_says_how_far_the_search_got():
@@ -789,7 +789,7 @@ def test_find_clique_expands_no_representative_past_its_witness(monkeypatch):
     # pendant's search at its root (4), and the search from 4 finds the
     # 4-clique in 4 nodes: the budget has no node to spare for 5, 6 and 7
     edges = [(i, i + 4) for i in range(4)] + list(combinations(range(4, 8), 2))
-    g = Graph(8, Graph.from_edges(8, edges).adj, generators=[range(8)])
+    g = _with_generators(Graph.from_edges(8, edges), [range(8)])
     monkeypatch.setattr(graphs, "CENSUS_NODE_BUDGET", 24)
     assert sorted(find_clique(g, 4)) == [4, 5, 6, 7]
     monkeypatch.setattr(graphs, "CENSUS_NODE_BUDGET", 23)
@@ -859,7 +859,7 @@ def relabelled(g: Graph, perm) -> Graph:
     inverse = sorted(range(g.n), key=perm.__getitem__)
     rows = [sum(1 << perm[u] for u in range(g.n) if g.has_edge(inverse[w], u)) for w in range(g.n)]
     gens = [[perm[sigma[inverse[w]]] for w in range(g.n)] for sigma in g.generators]
-    return Graph(g.n, rows, generators=gens)
+    return _with_generators(Graph(g.n, rows), gens)
 
 
 def edge_walk_isomorphism(a: Graph, b: Graph, mapping) -> bool:
@@ -963,7 +963,7 @@ def graphs_with_generators(draw):
             negate.append(offset + (-v) % n)
         offset += n
     gens = draw(st.sampled_from([[shift], [negate], [shift, negate]]))
-    return Graph(offset, rows, generators=gens)
+    return _with_generators(Graph(offset, rows), gens)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1258,6 +1258,7 @@ def assert_leaf_step_equals_plain_walk(g: Graph) -> None:
         mp.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool_class([]))
         mp.setattr(graphs, "_search", spy)
         for run, k, kwargs in runs:
+            used.append(0)  # a profile at k > n runs no search and charges nothing
             want = run(h, k, node_budget=big, **kwargs)
             got = run(g, k, node_budget=big, **kwargs)
             nodes = used[-1]
@@ -1304,6 +1305,7 @@ def test_drawn_graphs_reach_the_pairs_and_the_level_one_fallback():
 
 
 def test_generator_that_is_no_automorphism_raises():
+    # each bad generator attaches without error, and the first search raises
     g = matrix_ring_graph(2, 3)
     sigma = list(g.generators[0])
     sigma[0], sigma[1] = sigma[1], sigma[0]  # two images swapped
@@ -1313,20 +1315,22 @@ def test_generator_that_is_no_automorphism_raises():
         (1, [g.generators[0], list(range(g.n - 1))]),  # too short
     ]
     for index, generators in bad:
+        h = _with_generators(Graph(g.n, g.adj, g.labels), generators)
         with pytest.raises(ValueError, match=f"^generator {index} is not an automorphism$"):
-            Graph(g.n, g.adj, g.labels, generators=generators)
+            count_cliques(h, 3)
     # past one column block: a circulant with the shift, and the shift with two
     # images swapped in the first block and in the last (distances 1 and 2, so
     # each swap breaks rows of its own block only)
     n = 2 * _SYMMETRY_BLOCK + 37
     rows = [sum(1 << (v + d) % n for d in (1, 2, -1, -2)) for v in range(n)]
     shift = [(v + 1) % n for v in range(n)]
-    assert _symmetry(Graph(n, rows, generators=[shift]))[1] == [(0, n, None)]
+    assert _symmetry(_with_generators(Graph(n, rows), [shift]))[1] == [(0, n, None)]
     for v in (20, n - 20):
         swapped = list(shift)
         swapped[v], swapped[v + 1] = swapped[v + 1], swapped[v]
+        h = _with_generators(Graph(n, rows), [shift, swapped])
         with pytest.raises(ValueError, match="^generator 1 is not an automorphism$"):
-            Graph(n, rows, generators=[shift, swapped])
+            count_cliques(h, 3)
 
 
 def test_searches_do_not_check_generators_again(monkeypatch):
@@ -1491,7 +1495,7 @@ def circulant(m: int, dist: set[int], isolated: int = 0) -> Graph:
     `isolated` vertices that the shift fixes."""
     rows = [sum(1 << u for u in range(m) if u != v and min((u - v) % m, (v - u) % m) in dist) for v in range(m)]
     shift = [(v + 1) % m for v in range(m)] + list(range(m, m + isolated))
-    return Graph(m + isolated, rows + [0] * isolated, generators=[shift])
+    return _with_generators(Graph(m + isolated, rows + [0] * isolated), [shift])
 
 
 def test_greedy_coclique_is_independent_and_tight_on_the_ring_graphs():
@@ -1541,7 +1545,7 @@ def test_two_orbits_take_no_coclique_ceiling(monkeypatch):
 
 
 def test_zero_vertex_graph_with_generators_takes_no_coclique_ceiling():
-    g = Graph(0, [], generators=[[]])
+    g = _with_generators(Graph(0, []), [[]])
     assert g.generators and _symmetry(g) == ({}, [])
     assert max_clique_order(g) == 0 and find_clique(g, 0) == [] and find_clique(g, 1) is None
 
@@ -1682,7 +1686,7 @@ def clique_ladder() -> Graph:
         rows += [block ^ 1 << v for v in range(offset, offset + size)]
         shift += [offset + (v + 1) % size for v in range(size)]
         offset += size
-    return Graph(offset, rows, generators=[shift])
+    return _with_generators(Graph(offset, rows), [shift])
 
 
 def test_hand_over_at_every_stop_point(serial_pool, monkeypatch):

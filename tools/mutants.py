@@ -94,7 +94,7 @@ MUTANTS = [
         "depth if depth > 1 else min(depth, 1))",
         "census takes floor 2 at kmax 2",
     ),
-    (GRAPHS, "min(k, g.n + 1), anchors", "min(k, g.n), anchors", "profile walk stops at n"),
+    (GRAPHS, "    if k > g.n:", "    if k >= g.n:", "profile at k = n taken for empty"),
     (GRAPHS, "roots[i::workers], w, twice)", "roots[i + 1 :: workers], w, twice)", "pool share offset by one root"),
     (GRAPHS, "        left = budget - nodes\n", "        left = budget\n", "pool share gets the whole budget"),
     (
