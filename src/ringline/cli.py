@@ -121,7 +121,7 @@ def cmd_census(args: argparse.Namespace) -> int:
         joined = ",".join(map(str, counts))
         print(f"clique counts (k=0..{args.kmax}): {joined}")
         if profile is not None:
-            body = ", ".join(f"{ext}:{cnt}" for ext, cnt in profile.items())
+            body = ", ".join(f"{ext}:{cnt}" for ext, cnt in profile.items()) or "none"
             print(f"extension profile at k={args.profile}: {body}")
     return 0
 

@@ -1,13 +1,13 @@
 """Finite simple graphs as bitset adjacency rows, plus the loop graph T.
 
 Vertices are 0..n-1; row v is a Python int whose bit u is set when u ~ v.
-Graphs are safe to share across workers.  Rows and labels never change;
-the generators below are attached once, as the graph is built, and their
-record is set once: a second build of it is the same value.  T, the
-single vertex with a loop, is the identity of the tensor product and is
-rejected by every other combinator.  It is the one graph whose row holds
-its loop: the constructor reads T off the row (1,), so Graph(1, [1]) is
-T, and every other loop raises.
+Rows and labels never change; the generators below, their record and its
+leaf tables are each set once, and built again are the same value, so
+graphs are safe to share across workers.  T, the single vertex with a
+loop, is the identity of the tensor product and is rejected by every
+other combinator.  It is the one graph whose row holds its loop: the
+constructor reads T off the row (1,), so Graph(1, [1]) is T, and every
+other loop raises; so does any bit past n or asymmetric edge.
 
 The tensor product and the blow-up are row arithmetic on one spread
 rule: spread(row, w) moves bit u of row to bit u * w.  A number below
@@ -16,47 +16,11 @@ that never overlap, so nothing carries.  Row (va, vb) of a x b is
 spread(a.adj[va], b.n) * b.adj[vb], and every copy of v in the t-fold
 blow-up has the row (2^t - 1) * spread(g.adj[v], t).
 
-Every constructor checks the rows in full: no bits outside the vertex
-range, no loops, and symmetry.  Symmetry is checked on transposed bit
-strings rather than edge by edge, by the one transpose check that also
-checks automorphisms and isomorphisms.  For a block of 512 columns, one
-string joins those bits of every row, and each column of the block is a
-strided slice of it that must equal the row string of the same vertex.
-A pass holds about 2 * n * 512 characters, so peak memory is
-O(n * block), never the n^2 characters of the whole matrix (400 MB at
-the 20,000-vertex bound).  A mismatch raises on the first edge v->u, least
-v then least u, whose reverse is missing.
-
-The census and the extension profile run one ordered backtracking walk:
-cliques are enumerated exactly once, in increasing vertex order, each
-charged one budget "node" and counted with its anchor's weight.  The
-last level is settled in one step per parent, or per anchor when it is
-the first: its candidates are charged and counted by a popcount, and
-binned by extension count only when there are common neighbours to bin
-by.  Exceeding the budget raises; there are no silent partial answers.
-The error names the largest clique counted, the members each anchor
-fixes included, the anchors finished of all and, when the anchor that
-ran out lists its roots, the roots finished of them.
-
-Set bits are read in one of two ways.  The lowest-bit loop costs three
-big-int operations per set bit (isolate, clear, bit_length); the string
-read (format(bits, "b") reversed and translated to bytes 0 and 1, the
-_selectors of itertools.compress) runs in C at a cost that follows the
-bit length.  _bits, which lists the anchors' roots and the orbit tables'
-neighbours, reads by string when at least one bit in _DENSE = 8 is set,
-and so does the leaf's binning loop when it has more than 16 candidates,
-picking their rows out of adj, so a sparse set never pays for its length.
-
-A search with workers walks its roots serially, in order, until it has
-charged more than _POOL_PROBE nodes, about what starting a pool costs a
-fresh process; a search that ends first never loads the pool.  The
-anchors not finished go to one pool of w processes, w the workers capped
-at the CPUs and at the widest anchor's roots: share i walks the cliques
-whose minimum vertex is root i, i + w, ... of the roots not yet walked,
-so counts, nodes and budget outcomes do not depend on w or on where the
-prefix stopped.  Each share may charge what the prefix left of the
-budget and returns, run out or not; only the parent raises, and a pooled
-run that runs out names how far its prefix got.
+The census and the extension profile run one ordered backtracking walk,
+_walk: cliques are enumerated exactly once, in increasing vertex order,
+each charged one budget "node" and counted with its anchor's weight.
+Exceeding the budget raises the one error of _search, which says how far
+the walk got; there are no silent partial answers.
 
 Clique existence (find_clique) and the maximum clique (max_clique_order)
 share a second core, a colour-bounded branch and bound: they need one
@@ -72,30 +36,19 @@ it is charged the one node of the root expansion it replaces.  Without
 generators, only the least vertex of each twin class (equal rows) is
 walked: twins are never adjacent, so a clique holds at most one.
 
-A graph may carry generators, vertex permutations its constructor claims
-are automorphisms.  They enter only by _with_generators, as the ring
-constructors attach theirs; Graph() takes none, so no build pays for a
-check.  The first _symmetry(g), at the first search, checks them in one
-transpose check and keeps their record: each vertex's orbit, and per
-orbit its least vertex r, its size and the suborbits of r, the orbits on
-adj[r] of the generators that fix r, each with its mask and that of the
-later ones in the leaf step's order below.  Only _anchors and
-_clique_search read it.
-
-Anchors.  Every search walks from anchors (members, cand, weight): an
-anchor fixes the clique members, walks cand, their common neighbours
-(or, in the one leaf step below, a part of it), and stands for the
-weight cliques that the automorphisms map it to.
-Floor 0 fixes the clique through which a profile runs (a census: the
-empty clique), weight 1, and is the oracle the others are tested
-against.  Floor 1 fixes r, the least vertex of each orbit, weighted by
-the orbit size.  Floor 2 fixes r and s, the least vertex of each suborbit
-of r, weighted by the orbit size times the suborbit size; through one
-vertex c it takes only the orbit of c, which an automorphism maps to r,
-weighted by the suborbit size alone.  An anchor that fixes j members
-beyond the b the search runs through is charged one node, and meets each
-k-clique once per ordered choice of j of its other k - b members, so the
-walk's sums are divided by perm(k - b, j).
+Anchors.  Generators enter a graph only by _with_generators, and the
+first search checks them and keeps their record (_symmetry).  Every
+search walks from anchors (_anchors), each standing for the cliques that
+the automorphisms map it to.  Floor 0 fixes the clique through which a
+profile runs (a census: the empty clique), weight 1, and is the oracle
+the others are tested against.  Floor 1 fixes r, the least vertex of each
+orbit, weighted by the orbit size.  Floor 2 fixes r and s, the least
+vertex of each suborbit of r, weighted by the orbit size times the
+suborbit size; through one vertex c it takes only the orbit of c, which
+an automorphism maps to r, weighted by the suborbit size alone.  An
+anchor that fixes j members beyond the b the search runs through is
+charged one node, and meets each k-clique once per ordered choice of j of
+its other k - b members, so the walk's sums are divided by perm(k - b, j).
 
 When the walk under a pair anchor (r, s) is one leaf step (a census to
 kmax = 3, a profile at k = 3), it would meet each pair of adjacent
@@ -109,7 +62,10 @@ the stabiliser of r maps what s_i meets in S_j onto what every vertex of
 S_i meets there.  Each pair is met once, from the larger suborbit, or
 twice inside one: GL_2(5) walks 1,284 leaves, not 3,306.  The anchor's
 own clique is still counted and charged once, and a single suborbit, as
-on every P(M_m(q)) and P(Z/n), walks all of its common neighbours.
+on every P(M_m(q)) and P(Z/n), walks all of its common neighbours.  A
+profile's step bins one row per orbit of a group fixing r and s instead,
+at the orbit's size, still charging each candidate, once the second one
+to reach the entry built its leaf table: GL_2(5) bins 325 rows for 1,284.
 
 A census to kmax >= 3 and a profile at k >= 2 through at most one vertex
 take floor 2 when each orbit they start from has a suborbit table; else a
@@ -122,7 +78,7 @@ searches split their roots anchor by anchor.
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations, compress, count, zip_longest
+from itertools import combinations, compress, count, islice, zip_longest
 from math import perm
 from typing import Iterable, Iterator, Sequence
 
@@ -142,6 +98,9 @@ _POOL_PROBE = 1 << 17
 # read off its binary string, in C; a sparser one by the lowest-bit loop.
 _DENSE = 8
 _ONES = bytes.maketrans(b"01", b"\0\1")
+
+# Schreier generators a leaf table takes; on GL_2(5) three merge 1,284 leaves into 325 orbits.
+_SCHREIER = 3
 
 
 def _lowest(bits: int) -> int:
@@ -270,9 +229,6 @@ class Graph:
     @classmethod
     def empty(cls, n: int) -> "Graph":
         return cls(n, [0] * n, [str(v) for v in range(n)])
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
 
     def degrees(self) -> list[int]:
         return [row.bit_count() for row in self.adj]
@@ -410,12 +366,14 @@ def _walk(
     budget: int,
     stop: int,
     spent: int = 0,
+    leaves: Sequence | None = None,
 ):
     """Ordered walk, for each anchor (cand, common, roots, weight, twice),
     over the cliques of 1..depth vertices of cand whose minimum vertex lies
     in roots.  At depth 1 the roots are ignored: every vertex of cand is a
     1-clique, and so is every vertex of twice, at double weight; each set
-    is settled in one leaf step.  twice is 0 at any other depth.
+    is settled in one leaf step, by the leaf table leaves[i] if anchor i
+    has one.  twice is 0 at any other depth.
 
     Returns (counts, hist, nodes, rest): counts[d] for d < depth is the
     weighted number of d-cliques, hist[c] that of depth-cliques with c
@@ -467,7 +425,15 @@ def _walk(
         if nodes > budget:  # the anchors alone are over it
             raise BudgetExceeded
         for i, (cand, common, roots, weight, twice) in enumerate(anchors):
-            if depth == 1:
+            if depth == 1 and leaves and leaves[i]:
+                for part, rows in zip((cand, twice), leaves[i]):
+                    nodes += part.bit_count()
+                    if nodes > budget:
+                        raise BudgetExceeded
+                    for row, size in rows:
+                        hist[(common & row).bit_count()] += weight * size
+                    weight *= 2  # then the twice part
+            elif depth == 1:
                 rec(cand, common, 0)
                 if twice:
                     weight *= 2  # each pair met once here stands for both orders
@@ -496,26 +462,26 @@ def _search(
     workers: int,
     base: int = 0,
     binned: bool = False,
+    leaves: Sequence | None = None,
 ):
     """(counts, hist, nodes, fixed) of the cliques of at most top vertices
     through the anchors (members, cand, weight, once, twice) of a search
-    through base vertices.  Each anchor fixes `fixed` members, counts its
-    own clique at weight and walks every root of once, and of twice at
-    double weight.  One that fixes members beyond base is charged one node,
-    and meets each k-clique once per ordered choice of them, so every sum is
-    divided by perm(k - base, fixed - base).  counts[d] is the number of
-    cliques of fixed + d vertices, and hist maps each c that occurs,
-    ascending, to the number of top-cliques with c common neighbours in cand
-    when binned, else all of them to 0.
+    through base vertices, leaves as in _walk.  Each anchor fixes `fixed`
+    members, counts its own clique at weight and walks every root of once,
+    and of twice at double weight.  One that fixes members beyond base is
+    charged one node, and meets each k-clique once per ordered choice of
+    them, so every sum is divided by perm(k - base, fixed - base).
+    counts[d] is the number of cliques of fixed + d vertices, and hist maps
+    each c that occurs, ascending, to the number of top-cliques with c
+    common neighbours in cand when binned, else all of them to 0.
 
     With workers, the anchors left after the serial prefix run in one pool
-    of w processes, one share each: share i takes the roots [i::w] of each,
-    w being workers capped at the most roots of any anchor and at the CPUs,
-    each share may charge the nodes the prefix left of the budget, and the
-    histograms are summed by position.  Past the budget this raises the one
-    error, which names the search a profile when binned, else a census, and
-    how far the serial walk got: where it stopped, or where it handed over
-    to the pool.
+    of w processes, w capped at the most roots of any anchor and at the
+    CPUs: share i takes the roots [i::w] of each, may charge the nodes the
+    prefix left of the budget, and its sums are added by position.  Past
+    the budget this raises the one error, which names the search a profile
+    when binned, else a census, and where the serial walk stopped or handed
+    over to the pool.
     """
     fixed = len(anchors[0][0])
     depth = top - fixed
@@ -528,7 +494,7 @@ def _search(
         workers = min(workers, _default_workers())
     # serial, never stop short of the budget
     stop = spent + _POOL_PROBE if workers > 1 else budget
-    counts, hist, nodes, rest = _walk(adj, depth, tasks, budget, stop, spent)
+    counts, hist, nodes, rest = _walk(adj, depth, tasks, budget, stop, spent, leaves)
     if rest and nodes <= budget:
         shares = [
             [(cand, common, roots[i::workers], w, twice) for cand, common, roots, w, twice in rest]
@@ -598,9 +564,10 @@ def _symmetry(g: Graph):
     ValueError names the first that is not.  orbits lists (r, size,
     suborbits) per orbit, r its least vertex, in vertex order; orbit_of[v]
     is the position of the orbit of v.  suborbits lists the orbits on adj[r]
-    of the generators that fix r as (least vertex, size, own, later), own its
-    bitmask and later that of those after it by size, largest first, ties by
-    table position; None if they merge no two neighbours."""
+    of the generators that fix r as (least vertex, size, own, later, leaf),
+    own its bitmask, later that of those after it by size, largest first,
+    ties by table position, and leaf [], [None] once a profile reached it,
+    then [None, its _leaf_table]; None if they merge no two neighbours."""
     if g._orbits is not None:
         return g._orbits
     adj, generators = g.adj, g.generators
@@ -626,14 +593,43 @@ def _symmetry(g: Graph):
         own[order[0]] = adj[r] ^ sum(own)  # the largest, without a bit set one at a time
         entries, later = [None] * len(table), 0
         for i in reversed(order):
-            entries[i] = (*table[i], own[i], later)
+            entries[i] = (*table[i], own[i], later, [])
             later |= own[i]
         orbits.append((r, size, entries))
     g._orbits = orbit_of, orbits
     return g._orbits
 
 
-def _anchors(g: Graph, base: list[int], top: int) -> list[tuple[list[int], int, int, int, int]]:
+def _schreier(fixing: Sequence[Sequence[int]], points: list[int]) -> Iterator[list[int]]:
+    """The Schreier generators t_v^-1 sigma t_u (Seress 2003) fixing s =
+    points[1] in the group of fixing, breadth first, as their images of
+    points: sigma takes u to v, t_u takes s to u along the tree."""
+    tree, queue = {points[1]: points}, [points]  # u -> t_u's images of points
+    for at in queue:
+        for sigma in fixing:
+            image = list(map(sigma.__getitem__, at))
+            if image[1] in tree:
+                back = dict(zip(tree[image[1]], points))  # t_v^-1 on the points it reaches
+                yield list(map(back.__getitem__, image))
+            else:
+                tree[image[1]] = image
+                queue.append(image)
+
+
+def _leaf_table(adj: Sequence[int], generators: Sequence[Sequence[int]], r: int, s: int, parts: tuple[int, int]):
+    """[(row, size)] per part, once then twice, of the leaf step at (r, s):
+    the least vertex's row and the size of each orbit on it of the first
+    _SCHREIER nontrivial _schreier generators; () if every orbit is one vertex."""
+    points = [r, s, *_bits(parts[0] | parts[1])]
+    fixing = [sigma for sigma in generators if sigma[r] == r]
+    found = [dict(zip(points, h)) for h in islice((h for h in _schreier(fixing, points) if h != points), _SCHREIER)]
+    if any(h[r] != r or h[s] != s for h in found):
+        raise AssertionError(f"a Schreier generator of ({r}, {s}) moves {r} or {s}")
+    tables = [[(adj[v], size) for v, size in _orbit_table(_bits(part), found)[1]] for part in parts]
+    return tables if len(tables[0]) + len(tables[1]) < len(points) - 2 else ()
+
+
+def _anchors(g: Graph, base: list[int], top: int, leaves=None) -> list[tuple[list[int], int, int, int, int]]:
     """[(members, cand, weight, once, twice)]: the anchors, by the rule of
     the module docstring, of the cliques of top vertices through the clique
     base.  An anchor fixes the clique members, base or the image of base
@@ -641,18 +637,23 @@ def _anchors(g: Graph, base: list[int], top: int) -> list[tuple[list[int], int, 
     what its cliques are binned against.  It walks once at its weight and
     twice at double it: cand and nothing, but for a pair anchor (r, s) at
     top = 3 the part of cand in the suborbit of s and the part in the
-    suborbits after it, largest first."""
+    suborbits after it, largest first.  A profile at top = 3 passes leaves,
+    and each pair anchor appends its leaf table, or None while it has none."""
     if g.generators and len(base) < min(top, 2):
         orbit_of, orbits = _symmetry(g)
         reps = [orbits[orbit_of[base[0]]]] if base else orbits
         if top > 1 and reps and all(table for _, _, table in reps):
             anchors = []
             for r, w, table in reps:
-                for s, size, own, later in table:
+                for s, size, own, later, leaf in table:
                     cand = g.adj[r] & g.adj[s]
                     # a leaf step meets each neighbour pair of r once, from the larger suborbit
                     once, twice = (cand & own, cand & later) if top == 3 else (cand, 0)
                     anchors.append(([r, s], cand, size if base else w * size, once, twice))
+                    if leaves is not None:  # the second profile to reach the entry builds its table
+                        if len(leaf) < 2:
+                            leaf.append(_leaf_table(g.adj, g.generators, r, s, (once, twice)) if leaf else None)
+                        leaves.append(leaf[-1])
             return anchors
         if reps and not base:
             return [([r], g.adj[r], w, g.adj[r], 0) for r, w, _ in reps]
@@ -687,11 +688,9 @@ def count_cliques(
     """Exact number of k-cliques for 0 <= k <= kmax.
 
     For T there is one clique of every size.  The count is independent
-    of the worker split: each worker owns the cliques whose minimum
-    vertex falls in its share of the roots, and the totals are summed.
-    With generators, the walk starts from the floor-1 or floor-2 anchors
-    of the module docstring: N_k sums the counts of every anchor,
-    weighted, over k or over k(k - 1).
+    of the worker split (_search).  With generators, the walk starts from
+    the floor-1 or floor-2 anchors of the module docstring: N_k sums the
+    counts of every anchor, weighted, over k or over k(k - 1).
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
@@ -777,7 +776,8 @@ def extension_profile(
         raise ValueError("k smaller than the fixed clique")
     if k > g.n:  # no clique has more than n vertices
         return {}
-    return _search(g.adj, k, _anchors(g, base, k), node_budget, workers, len(base), True)[1]
+    leaves = [] if k == 3 else None  # filled by _anchors before _search runs
+    return _search(g.adj, k, _anchors(g, base, k, leaves), node_budget, workers, len(base), True, leaves)[1]
 
 
 def _coclique(adj: Sequence[int], best: int) -> list[int]:

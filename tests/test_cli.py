@@ -113,12 +113,24 @@ def test_census_unit_graph_profile_on_fixed_triangle(tmp_path, capsys):
 
 def test_profile_past_n_is_empty_without_a_walk(tmp_path, capsys):
     # P(M_2(4)) has 357 points, so no 358-clique: the profile is empty, not a
-    # walk that runs out of the default budget
+    # walk that runs out of the default budget, and its text line says so
     argv = ["census", "--spec", spec_file(tmp_path, M24), "--kmax", "2", "--profile", "358"]
     assert main(argv) == 0
-    assert capsys.readouterr().out == "clique counts (k=0..2): 1,357,45696\nextension profile at k=358: \n"
+    assert capsys.readouterr().out == "clique counts (k=0..2): 1,357,45696\nextension profile at k=358: none\n"
     assert main(argv + ["--format", "json"]) == 0
     assert capsys.readouterr().out == '{"counts": [1, 357, 45696], "profile": {}}\n'
+
+
+def test_profile_through_a_clique_no_k_clique_contains_is_empty(tmp_path, capsys):
+    # P(Z/6) is K_3 x K_4, whose largest cliques are triangles: no 4-clique
+    # runs through a vertex, in any format
+    argv = ["census", "--spec", spec_file(tmp_path, Z6), "--kmax", "3", "--profile", "4", "--containing", "0|0"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "clique counts (k=0..3): 1,12,36,24\nextension profile at k=4: none\n"
+    assert main(argv + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == '{"counts": [1, 12, 36, 24], "profile": {}}\n'
+    assert main(argv + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out == "k,cliques\n0,1\n1,12\n2,36\n3,24\nextensions,cliques\n"
 
 
 def test_census_csv(tmp_path, capsys):

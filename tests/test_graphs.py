@@ -543,7 +543,7 @@ def test_vertex_out_of_range_raises():
         for v in (-1, n, -n - 1, 2 * n):
             with pytest.raises(ValueError, match=f"^vertex {v} out of range$"):
                 call(v)
-    assert extension_count(g, [n - 1]) == g.degree(n - 1)
+    assert extension_count(g, [n - 1]) == g.adj[n - 1].bit_count()
 
 
 def test_is_clique_and_inextensible():
@@ -733,9 +733,9 @@ def test_pool_shares_charge_what_the_prefix_left(eager_pool, serial_pool, monkey
     # prefix left of it, and no walk raises, whether the budget holds or not
     walk, calls, returned = graphs._walk, [], []
 
-    def spy_walk(adj, depth, anchors, budget, stop, spent=0):
+    def spy_walk(adj, depth, anchors, budget, stop, spent=0, leaves=()):
         calls.append(budget)
-        out = walk(adj, depth, anchors, budget, stop, spent)
+        out = walk(adj, depth, anchors, budget, stop, spent, leaves)
         returned.append(out[2])
         return out
 
@@ -1063,7 +1063,7 @@ def test_suborbit_node_charge(eager_pool):
         orbit_of, orbits = _symmetry(g)
         r, _, suborbits = orbits[orbit_of[c]]
         assert suborbits is not None
-        common = [g.adj[r] & g.adj[s] for s, _, _, _ in suborbits]
+        common = [g.adj[r] & g.adj[s] for s, *_ in suborbits]
         edges = [sum((g.adj[v] & cand).bit_count() for v in range(g.n) if cand >> v & 1) // 2 for cand in common]
         vertices = [cand.bit_count() for cand in common]
         leaf = sum(leaf_walks(g, r).values())
@@ -1077,13 +1077,13 @@ def test_suborbit_node_charge(eager_pool):
                     extension_profile(g, k, containing=[c], node_budget=nodes - 1, workers=workers)
                 assert extension_profile(g, k, containing=[c], node_budget=nodes, workers=workers) == want
         # k = 1 is the vertex alone, with no node charged
-        assert extension_profile(g, 1, containing=[c], node_budget=0) == {g.degree(c): 1}
+        assert extension_profile(g, 1, containing=[c], node_budget=0) == {g.adj[c].bit_count(): 1}
 
 
 def pair_anchors(g: Graph) -> list[tuple[int, int, int]]:
     """(r, s, weight) for r the least vertex of each orbit and s the least
     vertex of each of its suborbits, read from the tables."""
-    return [(r, s, size * part) for r, size, table in _symmetry(g)[1] for s, part, _, _ in table]
+    return [(r, s, size * part) for r, size, table in _symmetry(g)[1] for s, part, *_ in table]
 
 
 @pytest.mark.parametrize("case", ORBIT_GRAPHS, ids=lambda c: "-".join(map(str, c[:-1])))
@@ -1123,7 +1123,7 @@ def assert_anchor_rule(g: Graph) -> None:
     tables = bool(g.generators) and all(table is not None for _, _, table in orbits)
     pairs = graphs._anchors(g, [], 2)
     if tables:
-        common = [(r, s, g.adj[r] & g.adj[s], size * part) for r, size, table in orbits for s, part, _, _ in table]
+        common = [(r, s, g.adj[r] & g.adj[s], size * part) for r, size, table in orbits for s, part, *_ in table]
         assert pairs == [([r, s], cand, w, cand, 0) for r, s, cand, w in common]
         assert all(g.has_edge(r, s) for (r, s), *_ in pairs)
         assert sum(w for _, _, w, *_ in pairs) == 2 * g.edge_count()
@@ -1137,7 +1137,7 @@ def assert_anchor_rule(g: Graph) -> None:
         r, _, table = orbits[orbit_of[c]] if g.generators else (c, 1, None)
         if table is not None:
             assert all(members[0] == r and cand == g.adj[r] & g.adj[members[1]] for members, cand, *_ in through)
-            assert sum(w for _, _, w, *_ in through) == g.degree(c)
+            assert sum(w for _, _, w, *_ in through) == g.adj[c].bit_count()
         else:
             assert through == [([c], g.adj[c], 1, g.adj[c], 0)]
     seen, search = [], graphs._branch_and_bound
@@ -1239,9 +1239,12 @@ def serial_pool_class(opened: list) -> type:
 
 def assert_leaf_step_equals_plain_walk(g: Graph) -> None:
     """A census to kmax = 3 and profiles at k = 3, through no vertex and
-    through the least vertex of each orbit, equal the plain walk's; 1 and 3
+    through the least vertex of each orbit, equal the plain walk's, run
+    twice: a profile's second leaf step builds the leaf tables that it and
+    every later one bin by.  They charge the nodes of the first, and 1 and 3
     workers (any pool run serially) agree on the answer and the nodes at a
-    budget of nodes, and on the error at nodes - 1."""
+    budget of nodes, and on the error at nodes - 1 with the first search of
+    a fresh copy of g, which bins every candidate."""
     import concurrent.futures
 
     h, big, used = plain(g), 10**8, []
@@ -1260,12 +1263,19 @@ def assert_leaf_step_equals_plain_walk(g: Graph) -> None:
         for run, k, kwargs in runs:
             used.append(0)  # a profile at k > n runs no search and charges nothing
             want = run(h, k, node_budget=big, **kwargs)
-            got = run(g, k, node_budget=big, **kwargs)
+            first = run(g, k, node_budget=big, **kwargs)
             nodes = used[-1]
+            second = run(g, k, node_budget=big, **kwargs)
+            assert used[-1] == nodes
             if run is count_cliques:
-                want, got = want.counts, got.counts
-            assert got == want
+                want, first, second = want.counts, first.counts, second.counts
+            assert first == second == want
             errors = []
+            if nodes:
+                fresh = _with_generators(Graph(g.n, g.adj), g.generators)
+                with pytest.raises(BudgetExceeded) as err:
+                    run(fresh, k, node_budget=nodes - 1, **kwargs)
+                errors.append(str(err.value))
             for workers in (1, 3):
                 at = run(g, k, node_budget=nodes, workers=workers, **kwargs)
                 assert (at.counts if run is count_cliques else at) == want and used[-1] == nodes
@@ -1276,7 +1286,11 @@ def assert_leaf_step_equals_plain_walk(g: Graph) -> None:
             assert len(set(errors)) <= 1
 
 
-@pytest.mark.parametrize("case", ORBIT_GRAPHS, ids=lambda c: "-".join(map(str, c[:-1])))
+# GL_2(5) and P(M_2(4)) too: their leaf tables merge the most candidates
+LEAF_GRAPHS = ORBIT_GRAPHS + [("GL", 2, 5, 3), ("M", 2, 4, 3)]
+
+
+@pytest.mark.parametrize("case", LEAF_GRAPHS, ids=lambda c: "-".join(map(str, c[:-1])))
 def test_leaf_step_equals_plain_walk(case):
     kind, *args, _ = case
     assert_leaf_step_equals_plain_walk(BUILD[kind](*args))
@@ -1286,6 +1300,58 @@ def test_leaf_step_equals_plain_walk(case):
 @given(g=graphs_with_generators())
 def test_leaf_step_equals_plain_walk_property(g):
     assert_leaf_step_equals_plain_walk(g)
+
+
+def test_leaf_tables_are_built_once_by_the_second_profile_at_k_3(monkeypatch):
+    # no build and no search but a profile at k = 3 through at most one
+    # vertex builds a leaf table; the second such profile to reach a suborbit
+    # builds its table, once, and every later one reads it
+    built, build = [], graphs._leaf_table
+
+    def spy(adj, generators, r, s, parts):
+        built.append(s)
+        return build(adj, generators, r, s, parts)
+
+    monkeypatch.setattr(graphs, "_leaf_table", spy)
+    g = unit_difference_graph(2, 3)
+    c, triangle = g.n - 1, find_clique(g, 3)
+    floor_one = unit_difference_graph(1, 9)  # GL_1(q) has no suborbit table
+    for _ in range(2):
+        for k in range(6):
+            count_cliques(g, k)
+            find_clique(g, k)
+            if k != 3:
+                extension_profile(g, k)
+                extension_profile(g, max(k, 1), containing=[c])
+            if k >= 2:
+                extension_profile(g, k, containing=triangle[:2])
+        extension_profile(g, 3, containing=triangle)
+        max_clique_order(g)
+        extension_profile(floor_one, 3)
+    assert built == []
+    ((r, _, suborbits),) = _symmetry(g)[1]
+    want = extension_profile(plain(g), 3, containing=[c])
+    assert extension_profile(g, 3, containing=[c]) == want and built == []
+    assert extension_profile(g, 3, containing=[c]) == want and built == [s for s, *_ in suborbits]
+    assert [leaf[-1] != () for *_, leaf in suborbits] == [False, True, True, True]  # GL_2(3): 3 of 4 merge
+    for _ in range(3):
+        assert extension_profile(g, 3, containing=[c]) == want
+        assert extension_profile(g, 3) == extension_profile(plain(g), 3)
+    assert built == [s for s, *_ in suborbits]
+    # a Schreier generator that moves s (its image of s swapped with that of
+    # the first candidate, if any) raises at the build, and at the next try
+    schreier = graphs._schreier
+
+    def corrupted(fixing, points):
+        for h in schreier(fixing, points):
+            yield [h[0], *h[2:3], h[1], *h[3:]]
+
+    monkeypatch.setattr(graphs, "_schreier", corrupted)
+    g = unit_difference_graph(2, 3)
+    assert extension_profile(g, 3, containing=[c]) == want
+    for _ in range(2):
+        with pytest.raises(AssertionError, match=r"^a Schreier generator of \(0, 10\) moves 0 or 10$"):
+            extension_profile(g, 3, containing=[c])
 
 
 def test_drawn_graphs_reach_the_pairs_and_the_level_one_fallback():

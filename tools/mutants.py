@@ -76,8 +76,8 @@ MUTANTS = [
     ),
     (
         GRAPHS,
-        "[sigma for sigma in generators if sigma[r] == r]",
-        "list(generators)",
+        "_orbit_table(neighbours, [sigma for sigma in generators if sigma[r] == r])",
+        "_orbit_table(neighbours, list(generators))",
         "suborbits from generators that move r",
     ),
     (GRAPHS, "own[order[0]] = adj[r] ^ sum(own)", "own[order[0]] = adj[r]", "largest suborbit's mask is all of adj[r]"),
@@ -110,12 +110,26 @@ MUTANTS = [
         "budget error counts one anchor too few",
     ),
     # the leaf step that meets each neighbour pair once
-    (GRAPHS, "                    weight *= 2", "                    weight *= 1", "later suborbits weighted once"),
+    (
+        GRAPHS,
+        "weight *= 2  # each pair met once here stands for both orders",
+        "weight *= 1  # each pair met once here stands for both orders",
+        "later suborbits weighted once",
+    ),
     (GRAPHS, "(cand & own, cand & later) if top", "(0, cand & later) if top", "own suborbit skipped"),
     (GRAPHS, "key=lambda i: -table[i][1]", "key=lambda i: table[i][1]", "suborbits ordered smallest first"),
     (GRAPHS, "if top == 3 else (cand, 0)", "if top >= 3 else (cand, 0)", "split walk below the leaf level"),
     (GRAPHS, "(once, cand if binned else 0,", "(once, once if binned else 0,", "leaf binned against its walked part"),
     (GRAPHS, "compress(adj, _selectors(cand))", "compress(adj[1:], _selectors(cand))", "dense leaf reads the rows shifted"),
+    # the leaf tables of a profile's pair anchors
+    (GRAPHS, "+= weight * size", "+= weight", "orbit size dropped from the weighted leaf"),
+    (GRAPHS, "weight *= 2  # then the twice part", "weight *= 1  # then the twice part", "twice-part rows weighted once"),
+    (
+        GRAPHS,
+        "yield list(map(back.__getitem__, image))",
+        "yield image",
+        "Schreier generator built without its inverse transversal",
+    ),
     # the branch and bound
     (GRAPHS, "        if best >= ceiling:\n            break\n", "", "search goes on past its first witness"),
     # the clique-coclique ceiling and the twin classes
